@@ -8,8 +8,8 @@ digits so artifacts round-trip bit-faithfully; non-finite values appear as
 null next to an explicit "divergent" flag.
 
 Exit codes: 0 success (including negative certificate verdicts, which are
-valid results), 2 invalid configuration, 3 enumeration guard exceeded without
---force.
+valid results), 2 invalid configuration (non-finite numbers and inputs whose
+arithmetic overflows included), 3 enumeration guard exceeded without --force.
 """
 
 from __future__ import annotations
@@ -145,11 +145,19 @@ def _motifs(ns: argparse.Namespace, cfg: dict) -> list[Motif]:
     return [load_motif(str(s)) for s in specs]
 
 
+def _finite(key: str, val) -> float:
+    """The one boundary check for real-valued inputs: a finite float."""
+    x = float(val)
+    if not math.isfinite(x):
+        raise ValueError(f"--{key} must be finite, got {val!r}")
+    return x
+
+
 def _betas(ns: argparse.Namespace, cfg: dict) -> list[float]:
     vals = _opt(ns, cfg, "betas")
     if vals is None:
         raise ValueError("parameter values are required")
-    return [float(b) for b in vals]
+    return [_finite("betas", b) for b in vals]
 
 
 def _need_int(ns: argparse.Namespace, cfg: dict, key: str) -> int:
@@ -274,7 +282,7 @@ def cmd_expand(ns: argparse.Namespace) -> int:
     head_links = _opt(ns, cfg, "head_links")
     head_links = None if head_links is None else int(head_links)
     M = _opt(ns, cfg, "M")
-    M = None if M is None else float(M)
+    M = None if M is None else _finite("M", M)
     force = _flag(ns, cfg, "force")
     _threads(ns, cfg)
     report = expansion_report(motifs, betas, n, order=order, max_links=max_links,
@@ -310,7 +318,7 @@ def cmd_region(ns: argparse.Namespace) -> int:
     m = _need_int(ns, cfg, "m")
     M = _opt(ns, cfg, "M")
     chose = M is None
-    M = optimal_M(p) if chose else float(M)
+    M = optimal_M(p) if chose else _finite("M", M)
     budget = region_bound(p, m, M)
     label = "optimal M" if chose else "M"
     print(f"{label} = {_fmt(M)}")
@@ -329,14 +337,14 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
     norm = _opt(ns, cfg, "norm")
     if norm is None:
         raise ValueError("--norm is required")
-    norm = float(norm)
+    norm = _finite("norm", norm)
     M = _opt(ns, cfg, "M")
     if M is None:
         if p < 2:
             raise ValueError("--M is required when p = 1 (no interior optimum)")
         M = optimal_M(p)
     else:
-        M = float(M)
+        M = _finite("M", M)
     n_max = int(_opt(ns, cfg, "n_max", 30))
     table = abar_recursion(p, norm, M, n_max)
     checked = generating_function_check(p, norm, M, min(n_max, 30))
@@ -447,7 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(render_json({"error": str(exc), "kind": "guard",
                                       "hint": "pass --force to override"}) + "\n")
         return 3
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(render_json({"error": str(exc), "kind": "invalid-config"}) + "\n")
         return 2
 

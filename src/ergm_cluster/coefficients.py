@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 COEFFICIENT_GUARD = 64
 
@@ -57,43 +57,20 @@ def region_bound(p: int, m: int, M: float) -> float:
     return min(rhs, 0.5) / (m * (m - 1))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _gamma_table(p: int, n_max: int) -> tuple[Fraction, ...]:
     """gamma_1..gamma_n_max as exact rationals, 0-slot padded for 1-indexing.
 
-    gamma_1 = 1; for n >= 2,
-    gamma_n = sum_{k=1..p} binom(p, k) sum over compositions n_1+..+n_k = n-1
-    of gamma_{n_1} ... gamma_{n_k}.
+    gamma_n = [z^(n-1)] P for the power P = (1 + w)^p of the series w itself.
+    J.C.P. Miller's recurrence for a power of a series A with A_0 = 1 gives
+    P_k = (1/k) sum_{j=1..k} ((p+1) j - k) A_j P_{k-j}, and A_j = gamma_j =
+    P_{j-1} is known by the time P_k is needed: O(n_max^2) rational steps.
     """
-    g: list[Fraction] = [Fraction(0), Fraction(1)]
-    for n in range(2, n_max + 1):
-        total = Fraction(0)
-        for k in range(1, p + 1):
-            if n - 1 < k:
-                break
-            coeff = math.comb(p, k)
-            for comp in _compositions(n - 1, k):
-                prod = Fraction(coeff)
-                for part in comp:
-                    prod *= g[part]
-                total += prod
-        g.append(total)
-    return tuple(g)
+    power = [Fraction(1)]
+    for k in range(1, n_max):
+        total = sum(((p + 1) * j - k) * power[j - 1] * power[k - j] for j in range(1, k + 1))
+        power.append(Fraction(total, k))
+    return (Fraction(0),) + tuple(power)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,25 @@ The links of an interaction are its stored subsets; a hypergraph is a set of
 links, connected when the links cannot be split into two groups with disjoint
 supports.  Grouping connected hypergraphs by their support N gives polymers
 with activity w_N; disjoint collections of polymers resum the partition
-function exactly, and the log expands into cluster terms weighted by signed
-connected-graph (Ursell) coefficients.  The per-site Kotecky-Preiss condition
-sum_{N containing e} |w_N|-bound * M^|N| <= log M is certified by exact
-enumeration up to a link-count head plus the analytic coefficient tail.
+function exactly.  Scaling every activity by lambda, the per-size cluster sum
+S_k is [lambda^k] log Xi(lambda), where Xi sums over families of pairwise
+disjoint polymers (the Mayer expansion read as a formal power series), so the
+cluster sums come from one subset-mask sweep over the site masks with a
+lambda axis, followed by the log-series recursion.  The per-site
+Kotecky-Preiss condition sum_{N containing e} |w_N|-bound * M^|N| <= log M is
+certified by the polymer bounds up to a link-count head plus the analytic
+coefficient tail.
 
 Enumeration order everywhere is fixed: links in canonical subset order,
-connected sets by depth-first extension over that order, accumulation in
-yield order.  Results are bit-reproducible across runs.
+connected sets by depth-first extension over that order, polymers in site-mask
+order.  Results are bit-reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -36,9 +40,12 @@ from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction, fr
 
 # Enumeration stops with GuardExceeded after this many connected sets.
 DEFAULT_MAX_COUNT = 5_000_000
-URSELL_GUARD = 8
 ORDER_GUARD = 8
-SPIN_GUARD = 20
+# Entries of the site-mask table, 2^C(n,2) * (order + 1): n = 6 fits at every
+# order up to ORDER_GUARD, n = 7 does not fit at any.
+SWEEP_GUARD = 1 << 20
+# Majorant coefficients tabulated exactly before the geometric tail takes over.
+TABLE_ORDER = 30
 
 
 class _LinkSystem:
@@ -148,103 +155,6 @@ def enumerate_connected_hypergraphs(K: Interaction, max_links: int,
         yield tuple(sys.links[i] for i in idxs)
 
 
-def _spin_sum(values: Sequence[float], masks: Sequence[int], nmask: int) -> float:
-    """Normalized sum over occupation states on the support of one hypergraph.
-
-    Each link contributes exp(K(X) sigma_X) - 1 with sigma_X the product of
-    the occupation numbers on its sites.  expm1(0) = 0 kills every state that
-    leaves a link uncovered, so only the all-occupied state survives; the loop
-    still runs the literal definition.
-    """
-    site_bits = []
-    m = nmask
-    while m:
-        bit = m & -m
-        m ^= bit
-        site_bits.append(bit)
-    s = len(site_bits)
-    if s > SPIN_GUARD:
-        raise GuardExceeded(f"spin sum over {s} sites exceeds guard {SPIN_GUARD}")
-    total = 0.0
-    for occ in range(1 << s):
-        sigma = 0
-        for j in range(s):
-            if occ >> j & 1:
-                sigma |= site_bits[j]
-        prod = 1.0
-        for val, lm in zip(values, masks):
-            prod *= math.expm1(val if (sigma & lm) == lm else 0.0)
-            if prod == 0.0:
-                break
-        total += prod
-    return total / (1 << s)
-
-
-def _subsystem(sys: _LinkSystem, nmask: int) -> tuple[list[int], list[int]]:
-    """Indices of links inside nmask and their adjacency restricted there."""
-    inside = [i for i, m in enumerate(sys.masks) if m and (m & nmask) == m]
-    back = {i: j for j, i in enumerate(inside)}
-    adj = [0] * len(inside)
-    for j, i in enumerate(inside):
-        nbrs = sys.adj[i]
-        while nbrs:
-            bit = nbrs & -nbrs
-            nbrs ^= bit
-            k = bit.bit_length() - 1
-            if k in back:
-                adj[j] |= 1 << back[k]
-    return inside, adj
-
-
-def polymer_activity(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
-                     max_count: int = DEFAULT_MAX_COUNT) -> float:
-    """w_N: spin-summed weight of all connected hypergraphs with support N.
-
-    Only links inside N can participate, so the sum over hypergraphs is finite
-    even without the max_links cut; the cut is honored anyway as the polymer
-    universe is built from bounded hypergraphs.
-    """
-    sys = _LinkSystem(K)
-    X = freeze_sites(N, K.n)
-    if not X:
-        raise ValueError("a polymer support cannot be empty")
-    nmask = sys._site_mask(X)
-    inside, adj = _subsystem(sys, nmask)
-    total = 0.0
-    for idxs in _connected_item_sets(adj, max_links, max_count):
-        support = 0
-        for j in idxs:
-            support |= sys.masks[inside[j]]
-        if support != nmask:
-            continue
-        total += _spin_sum([sys.values[inside[j]] for j in idxs],
-                           [sys.masks[inside[j]] for j in idxs], nmask)
-    return total
-
-
-def activity_bound(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
-                   max_count: int = DEFAULT_MAX_COUNT) -> float:
-    """v_N: the same hypergraph sum with every factor replaced by expm1(|K(X)|).
-
-    Dominates |w_N| term by term."""
-    sys = _LinkSystem(K)
-    X = freeze_sites(N, K.n)
-    if not X:
-        raise ValueError("a polymer support cannot be empty")
-    nmask = sys._site_mask(X)
-    inside, adj = _subsystem(sys, nmask)
-    total = 0.0
-    for idxs in _connected_item_sets(adj, max_links, max_count):
-        support = 0
-        prod = 1.0
-        for j in idxs:
-            support |= sys.masks[inside[j]]
-            prod *= math.expm1(abs(sys.values[inside[j]]))
-        if support == nmask:
-            total += prod
-    return total
-
-
 @dataclass(frozen=True)
 class Polymer:
     """A realizable support with its activity and the absolute-value bound."""
@@ -254,16 +164,10 @@ class Polymer:
     bound: float
 
 
-def polymer_table(K: Interaction, max_links: int,
-                  max_count: int = DEFAULT_MAX_COUNT) -> list[Polymer]:
-    """All polymers realizable with at most max_links links, canonically sorted.
-
-    Activities accumulate per connected hypergraph using the collapsed form
-    of the spin sum: every state short of full occupation carries an expm1(0)
-    factor, so the normalized sum equals the plain product of expm1(K(X))
-    (bitwise identical to _spin_sum, which a test pins down).
-    """
-    sys = _LinkSystem(K)
+def _polymers(sys: _LinkSystem, max_links: int, max_count: int) -> list[Polymer]:
+    """polymer_table on a prebuilt link system."""
+    ew = [math.expm1(v) for v in sys.values]
+    ev = [math.expm1(abs(v)) for v in sys.values]
     acc_w: dict[int, float] = {}
     acc_v: dict[int, float] = {}
     for idxs in _connected_item_sets(sys.adj, max_links, max_count):
@@ -272,8 +176,8 @@ def polymer_table(K: Interaction, max_links: int,
         v = 1.0
         for i in idxs:
             support |= sys.masks[i]
-            w *= math.expm1(sys.values[i])
-            v *= math.expm1(abs(sys.values[i]))
+            w *= ew[i]
+            v *= ev[i]
         acc_w[support] = acc_w.get(support, 0.0) + w
         acc_v[support] = acc_v.get(support, 0.0) + v
     # The activity carries the 2^-|N| spin normalization; the bound, by its
@@ -284,149 +188,103 @@ def polymer_table(K: Interaction, max_links: int,
             for mask in sorted(acc_w)]
 
 
-_URSELL_CACHE: dict[tuple[int, int], int] = {}
+def polymer_table(K: Interaction, max_links: int,
+                  max_count: int = DEFAULT_MAX_COUNT) -> list[Polymer]:
+    """All polymers realizable with at most max_links links, canonically sorted.
 
-
-def _spanning_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = n
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps == 1
-
-
-def _ursell_pairs(n: int, pair_mask: int) -> int:
-    """Sum of (-1)^|R| over connected spanning subgraphs R of the overlap graph.
-
-    Exhaustive over subsets of the present overlap edges, memoized by the
-    (n, overlap bitmask) pattern; dense patterns near the size guard are
-    expensive, which is why tuple sizes are capped at URSELL_GUARD.
+    Activities accumulate per connected hypergraph using the collapsed form
+    of the spin sum: every state short of full occupation carries an expm1(0)
+    factor, so the normalized sum equals the plain product of expm1(K(X))
+    (bitwise identical to the literal spin sum, which a test pins down).
     """
-    if n == 1:
-        return 1
-    key = (n, pair_mask)
-    hit = _URSELL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pairs = list(combinations(range(n), 2))
-    present = [pairs[k] for k in range(len(pairs)) if pair_mask >> k & 1]
-    total = 0
-    for sub in range(1 << len(present)):
-        chosen = [present[j] for j in range(len(present)) if sub >> j & 1]
-        if len(chosen) < n - 1:
-            continue
-        if _spanning_connected(n, chosen):
-            total += -1 if len(chosen) & 1 else 1
-    _URSELL_CACHE[key] = total
-    return total
+    return _polymers(_LinkSystem(K), max_links, max_count)
 
 
-def ursell_coefficient(supports: Sequence[Sequence[Sequence[int]]], n_vertices: int | None = None) -> int:
-    """Signed connected-graph coefficient of a tuple of polymer supports.
+def _check_order(order: int) -> None:
+    if not 1 <= order <= ORDER_GUARD:
+        raise ValueError(f"order must lie in 1..{ORDER_GUARD}")
 
-    Builds the overlap graph of the tuple (repeats allowed; equal supports
-    always overlap) and sums (-1)^edges over its connected spanning subgraphs.
-    Zero exactly when the overlap graph is disconnected.
+
+def _check_sweep(site_count: int, order: int, force: bool = False) -> None:
+    """Refuse a site-mask table past SWEEP_GUARD entries before any work."""
+    size = (1 << site_count) * (order + 1)
+    if size > SWEEP_GUARD and not force:
+        raise GuardExceeded(f"site-mask table of 2^{site_count} x {order + 1} entries "
+                            f"exceeds guard {SWEEP_GUARD}")
+
+
+def _family_sweep(site_count: int, masks: Sequence[int], weights: Sequence[float],
+                  order: int) -> np.ndarray:
+    """table[S, k]: sum over families of k pairwise-disjoint polymers whose
+    supports tile the site mask S exactly, of the product of their weights.
+
+    Polymers enter one at a time in the given order; families of more than
+    `order` polymers are dropped, which truncates Xi(lambda) at lambda^order.
     """
-    k = len(supports)
-    if k == 0:
-        raise ValueError("the empty tuple has no coefficient")
-    if k > URSELL_GUARD:
-        raise GuardExceeded(f"tuple size {k} exceeds guard {URSELL_GUARD}")
-    sets = [frozenset(tuple(e) for e in X) for X in supports]
-    mask = 0
-    for bit, (i, j) in enumerate(combinations(range(k), 2)):
-        if sets[i] & sets[j]:
-            mask |= 1 << bit
-    return _ursell_pairs(k, mask)
+    table = np.zeros((1 << site_count, order + 1), dtype=np.float64)
+    table[0, 0] = 1.0
+    rows = np.arange(1 << site_count, dtype=np.int64)
+    for sup, w in zip(masks, weights):
+        free = rows[(rows & sup) == 0]
+        table[free | sup, 1:] += table[free, :-1] * w
+    return table
 
 
-def _blowup_ursell(r: int, pattern: int, comp: tuple[int, ...]) -> int:
-    """Ursell coefficient of a multiset: r distinct supports with the given
-    pairwise-overlap pattern, repeated comp[j] times each.
+def _log_series(xi: Sequence[float]) -> list[float]:
+    """[lambda^1..lambda^K] of log Xi(lambda) from Xi_0 = 1, Xi_1..Xi_K.
 
-    The tuple overlap graph is the blow-up: copies of one support always
-    overlap each other, cross copies follow the base pattern.
+    From Xi' = (log Xi)' Xi: L_k = Xi_k - (1/k) sum_{j<k} j L_j Xi_{k-j}.
     """
-    total = sum(comp)
-    if total > URSELL_GUARD:
-        raise GuardExceeded(f"cluster size {total} exceeds guard {URSELL_GUARD}")
-    group = []
-    for j, kj in enumerate(comp):
-        group.extend([j] * kj)
-    mask = 0
-    base_pairs = {pair: bool(pattern >> bit & 1)
-                  for bit, pair in enumerate(combinations(range(r), 2))}
-    for bit, (a, b) in enumerate(combinations(range(total), 2)):
-        ga, gb = group[a], group[b]
-        if ga == gb or base_pairs[(ga, gb) if ga < gb else (gb, ga)]:
-            mask |= 1 << bit
-    return _ursell_pairs(total, mask)
+    out: list[float] = []
+    for k in range(1, len(xi)):
+        acc = 0.0
+        for j in range(1, k):
+            acc += j * out[j - 1] * xi[k - j]
+        out.append(xi[k] - acc / k)
+    return out
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _cluster_sums(site_count: int, masks: Sequence[int], weights: Sequence[float],
+                  order: int) -> list[float]:
+    """Per-size cluster sums S_1..S_order = [lambda^k] log Xi(lambda).
 
-
-def _cluster_sums(polymers: Sequence[Polymer], order: int, sys: _LinkSystem,
-                  max_count: int, use_abs: bool = False,
-                  required: int | None = None) -> list[float]:
-    """Per-size cluster sums S_1..S_order over the given polymer universe.
-
-    A cluster is a multiset of polymers with connected overlap graph; ordered
-    tuples collapse onto multisets with weight n!/prod k_j!, so each multiset
-    contributes ursell * prod w^k / prod k!.  With use_abs the absolute-value
-    version is accumulated, optionally restricted to multisets containing the
-    polymer at index `required`.
+    Run on -|w| and negated, the same sweep gives the absolute sums: the
+    connected-graph coefficient of a k-polymer cluster has sign (-1)^(k-1).
     """
-    per_size = [0.0] * (order + 1)
-    if not polymers:
-        return per_size[1:]
-    pmasks = [sys._site_mask(p.support) for p in polymers]
-    ws = [p.activity for p in polymers]
-    adj = [0] * len(polymers)
-    for i in range(len(polymers)):
-        for j in range(i + 1, len(polymers)):
-            if pmasks[i] & pmasks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    fact = [math.factorial(i) for i in range(order + 1)]
-    for base in _connected_item_sets(adj, order, max_count):
-        if required is not None and required not in base:
-            continue
-        r = len(base)
-        pattern = 0
-        for bit, (a, b) in enumerate(combinations(range(r), 2)):
-            if pmasks[base[a]] & pmasks[base[b]]:
-                pattern |= 1 << bit
-        base_w = [ws[i] for i in base]
-        for total in range(r, order + 1):
-            for comp in _compositions(total, r):
-                coeff = _blowup_ursell(r, pattern, comp)
-                if coeff == 0:
-                    continue
-                term = float(coeff)
-                for wj, kj in zip(base_w, comp):
-                    term *= wj ** kj / fact[kj]
-                per_size[total] += abs(term) if use_abs else term
-    return per_size[1:]
+    table = _family_sweep(site_count, masks, weights, order)
+    return _log_series(table.sum(axis=0).tolist())
+
+
+def _pinned_abs_sums(site_count: int, masks: Sequence[int], weights: Sequence[float],
+                     order: int, pin: int) -> list[float]:
+    """Per-size absolute mass of the clusters that contain polymer `pin`.
+
+    Xi = Xi_without + lambda w0 Xi_disjoint, where Xi_without sums families
+    without the pinned polymer and Xi_disjoint those disjoint from it, so the
+    clusters holding it sum to log(1 + lambda w0 Xi_disjoint / Xi_without).
+    Taking that ratio, rather than the difference of two cluster totals,
+    keeps the small pinned mass free of cancellation.  Weights enter as -|w|.
+    """
+    rest = [i for i in range(len(masks)) if i != pin]
+    table = _family_sweep(site_count, [masks[i] for i in rest],
+                          [-abs(weights[i]) for i in rest], order - 1)
+    rows = np.arange(1 << site_count, dtype=np.int64)
+    without = table.sum(axis=0).tolist()
+    disjoint = table[(rows & masks[pin]) == 0].sum(axis=0).tolist()
+    ratio: list[float] = []
+    for k in range(order):
+        acc = disjoint[k]
+        for j in range(1, k + 1):
+            acc -= without[j] * ratio[k - j]
+        ratio.append(acc)
+    w0 = -abs(weights[pin])
+    return [-s for s in _log_series([1.0] + [w0 * r for r in ratio])]
+
+
+def _partials(sys: _LinkSystem, polymers: Sequence[Polymer], order: int) -> list[float]:
+    masks = [sys._site_mask(p.support) for p in polymers]
+    sums = _cluster_sums(len(sys.sites), masks, [p.activity for p in polymers], order)
+    return list(accumulate(sums))
 
 
 def truncated_log_partition(K: Interaction, order: int, max_links: int = 4,
@@ -436,17 +294,10 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4,
     Polymers come from connected hypergraphs with at most max_links links;
     entry n0-1 of the result is the expansion truncated at cluster size n0.
     """
-    if not 1 <= order <= ORDER_GUARD:
-        raise ValueError(f"order must lie in 1..{ORDER_GUARD}")
+    _check_order(order)
     sys = _LinkSystem(K)
-    polymers = polymer_table(K, max_links, max_count)
-    per_size = _cluster_sums(polymers, order, sys, max_count)
-    out = []
-    acc = 0.0
-    for s in per_size:
-        acc += s
-        out.append(acc)
-    return out
+    _check_sweep(len(sys.sites), order)
+    return _partials(sys, _polymers(sys, max_links, max_count), order)
 
 
 def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: int,
@@ -456,17 +307,17 @@ def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: in
     This is the quantity the Kotecky-Preiss condition controls: when the
     certificate passes it is bounded by v_N * M^|N|.
     """
-    if not 1 <= order <= ORDER_GUARD:
-        raise ValueError(f"order must lie in 1..{ORDER_GUARD}")
+    _check_order(order)
     sys = _LinkSystem(K)
+    _check_sweep(len(sys.sites), order)
     X = freeze_sites(N, K.n)
-    polymers = polymer_table(K, max_links, max_count)
+    polymers = _polymers(sys, max_links, max_count)
     index = {p.support: i for i, p in enumerate(polymers)}
     if X not in index:
         raise ValueError(f"{X} is not a realizable polymer support here")
-    per_size = _cluster_sums(polymers, order, sys, max_count,
-                             use_abs=True, required=index[X])
-    return sum(per_size)
+    masks = [sys._site_mask(p.support) for p in polymers]
+    return sum(_pinned_abs_sums(len(sys.sites), masks, [p.activity for p in polymers],
+                                order, index[X]))
 
 
 def cluster_partition_sum(K: Interaction, max_count: int = DEFAULT_MAX_COUNT) -> float:
@@ -474,29 +325,16 @@ def cluster_partition_sum(K: Interaction, max_count: int = DEFAULT_MAX_COUNT) ->
 
     Polymer activities are aggregated over every connected hypergraph (no
     link-count cut: links inside a finite site set are finite), then the sum
-    over disjoint collections runs as a subset-mask sweep.  Equals
-    exp(partition_normalized(K)) up to float arithmetic.
+    over disjoint collections is the site-mask sweep of the cluster sums,
+    with room for one polymer per site.  Equals exp(partition_normalized(K))
+    up to float arithmetic.
     """
     sys = _LinkSystem(K)
     site_count = len(sys.sites)
-    if site_count > 22:
-        raise GuardExceeded(f"site mask sweep over {site_count} sites is too large")
-    if not sys.links:
-        return 1.0
-    acc: dict[int, float] = {}
-    for idxs in _connected_item_sets(sys.adj, len(sys.links), max_count):
-        support = 0
-        w = 1.0
-        for i in idxs:
-            support |= sys.masks[i]
-            w *= math.expm1(sys.values[i])
-        acc[support] = acc.get(support, 0.0) + w
-    table = np.zeros(1 << site_count, dtype=np.float64)
-    table[0] = 1.0
-    masks = np.arange(1 << site_count, dtype=np.int64)
-    for sup in sorted(acc):
-        free = masks[(masks & sup) == 0]
-        table[free | sup] += table[free] * (acc[sup] / (1 << sup.bit_count()))
+    _check_sweep(site_count, site_count)
+    polymers = _polymers(sys, len(sys.links), max_count)
+    masks = [sys._site_mask(p.support) for p in polymers]
+    table = _family_sweep(site_count, masks, [p.activity for p in polymers], site_count)
     return float(np.sum(table))
 
 
@@ -527,36 +365,21 @@ class KPCertificate:
         return max(self.per_site_sums.values(), default=0.0)
 
 
-def kp_certify(K: Interaction, M: float, head_links: int = 4,
-               table_order: int = 30, max_count: int = DEFAULT_MAX_COUNT) -> KPCertificate:
-    """Certify the per-site condition sum_{N ni e} v_N M^|N| <= log M.
-
-    Hypergraphs with at most head_links links are enumerated exactly (their
-    absolute weight times M^|support| lands on every site of the support);
-    everything longer is dominated by the coefficient tail, which requires the
-    interaction norm at or below 1/2 and a convergent majorant series.  Both
-    failure modes return a failing certificate with a reason instead of
-    raising.
-    """
+def _check_certify_args(M: float, head_links: int) -> None:
     if not M > 1:
         raise ValueError(f"weight base M must exceed 1, got {M!r}")
     if head_links < 0:
         raise ValueError("head_links cannot be negative")
-    sys = _LinkSystem(K)
+
+
+def _certify(K: Interaction, sys: _LinkSystem, head: Sequence[Polymer], M: float,
+             head_links: int, table_order: int) -> KPCertificate:
+    """kp_certify on the polymers of at most head_links links."""
     heads = {site: 0.0 for site in sys.sites}
-    if sys.links and head_links > 0:
-        for idxs in _connected_item_sets(sys.adj, head_links, max_count):
-            support = 0
-            prod = 1.0
-            for i in idxs:
-                support |= sys.masks[i]
-                prod *= math.expm1(abs(sys.values[i]))
-            term = prod * M ** support.bit_count()
-            m = support
-            while m:
-                bit = m & -m
-                m ^= bit
-                heads[sys.sites[bit.bit_length() - 1]] += term
+    for poly in head:
+        term = poly.bound * M ** len(poly.support)
+        for site in poly.support:
+            heads[site] += term
     norm = banach_norm(K)
     reason = ""
     if norm == 0.0:
@@ -578,6 +401,24 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4,
         reason = "a per-site sum exceeds log M"
     return KPCertificate(M=float(M), per_site_sums=per_site, verdict=verdict,
                          tail_order=head_links, norm=norm, tail=tail, reason=reason)
+
+
+def kp_certify(K: Interaction, M: float, head_links: int = 4,
+               table_order: int = TABLE_ORDER,
+               max_count: int = DEFAULT_MAX_COUNT) -> KPCertificate:
+    """Certify the per-site condition sum_{N ni e} v_N M^|N| <= log M.
+
+    The head is exact: every polymer built from at most head_links links puts
+    its bound v_N times M^|N| on each site of its support N.  Everything
+    longer is dominated by the coefficient tail, which requires the
+    interaction norm at or below 1/2 and a convergent majorant series.  Both
+    failure modes return a failing certificate with a reason instead of
+    raising.
+    """
+    _check_certify_args(M, head_links)
+    sys = _LinkSystem(K)
+    return _certify(K, sys, _polymers(sys, head_links, max_count), M, head_links,
+                    table_order)
 
 
 @dataclass(frozen=True)
@@ -617,19 +458,27 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     reference is computed whenever n sits inside the ensemble guard.
     """
     check_alignment(motifs, betas)
-    K = build_interaction(motifs, betas, n)
-    p = K.p_max
+    _check_order(order)
+    site_count = len(all_edge_sites(n))
+    _check_sweep(site_count, order, force)
+    p = max(H.p for H in motifs)
     m = max(H.m for H in motifs)
-    norm = banach_norm(K)
     if M is None:
         M = optimal_M(p) if p >= 2 else 2.0
     head = max_links if head_links is None else head_links
-    cert = kp_certify(K, M, head, max_count=max_count)
-    partials = truncated_log_partition(K, order, max_links, max_count)
+    _check_certify_args(M, head)
+    K = build_interaction(motifs, betas, n)
+    norm = banach_norm(K)
+    # One link system and one polymer table serve the series and the
+    # certificate head (a second table only when the head depth differs).
+    sys = _LinkSystem(K)
+    polymers = _polymers(sys, max_links, max_count)
+    head_polymers = polymers if head == max_links else _polymers(sys, head, max_count)
+    cert = _certify(K, sys, head_polymers, M, head, TABLE_ORDER)
+    partials = _partials(sys, polymers, order)
     exact: float | None = None
     if n <= ENSEMBLE_GUARD or force:
         exact = partition_normalized(K, force=force)
-    site_count = len(all_edge_sites(n))
     tail_fn: Callable[[int], float] | None = None
     if p >= 2 and norm > 0:
         _, tail_fn = radius_and_tail(p, norm, M)

@@ -1,0 +1,328 @@
+"""Reference implementations that only the tests use.
+
+Each one computes a quantity the library also computes, by a slower and more
+literal route: the literal spin sum behind a polymer activity, per-support
+hypergraph sums, signed connected-graph (Ursell) coefficients, cluster sums as
+a walk over connected multisets of polymers, the same sums in exact rationals,
+and the majorant coefficients by their compositions recursion.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from typing import Iterator, Sequence
+
+from ergm_cluster.expansion import (
+    DEFAULT_MAX_COUNT,
+    Polymer,
+    _connected_item_sets,
+    _LinkSystem,
+)
+from ergm_cluster.graphs import GuardExceeded
+from ergm_cluster.lattice import Interaction, freeze_sites
+
+URSELL_GUARD = 8
+SPIN_GUARD = 20
+
+
+def _spin_sum(values: Sequence[float], masks: Sequence[int], nmask: int) -> float:
+    """Normalized sum over occupation states on the support of one hypergraph.
+
+    Each link contributes exp(K(X) sigma_X) - 1 with sigma_X the product of
+    the occupation numbers on its sites.  expm1(0) = 0 kills every state that
+    leaves a link uncovered, so only the all-occupied state survives; the loop
+    still runs the literal definition.
+    """
+    site_bits = []
+    m = nmask
+    while m:
+        bit = m & -m
+        m ^= bit
+        site_bits.append(bit)
+    s = len(site_bits)
+    if s > SPIN_GUARD:
+        raise GuardExceeded(f"spin sum over {s} sites exceeds guard {SPIN_GUARD}")
+    total = 0.0
+    for occ in range(1 << s):
+        sigma = 0
+        for j in range(s):
+            if occ >> j & 1:
+                sigma |= site_bits[j]
+        prod = 1.0
+        for val, lm in zip(values, masks):
+            prod *= math.expm1(val if (sigma & lm) == lm else 0.0)
+            if prod == 0.0:
+                break
+        total += prod
+    return total / (1 << s)
+
+
+def _subsystem(sys: _LinkSystem, nmask: int) -> tuple[list[int], list[int]]:
+    """Indices of links inside nmask and their adjacency restricted there."""
+    inside = [i for i, m in enumerate(sys.masks) if m and (m & nmask) == m]
+    back = {i: j for j, i in enumerate(inside)}
+    adj = [0] * len(inside)
+    for j, i in enumerate(inside):
+        nbrs = sys.adj[i]
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            k = bit.bit_length() - 1
+            if k in back:
+                adj[j] |= 1 << back[k]
+    return inside, adj
+
+
+def polymer_activity(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
+                     max_count: int = DEFAULT_MAX_COUNT) -> float:
+    """w_N: spin-summed weight of all connected hypergraphs with support N.
+
+    Only links inside N can participate, so the sum over hypergraphs is finite
+    even without the max_links cut; the cut is honored anyway as the polymer
+    universe is built from bounded hypergraphs.
+    """
+    sys = _LinkSystem(K)
+    X = freeze_sites(N, K.n)
+    if not X:
+        raise ValueError("a polymer support cannot be empty")
+    nmask = sys._site_mask(X)
+    inside, adj = _subsystem(sys, nmask)
+    total = 0.0
+    for idxs in _connected_item_sets(adj, max_links, max_count):
+        support = 0
+        for j in idxs:
+            support |= sys.masks[inside[j]]
+        if support != nmask:
+            continue
+        total += _spin_sum([sys.values[inside[j]] for j in idxs],
+                           [sys.masks[inside[j]] for j in idxs], nmask)
+    return total
+
+
+def activity_bound(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
+                   max_count: int = DEFAULT_MAX_COUNT) -> float:
+    """v_N: the same hypergraph sum with every factor replaced by expm1(|K(X)|).
+
+    Dominates |w_N| term by term."""
+    sys = _LinkSystem(K)
+    X = freeze_sites(N, K.n)
+    if not X:
+        raise ValueError("a polymer support cannot be empty")
+    nmask = sys._site_mask(X)
+    inside, adj = _subsystem(sys, nmask)
+    total = 0.0
+    for idxs in _connected_item_sets(adj, max_links, max_count):
+        support = 0
+        prod = 1.0
+        for j in idxs:
+            support |= sys.masks[inside[j]]
+            prod *= math.expm1(abs(sys.values[inside[j]]))
+        if support == nmask:
+            total += prod
+    return total
+
+
+def _spanning_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
+    if n == 1:
+        return True
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    comps = n
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            comps -= 1
+    return comps == 1
+
+
+@lru_cache(maxsize=None)
+def _ursell_pairs(n: int, pair_mask: int) -> int:
+    """Sum of (-1)^|R| over connected spanning subgraphs R of the overlap graph.
+
+    Exhaustive over subsets of the present overlap edges, memoized by the
+    (n, overlap bitmask) pattern; dense patterns near the size guard are
+    expensive, which is why tuple sizes are capped at URSELL_GUARD.
+    """
+    if n == 1:
+        return 1
+    pairs = list(combinations(range(n), 2))
+    present = [pairs[k] for k in range(len(pairs)) if pair_mask >> k & 1]
+    total = 0
+    for sub in range(1 << len(present)):
+        chosen = [present[j] for j in range(len(present)) if sub >> j & 1]
+        if len(chosen) < n - 1:
+            continue
+        if _spanning_connected(n, chosen):
+            total += -1 if len(chosen) & 1 else 1
+    return total
+
+
+def ursell_coefficient(supports: Sequence[Sequence[Sequence[int]]]) -> int:
+    """Signed connected-graph coefficient of a tuple of polymer supports.
+
+    Builds the overlap graph of the tuple (repeats allowed; equal supports
+    always overlap) and sums (-1)^edges over its connected spanning subgraphs.
+    Zero exactly when the overlap graph is disconnected.
+    """
+    k = len(supports)
+    if k == 0:
+        raise ValueError("the empty tuple has no coefficient")
+    if k > URSELL_GUARD:
+        raise GuardExceeded(f"tuple size {k} exceeds guard {URSELL_GUARD}")
+    sets = [frozenset(tuple(e) for e in X) for X in supports]
+    mask = 0
+    for bit, (i, j) in enumerate(combinations(range(k), 2)):
+        if sets[i] & sets[j]:
+            mask |= 1 << bit
+    return _ursell_pairs(k, mask)
+
+
+def _blowup_ursell(r: int, pattern: int, comp: tuple[int, ...]) -> int:
+    """Ursell coefficient of a multiset: r distinct supports with the given
+    pairwise-overlap pattern, repeated comp[j] times each.
+
+    The tuple overlap graph is the blow-up: copies of one support always
+    overlap each other, cross copies follow the base pattern.
+    """
+    total = sum(comp)
+    if total > URSELL_GUARD:
+        raise GuardExceeded(f"cluster size {total} exceeds guard {URSELL_GUARD}")
+    group = []
+    for j, kj in enumerate(comp):
+        group.extend([j] * kj)
+    mask = 0
+    base_pairs = {pair: bool(pattern >> bit & 1)
+                  for bit, pair in enumerate(combinations(range(r), 2))}
+    for bit, (a, b) in enumerate(combinations(range(total), 2)):
+        ga, gb = group[a], group[b]
+        if ga == gb or base_pairs[(ga, gb) if ga < gb else (gb, ga)]:
+            mask |= 1 << bit
+    return _ursell_pairs(total, mask)
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` positive integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _cluster_sums(polymers: Sequence[Polymer], order: int, sys: _LinkSystem,
+                  max_count: int = DEFAULT_MAX_COUNT, use_abs: bool = False,
+                  required: int | None = None) -> list[float]:
+    """Per-size cluster sums S_1..S_order over the given polymer universe.
+
+    A cluster is a multiset of polymers with connected overlap graph; ordered
+    tuples collapse onto multisets with weight n!/prod k_j!, so each multiset
+    contributes ursell * prod w^k / prod k!.  With use_abs the absolute-value
+    version is accumulated, optionally restricted to multisets containing the
+    polymer at index `required`.
+    """
+    per_size = [0.0] * (order + 1)
+    if not polymers:
+        return per_size[1:]
+    pmasks = [sys._site_mask(p.support) for p in polymers]
+    ws = [p.activity for p in polymers]
+    adj = [0] * len(polymers)
+    for i in range(len(polymers)):
+        for j in range(i + 1, len(polymers)):
+            if pmasks[i] & pmasks[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    fact = [math.factorial(i) for i in range(order + 1)]
+    for base in _connected_item_sets(adj, order, max_count):
+        if required is not None and required not in base:
+            continue
+        r = len(base)
+        pattern = 0
+        for bit, (a, b) in enumerate(combinations(range(r), 2)):
+            if pmasks[base[a]] & pmasks[base[b]]:
+                pattern |= 1 << bit
+        base_w = [ws[i] for i in base]
+        for total in range(r, order + 1):
+            for comp in _compositions(total, r):
+                coeff = _blowup_ursell(r, pattern, comp)
+                if coeff == 0:
+                    continue
+                term = float(coeff)
+                for wj, kj in zip(base_w, comp):
+                    term *= wj ** kj / fact[kj]
+                per_size[total] += abs(term) if use_abs else term
+    return per_size[1:]
+
+
+def exact_log_series(masks: Sequence[int], weights: Sequence[float],
+                     order: int) -> list[Fraction]:
+    """[lambda^1..lambda^order] of log Xi(lambda) in exact rationals.
+
+    Xi_k sums the products of k pairwise-disjoint polymers, found by walking
+    the families directly (no site-mask table), and the log is the truncated
+    series sum_m (-1)^(m-1) (Xi - 1)^m / m (no log-derivative recursion).
+    Each float weight enters as the exact binary rational behind it.
+    """
+    ws = [Fraction(w) for w in weights]
+    xi = [Fraction(0)] * (order + 1)
+
+    def walk(start: int, used: int, size: int, prod: Fraction) -> None:
+        xi[size] += prod
+        if size == order:
+            return
+        for i in range(start, len(masks)):
+            if not masks[i] & used:
+                walk(i + 1, used | masks[i], size + 1, prod * ws[i])
+
+    walk(0, 0, 0, Fraction(1))
+    x = [Fraction(0)] + xi[1:]
+    power = [Fraction(1)] + [Fraction(0)] * order
+    out = [Fraction(0)] * (order + 1)
+    for m in range(1, order + 1):
+        nxt = [Fraction(0)] * (order + 1)
+        for i, a in enumerate(power):
+            if a:
+                for j in range(1, order + 1 - i):
+                    nxt[i + j] += a * x[j]
+        power = nxt
+        for k in range(order + 1):
+            out[k] += Fraction((-1) ** (m - 1), m) * power[k]
+    return out[1:]
+
+
+def gamma_by_compositions(p: int, n_max: int) -> tuple[Fraction, ...]:
+    """gamma_1..gamma_n_max by the convolution recursion, 0-slot padded.
+
+    gamma_1 = 1; for n >= 2,
+    gamma_n = sum_{k=1..p} binom(p, k) sum over compositions n_1+..+n_k = n-1
+    of gamma_{n_1} ... gamma_{n_k}.
+    """
+    g: list[Fraction] = [Fraction(0), Fraction(1)]
+    for n in range(2, n_max + 1):
+        total = Fraction(0)
+        for k in range(1, p + 1):
+            if n - 1 < k:
+                break
+            coeff = math.comb(p, k)
+            for comp in _compositions(n - 1, k):
+                prod = Fraction(coeff)
+                for part in comp:
+                    prod *= g[part]
+                total += prod
+        g.append(total)
+    return tuple(g)

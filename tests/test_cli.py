@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,37 @@ class TestFailureModes:
         assert rc == 0
         # the exact reference was actually computed past the guard
         assert "gap = n/a" not in capsys.readouterr().out
+
+    def test_expand_n6_runs_inside_tail_bounds(self, tmp_path):
+        # the site-mask table at n = 6 is inside the guard: no exit 3
+        out = tmp_path / "n6.json"
+        rc = main(["expand", "--motifs", "two-star", "triangle", "--betas", "0.001",
+                   "0.001", "--n", "6", "--order", "2", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert [row["order"] for row in doc["orders"]] == [1, 2]
+        for row in doc["orders"]:
+            assert row["gap_to_exact"] <= row["tail_bound"]
+
+    def test_expand_n7_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        rc = main(["expand", "--motifs", "two-star", "triangle", "--betas", "0.001",
+                   "0.001", "--n", "7", "--order", "2"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "guard"
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--motifs", "edge", "--betas", "inf", "--n", "4"],
+        ["expand", "--motifs", "two-star", "--betas", "1e308", "--n", "4"],
+        ["coeffs", "--p", "2", "--norm", "nan", "--n-max", "12"],
+        ["region", "--p", "2", "--m", "3", "--M", "inf"],
+    ])
+    def test_non_finite_and_overflowing_inputs(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "invalid-config"
 
     def test_mismatched_weights(self, capsys):
         rc = main(["exact", "--motifs", "edge", "triangle",

@@ -12,7 +12,9 @@ from ergm_cluster import (
     radius_and_tail,
     region_bound,
 )
-from ergm_cluster.coefficients import _satisfies_identity, gamma_closed_form
+from ergm_cluster.coefficients import _gamma_table, _satisfies_identity, gamma_closed_form
+
+from oracles import gamma_by_compositions
 
 
 class TestOptimalM:
@@ -68,6 +70,10 @@ class TestGamma:
             table = abar_recursion(p, 0.1, 1.5, n_max=12)
             for n in range(1, 13):
                 assert table.gamma[n] == gamma_closed_form(p, n)
+
+    def test_matches_compositions_recursion(self):
+        for p in range(1, 7):
+            assert _gamma_table(p, 12) == gamma_by_compositions(p, 12)
 
     def test_catalan_numbers_for_pairs(self):
         table = abar_recursion(2, 0.1, 1.5, n_max=6)

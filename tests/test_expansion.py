@@ -1,12 +1,14 @@
 import math
 import random
-from itertools import combinations
+import time
+from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
 
 from ergm_cluster import (
+    BUILTIN_MOTIFS,
     GuardExceeded,
-    activity_bound,
     banach_norm,
     build_interaction,
     cluster_partition_sum,
@@ -16,21 +18,34 @@ from ergm_cluster import (
     optimal_M,
     partition_normalized,
     pinned_cluster_abs_sum,
-    polymer_activity,
     polymer_table,
     region_bound,
     report_jsonable,
     truncated_log_partition,
-    ursell_coefficient,
 )
 from ergm_cluster.expansion import (
+    ORDER_GUARD,
+    _check_sweep,
+    _cluster_sums,
     _connected_item_sets,
     _LinkSystem,
-    _spin_sum,
+    _pinned_abs_sums,
 )
 from ergm_cluster.lattice import freeze_sites
 
+import oracles
+from oracles import _spin_sum, activity_bound, exact_log_series, polymer_activity, \
+    ursell_coefficient
+
 HALF_BUDGET = region_bound(2, 3, optimal_M(2)) / 2
+
+# motif names, couplings and n of the fixed oracle comparisons
+ORACLE_CASES = (
+    (("two-star",), (HALF_BUDGET,), 4),
+    (("two-star", "triangle"), (0.0009, -0.0007), 4),
+    (("triangle",), (0.002,), 4),
+    (("edge", "two-star"), (-0.01, 0.002), 3),
+)
 
 # edge sites used to build overlap patterns by hand
 A, B, C, D, E = (0, 1), (2, 3), (4, 5), (6, 7), (8, 9)
@@ -292,6 +307,90 @@ class TestTruncatedExpansion:
             truncated_log_partition(K, 9)
 
 
+def polymer_system(names, betas, n, max_links):
+    """Link system, polymers, their site masks and activities for one case."""
+    K = build_interaction([BUILTIN_MOTIFS[x] for x in names], list(betas), n)
+    sys = _LinkSystem(K)
+    polymers = polymer_table(K, max_links)
+    masks = [sys._site_mask(p.support) for p in polymers]
+    return K, sys, polymers, masks, [p.activity for p in polymers]
+
+
+def assert_close(got, want, rel):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(Fraction(g) - Fraction(w)) <= rel * abs(Fraction(w)), (got, want)
+
+
+@pytest.mark.parametrize("names,betas,n", ORACLE_CASES)
+class TestLogSeriesOracles:
+    """Plain, absolute and pinned cluster sums from the truncated log of the
+    polymer-gas polynomial, against the multiset walk weighted by Ursell
+    coefficients and against the same series in exact rationals."""
+
+    def test_plain_matches_multiset_walk(self, names, betas, n):
+        K, sys, polymers, masks, ws = polymer_system(names, betas, n, 3)
+        got = _cluster_sums(len(sys.sites), masks, ws, 3)
+        assert_close(got, oracles._cluster_sums(polymers, 3, sys), 1e-11)
+        assert truncated_log_partition(K, 3, max_links=3) == list(accumulate(got))
+
+    def test_abs_matches_multiset_walk(self, names, betas, n):
+        _, sys, polymers, masks, ws = polymer_system(names, betas, n, 3)
+        got = [-s for s in _cluster_sums(len(sys.sites), masks, [-abs(w) for w in ws], 3)]
+        assert_close(got, oracles._cluster_sums(polymers, 3, sys, use_abs=True), 1e-11)
+
+    def test_pinned_matches_multiset_walk(self, names, betas, n):
+        K, sys, polymers, _, _ = polymer_system(names, betas, n, 3)
+        for pin in sorted({0, len(polymers) // 2, len(polymers) - 1}):
+            want = sum(oracles._cluster_sums(polymers, 3, sys, use_abs=True, required=pin))
+            got = pinned_cluster_abs_sum(K, polymers[pin].support, 3, max_links=3)
+            assert_close([got], [want], 1e-11)
+
+    def test_plain_matches_exact_rationals(self, names, betas, n):
+        _, sys, _, masks, ws = polymer_system(names, betas, n, 4)
+        got = _cluster_sums(len(sys.sites), masks, ws, 4)
+        assert_close(got, exact_log_series(masks, ws, 4), 1e-13)
+
+    def test_abs_matches_exact_rationals(self, names, betas, n):
+        _, sys, _, masks, ws = polymer_system(names, betas, n, 4)
+        neg = [-abs(w) for w in ws]
+        got = [-s for s in _cluster_sums(len(sys.sites), masks, neg, 4)]
+        assert_close(got, [-s for s in exact_log_series(masks, neg, 4)], 1e-13)
+
+    def test_pinned_matches_exact_rationals(self, names, betas, n):
+        # in rationals the pinned mass is exactly the absolute total minus the
+        # absolute total without the pinned polymer
+        _, sys, _, masks, ws = polymer_system(names, betas, n, 4)
+        neg = [-abs(w) for w in ws]
+        total = exact_log_series(masks, neg, 4)
+        for pin in sorted({0, len(masks) // 2, len(masks) - 1}):
+            rest = exact_log_series(masks[:pin] + masks[pin + 1:],
+                                    neg[:pin] + neg[pin + 1:], 4)
+            got = _pinned_abs_sums(len(sys.sites), masks, ws, 4, pin)
+            assert_close(got, [r - t for t, r in zip(total, rest)], 1e-13)
+
+
+class TestSweepGuard:
+    def test_limits(self):
+        _check_sweep(15, ORDER_GUARD)  # n = 6 at the top order
+        with pytest.raises(GuardExceeded):
+            _check_sweep(21, 1)  # n = 7 at the lowest order
+        _check_sweep(21, 1, force=True)
+
+    def test_report_refuses_before_work(self, two_star, triangle):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            expansion_report([two_star, triangle], [0.001, 0.001], 7, order=2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_library_entry_points_refuse(self, edge):
+        K = build_interaction([edge], [0.1], 7)
+        with pytest.raises(GuardExceeded):
+            truncated_log_partition(K, 1, max_links=1)
+        with pytest.raises(GuardExceeded):
+            pinned_cluster_abs_sum(K, [(0, 1)], 1, max_links=1)
+
+
 class TestResummation:
     def test_matches_transfer_sum(self, edge, two_star, triangle):
         for motifs, betas, n in (([edge], [0.4], 4),
@@ -376,6 +475,21 @@ class TestCertificate:
         for v in cert.per_site_sums.values():
             assert v >= math.expm1(2 * beta) * M
 
+    def test_head_groups_the_hypergraph_sum(self, two_star, triangle):
+        # sum over polymers N containing e of v_N M^|N| is the sum over
+        # connected hypergraphs of prod expm1|K| M^|support|, grouped
+        M = optimal_M(3)
+        K = build_interaction([two_star, triangle], [0.0009, -0.0004], 4)
+        cert = kp_certify(K, M, head_links=3)
+        want = {site: 0.0 for site in cert.per_site_sums}
+        for h in enumerate_connected_hypergraphs(K, 3):
+            support = {e for X in h for e in X}
+            term = math.prod(math.expm1(abs(K.k_map[X])) for X in h) * M ** len(support)
+            for e in support:
+                want[e] += term
+        for site, got in cert.per_site_sums.items():
+            assert got - cert.tail == pytest.approx(want[site], rel=1e-13)
+
     def test_validation(self, edge):
         K = build_interaction([edge], [0.1], 3)
         with pytest.raises(ValueError):
@@ -424,6 +538,19 @@ class TestReport:
         assert doc["kp"]["verdict"] is True
         assert doc["kp"]["max_site_sum"] == 0.0
         assert all(row["partial_sum"] == 0.0 for row in doc["orders"])
+
+    def test_outputs_are_plain_floats(self, two_star, triangle):
+        rep = expansion_report([two_star, triangle], [0.001, 0.0005], 4, order=3)
+        values = [rep.log_w_exact, rep.norm, rep.certificate.tail]
+        values += list(rep.certificate.per_site_sums.values())
+        for row in rep.orders:
+            values += [row.partial_sum, row.gap_to_exact, row.tail_bound]
+        K = build_interaction([two_star], [0.001], 4)
+        values += truncated_log_partition(K, 3, max_links=3)
+        values += [p.activity for p in polymer_table(K, 3)]
+        values += [pinned_cluster_abs_sum(K, [(0, 1)], 3, max_links=3),
+                   cluster_partition_sum(K), partition_normalized(K)]
+        assert all(type(v) is float for v in values)
 
     def test_deterministic(self, two_star, triangle):
         a = report_jsonable(expansion_report([two_star, triangle], [0.001, 0.0005], 3))

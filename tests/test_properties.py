@@ -1,0 +1,77 @@
+"""Property tests of the cluster expansion on drawn motif families.
+
+Each example is a family of built-in motifs, at least one of them with two
+or more edges, at n = 3 or 4, with couplings whose absolute sum stays inside
+half the certified region budget for the family's (p, m).  The examples are
+derandomized, so every run checks the same ones.
+"""
+
+import math
+from fractions import Fraction
+from itertools import accumulate
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ergm_cluster import (
+    BUILTIN_MOTIFS,
+    build_interaction,
+    expansion_report,
+    optimal_M,
+    polymer_table,
+    region_bound,
+    truncated_log_partition,
+)
+from ergm_cluster.expansion import _LinkSystem
+
+from oracles import exact_log_series
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def families(draw):
+    names = draw(st.lists(st.sampled_from(sorted(BUILTIN_MOTIFS)), min_size=1,
+                          max_size=len(BUILTIN_MOTIFS), unique=True)
+                 .filter(lambda ns: any(BUILTIN_MOTIFS[x].p >= 2 for x in ns)))
+    motifs = [BUILTIN_MOTIFS[x] for x in names]
+    p = max(H.p for H in motifs)
+    half = region_bound(p, max(H.m for H in motifs), optimal_M(p)) / 2
+    shares = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(motifs),
+                           max_size=len(motifs)))
+    betas = [half * s / len(motifs) for s in shares]
+    return motifs, betas, draw(st.sampled_from([3, 4]))
+
+
+@PROPERTY_SETTINGS
+@given(families(), st.integers(1, 4))
+def test_partials_match_exact_rationals(family, order):
+    # The float error of a partial sum scales with the absolute cluster mass
+    # behind it, so that mass (exact) is the scale of the comparison.
+    motifs, betas, n = family
+    K = build_interaction(motifs, betas, n)
+    sys = _LinkSystem(K)
+    polymers = polymer_table(K, 4)
+    masks = [sys._site_mask(p.support) for p in polymers]
+    ws = [p.activity for p in polymers]
+    want = list(accumulate(exact_log_series(masks, ws, order)))
+    mass = list(accumulate(-s for s in exact_log_series(masks, [-abs(w) for w in ws], order)))
+    got = truncated_log_partition(K, order)
+    for g, w, a in zip(got, want, mass):
+        assert abs(Fraction(g) - w) <= Fraction(1e-13) * a
+
+
+@PROPERTY_SETTINGS
+@given(families())
+def test_every_order_inside_its_tail_bound(family):
+    # Exact arithmetic would give gap <= tail bound.  The computed exact value
+    # carries the rounding of C(n,2) log 2 that it subtracts from a log-sum-exp
+    # (see the partition_normalized FOUND line in CHANGES.md), so a few units
+    # in the last place of that number are allowed on top.
+    motifs, betas, n = family
+    rep = expansion_report(motifs, betas, n)
+    assert rep.certificate.verdict
+    rounding = 16 * math.ulp(1.0) * n * (n - 1) / 2 * math.log(2.0)
+    for row in rep.orders:
+        assert row.gap_to_exact <= row.tail_bound + rounding, row
