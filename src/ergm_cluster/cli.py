@@ -130,14 +130,6 @@ def _flag(ns: argparse.Namespace, cfg: dict, key: str) -> bool:
     return bool(getattr(ns, key, False) or cfg.get(key, False))
 
 
-def _threads(ns: argparse.Namespace, cfg: dict) -> int:
-    # A hint only: the library is deterministic and does its own vectorization.
-    val = _opt(ns, cfg, "threads")
-    if val is None:
-        val = os.environ.get("ERGM_CLUSTER_THREADS", 1)
-    return max(1, int(val))
-
-
 def _motifs(ns: argparse.Namespace, cfg: dict) -> list[Motif]:
     specs = _opt(ns, cfg, "motifs")
     if not specs:
@@ -253,7 +245,6 @@ def cmd_exact(ns: argparse.Namespace) -> int:
     betas = _betas(ns, cfg)
     n = _need_int(ns, cfg, "n")
     force = _flag(ns, cfg, "force")
-    _threads(ns, cfg)
     res = ensemble_result(motifs, betas, n, force=force)
     print(f"psi_{n} = {_fmt(res.psi)}")
     print(f"phi_{n} = {_fmt(res.phi)}")
@@ -284,7 +275,6 @@ def cmd_expand(ns: argparse.Namespace) -> int:
     M = _opt(ns, cfg, "M")
     M = None if M is None else _finite("M", M)
     force = _flag(ns, cfg, "force")
-    _threads(ns, cfg)
     report = expansion_report(motifs, betas, n, order=order, max_links=max_links,
                               M=M, head_links=head_links, force=force)
     doc = report_jsonable(report)
@@ -381,9 +371,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--force", action="store_true", default=None,
                      help="override enumeration size guards")
-    sub.add_argument("--seed", type=int, help="seed recorded for sweep scripts")
-    sub.add_argument("--threads", type=int,
-                     help="parallelism hint (env ERGM_CLUSTER_THREADS as fallback)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,6 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-max", type=int, dest="n_max")
     _add_common(s)
     s.set_defaults(func=cmd_coeffs)
+    # argparse reads "-6e-05" as an unknown flag, so --betas -6e-05 would fail.
+    import re
+
+    for sub in subs.choices.values():
+        sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

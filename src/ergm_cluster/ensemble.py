@@ -8,7 +8,9 @@ check that d psi / d beta_i matches the expectation of t(H_i, G).
 psi_n and the expectations go through raw homomorphism counts, while
 partition_normalized goes through the sparse interaction; the two pipelines
 share no intermediate, which is what makes the bookkeeping identity
-psi_n = (C(n,2) log 2 + log W) / n^2 a real cross-check.
+psi_n = (C(n,2) log 2 + log W) / n^2 a real cross-check.  The hom tables never
+touch the interaction: they are built from the edge images of vertex maps,
+not from lattice.support_families or build_interaction.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import numpy as np
 from .graphs import (
     GuardExceeded,
     Motif,
+    _traversal_order,
     all_edge_sites,
     check_alignment,
     edge_index,
-    graph_from_mask,
-    hom_count,
 )
 from .lattice import Interaction
 
@@ -52,13 +53,37 @@ def _logsumexp(values: np.ndarray) -> float:
 def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     """hom_count(H, G) for every graph G on n vertices, indexed by bitmask.
 
-    Computed once per (motif, n) by backtracking on each graph and memoized;
-    the returned array is marked read-only because it is shared.
+    hom(H, G) sums c(H, X), the number of vertex maps whose edge image is
+    exactly X, over X inside E(G).  The maps of the non-isolated motif
+    vertices are grown one vertex at a time, dropping those that send a motif
+    edge to a loop; counting them per edge-image mask gives c(H, .), and one
+    in-place subset-sum transform over the C(n,2) bits gives the table.
+    Isolated motif vertices add a free factor n each.  Memoized per (motif, n);
+    the returned exact int64 array is read-only because it is shared.
     """
-    sites = all_edge_sites(n)
-    table = np.zeros(1 << len(sites), dtype=np.int64)
-    for mask in range(1 << len(sites)):
-        table[mask] = hom_count(H, graph_from_mask(n, mask))
+    earlier, isolated = _traversal_order(H)
+    sites = len(all_edge_sites(n))
+    bit = np.zeros((n, n), dtype=np.int64)  # zero on the diagonal marks a loop
+    for (u, v), k in edge_index(n).items():
+        bit[u, v] = bit[v, u] = 1 << k
+    images: list[np.ndarray] = []
+    masks = np.zeros(1, dtype=np.int64)
+    for js in earlier:
+        cand = np.tile(np.arange(n), len(masks))
+        images = [np.repeat(c, n) for c in images] + [cand]
+        masks = np.repeat(masks, n)
+        keep = np.ones(len(masks), dtype=bool)
+        for j in js:
+            b = bit[images[j], cand]
+            keep &= b != 0
+            masks |= b
+        images = [c[keep] for c in images]
+        masks = masks[keep]
+    table = np.bincount(masks, minlength=1 << sites).astype(np.int64, copy=False)
+    for s in range(sites):
+        t = table.reshape(-1, 2, 1 << s)
+        t[:, 1] += t[:, 0]
+    table *= n ** isolated
     table.flags.writeable = False
     return table
 
@@ -109,18 +134,18 @@ def phi_n(K: Interaction, force: bool = False) -> float:
     return partition_normalized(K, force=force) / len(sites)
 
 
+def _expectations(motifs: Sequence[Motif], weights: np.ndarray, n: int) -> list[float]:
+    """E[t(H_i, G)] under the graph log-weights of graph_log_weights."""
+    probs = np.exp(weights - np.max(weights))
+    probs /= np.sum(probs)
+    return [float(np.dot(motif_hom_table(H, n) / float(n ** H.m), probs)) for H in motifs]
+
+
 def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                           force: bool = False) -> list[float]:
     """Model expectations E[t(H_i, G)] under the exponential family weights."""
     _check_guard(n, force)
-    weights = graph_log_weights(motifs, betas, n)
-    probs = np.exp(weights - np.max(weights))
-    probs /= np.sum(probs)
-    out = []
-    for H in motifs:
-        dens = motif_hom_table(H, n) / float(n ** H.m)
-        out.append(float(np.dot(dens, probs)))
-    return out
+    return _expectations(motifs, graph_log_weights(motifs, betas, n), n)
 
 
 def derivative_check(motifs: Sequence[Motif], betas: Sequence[float], n: int,
@@ -160,20 +185,23 @@ class EnsembleResult:
 
 def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                     force: bool = False) -> EnsembleResult:
-    """Run both exact pipelines for one parameter point."""
+    """Run both exact pipelines for one parameter point.
+
+    One graph log-weight vector serves psi_n and the expectations.
+    """
     from .lattice import build_interaction
 
     _check_guard(n, force)
     K = build_interaction(motifs, betas, n)
     log_w = partition_normalized(K, force=force)
-    sites = all_edge_sites(n)
+    weights = graph_log_weights(motifs, betas, n)
     return EnsembleResult(
         n=n,
         betas=tuple(float(b) for b in betas),
         log_w_normalized=log_w,
-        psi=psi_n(motifs, betas, n, force=force),
-        phi=log_w / len(sites),
-        expectations=tuple(expectation_densities(motifs, betas, n, force=force)),
+        psi=_logsumexp(weights) / (n * n),
+        phi=log_w / len(all_edge_sites(n)),
+        expectations=tuple(_expectations(motifs, weights, n)),
     )
 
 

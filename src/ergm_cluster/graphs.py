@@ -221,12 +221,14 @@ def check_alignment(motifs: Sequence[Motif], betas: Sequence) -> None:
             raise ValueError(f"not a motif: {H!r}")
 
 
-def _traversal_order(H: Motif) -> tuple[list[int], int]:
+def _traversal_order(H: Motif) -> tuple[list[list[int]], int]:
     """Backtracking order over the non-isolated motif vertices.
 
     Breadth-first inside each component so that every vertex after a component
     root has an already-placed neighbor (which is what makes the incremental
-    candidate pruning bite).  Returns (order, isolated_count).
+    candidate pruning bite).  Returns (earlier, isolated_count): earlier[i]
+    lists the positions of the already-placed motif neighbors of the i-th
+    placed vertex, so every motif edge appears in it exactly once.
     """
     adj = H.adjacency()
     seen: set[int] = set()
@@ -244,15 +246,13 @@ def _traversal_order(H: Motif) -> tuple[list[int], int]:
         while queue:
             v = queue.pop(0)
             order.append(v)
-            nbrs = adj[v]
-            while nbrs:
-                bit = nbrs & -nbrs
-                nbrs ^= bit
-                u = bit.bit_length() - 1
+            for u in _bits(adj[v]):
                 if u not in seen:
                     seen.add(u)
                     queue.append(u)
-    return order, isolated
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[pos[u] for u in _bits(adj[v]) if pos[u] < i] for i, v in enumerate(order)]
+    return earlier, isolated
 
 
 def hom_count(H: Motif, G: SimpleGraph) -> int:
@@ -265,20 +265,15 @@ def hom_count(H: Motif, G: SimpleGraph) -> int:
     n = G.n
     if n == 0:
         return 0
-    order, isolated = _traversal_order(H)
-    hadj = H.adjacency()
+    earlier, isolated = _traversal_order(H)
     gadj = G.adjacency()
-    pos = {v: i for i, v in enumerate(order)}
-    # Earlier-placed motif neighbors of each vertex in the order.
-    earlier = [[pos[u] for u in _bits(hadj[v]) if u in pos and pos[u] < i]
-               for i, v in enumerate(order)]
     full = (1 << n) - 1
-    images = [0] * len(order)
+    images = [0] * len(earlier)
     count = 0
 
     def place(i: int) -> None:
         nonlocal count
-        if i == len(order):
+        if i == len(earlier):
             count += 1
             return
         cand = full

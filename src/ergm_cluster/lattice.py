@@ -26,7 +26,6 @@ from .graphs import (
     check_alignment,
     edge_index,
     hom_density,
-    _bits,
     _traversal_order,
 )
 
@@ -70,21 +69,17 @@ def exact_hom_count(H: Motif, X: EdgeSubset, n: int) -> int:
     for u, v in X:
         xadj[u] |= 1 << v
         xadj[v] |= 1 << u
-    order, isolated = _traversal_order(H)
-    hadj = H.adjacency()
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [[pos[u] for u in _bits(hadj[v]) if u in pos and pos[u] < i]
-               for i, v in enumerate(order)]
+    earlier, isolated = _traversal_order(H)
     support_mask = 0
     for v in verts:
         support_mask |= 1 << v
     full_cover = (1 << len(X)) - 1
-    images = [0] * len(order)
+    images = [0] * len(earlier)
     count = 0
 
     def place(i: int, covered: int) -> None:
         nonlocal count
-        if i == len(order):
+        if i == len(earlier):
             if covered == full_cover:
                 count += 1
             return
@@ -126,28 +121,18 @@ def support_families(H: Motif, n: int) -> dict[EdgeSubset, Fraction]:
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    order, isolated = _traversal_order(H)
-    hadj = H.adjacency()
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [[pos[u] for u in _bits(hadj[v]) if u in pos and pos[u] < i]
-               for i, v in enumerate(order)]
+    earlier, isolated = _traversal_order(H)
     full = (1 << n) - 1
-    images = [0] * len(order)
+    images = [0] * len(earlier)
     counts: dict[EdgeSubset, int] = defaultdict(int)
 
     def place(i: int) -> None:
-        if i == len(order):
+        if i == len(earlier):
             image = set()
-            for v, iv in pos.items():
-                a = images[iv]
-                nbrs = hadj[v]
-                while nbrs:
-                    bit = nbrs & -nbrs
-                    nbrs ^= bit
-                    u = bit.bit_length() - 1
-                    if u in pos:
-                        b = images[pos[u]]
-                        image.add((a, b) if a < b else (b, a))
+            for k, js in enumerate(earlier):
+                for j in js:
+                    a, b = images[k], images[j]
+                    image.add((a, b) if a < b else (b, a))
             counts[tuple(sorted(image))] += 1
             return
         cand = full

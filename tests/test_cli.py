@@ -140,14 +140,19 @@ class TestExact:
         want = 6 / 16 * math.log1p(math.exp(0.6))
         assert doc["psi_n"] == pytest.approx(want, abs=1e-15)
 
-    def test_seed_and_threads_accepted(self, capsys):
-        rc = main(["exact", "--motifs", "edge", "--betas", "0.1", "--n", "3",
-                   "--seed", "7", "--threads", "2"])
-        assert rc == 0
+    @pytest.mark.parametrize("beta", ["-6.1e-05", "-6E-05", "-2e+00", "-.5e-3"])
+    def test_negative_exponent_beta(self, tmp_path, beta):
+        out = tmp_path / "run.json"
+        assert main(["exact", "--motifs", "edge", "--betas", beta, "--n", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["betas"] == [float(beta)]
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("ERGM_CLUSTER_THREADS", "4")
-        assert main(["exact", "--motifs", "edge", "--betas", "0.1", "--n", "3"]) == 0
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "7"]])
+    def test_seed_and_threads_rejected(self, capsys, flag):
+        # The library is deterministic and single-threaded: neither flag exists.
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--motifs", "edge", "--betas", "0.1", "--n", "3", *flag])
+        assert exc.value.code == 2
 
 
 class TestExpand:

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from ergm_cluster import (
     GuardExceeded,
+    Motif,
     build_interaction,
     derivative_check,
     ensemble_result,
@@ -13,9 +16,12 @@ from ergm_cluster import (
     partition_normalized,
     phi_n,
     psi_n,
+    graph_from_mask,
+    hom_count,
     results_csv,
 )
 from ergm_cluster.ensemble import csv_header, csv_row, motif_hom_table
+from ergm_cluster.graphs import all_edge_sites
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,6 +153,57 @@ class TestResultPlumbing:
         with pytest.raises(ValueError):
             results_csv([a, b])
 
+    def test_result_shares_one_weight_vector(self, two_star, triangle):
+        motifs, betas = [two_star, triangle], [0.04, -0.03]
+        for n in (3, 4, 5):
+            res = ensemble_result(motifs, betas, n)
+            assert res.psi == psi_n(motifs, betas, n)
+            assert list(res.expectations) == expectation_densities(motifs, betas, n)
+
     def test_hom_table_is_frozen(self, two_star):
         table = motif_hom_table(two_star, 4)
         assert not table.flags.writeable
+        assert table.dtype == np.int64 and len(table) == 1 << 6
+
+
+def _motif(name, m, edges):
+    return Motif(name, m, frozenset(edges))
+
+
+ORACLE_MOTIFS = [
+    _motif("edge", 2, [(0, 1)]),
+    _motif("two-star", 3, [(0, 1), (1, 2)]),
+    _motif("triangle", 3, [(0, 1), (0, 2), (1, 2)]),
+    _motif("diamond", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    _motif("K4", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    _motif("P4", 4, [(0, 1), (1, 2), (2, 3)]),
+    _motif("two-edges", 4, [(0, 1), (2, 3)]),
+    _motif("edge+isolated", 3, [(0, 1)]),
+]
+
+
+def _adjacency_stack(n):
+    """Adjacency matrices of every graph on n vertices, in bitmask order."""
+    masks = np.arange(1 << len(all_edge_sites(n)))
+    A = np.zeros((len(masks), n, n), dtype=np.int64)
+    for k, (u, v) in enumerate(all_edge_sites(n)):
+        A[:, u, v] = A[:, v, u] = masks >> k & 1
+    return A
+
+
+class TestHomTable:
+    @pytest.mark.parametrize("H", ORACLE_MOTIFS, ids=lambda H: H.name)
+    def test_matches_backtracking_on_every_mask(self, H):
+        for n in range(1, 6):
+            want = [hom_count(H, graph_from_mask(n, mask))
+                    for mask in range(1 << len(all_edge_sites(n)))]
+            assert motif_hom_table(H, n).tolist() == want
+
+    def test_closed_forms_at_n6(self, edge, two_star, triangle):
+        A = _adjacency_stack(6)
+        deg = A.sum(axis=2)
+        assert len(A) == 32768
+        assert np.array_equal(motif_hom_table(edge, 6), deg.sum(axis=1))
+        assert np.array_equal(motif_hom_table(two_star, 6), (deg * deg).sum(axis=1))
+        assert np.array_equal(motif_hom_table(triangle, 6),
+                              np.einsum("gij,gjk,gki->g", A, A, A))

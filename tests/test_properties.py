@@ -1,9 +1,10 @@
-"""Property tests of the cluster expansion on drawn motif families.
+"""Property tests of the cluster expansion and the hom tables.
 
-Each example is a family of built-in motifs, at least one of them with two
-or more edges, at n = 3 or 4, with couplings whose absolute sum stays inside
-half the certified region budget for the family's (p, m).  The examples are
-derandomized, so every run checks the same ones.
+Each expansion example is a family of built-in motifs, at least one of them
+with two or more edges, at n = 3 or 4, with couplings whose absolute sum stays
+inside half the certified region budget for the family's (p, m).  Each hom
+table example is a random motif on at most 5 vertices with at least one edge,
+at n <= 5.  The examples are derandomized, so every run checks the same ones.
 """
 
 import math
@@ -15,13 +16,17 @@ from hypothesis import strategies as st
 
 from ergm_cluster import (
     BUILTIN_MOTIFS,
+    Motif,
     build_interaction,
     expansion_report,
+    graph_from_mask,
+    hom_count,
     optimal_M,
     polymer_table,
     region_bound,
     truncated_log_partition,
 )
+from ergm_cluster.ensemble import motif_hom_table
 from ergm_cluster.expansion import _LinkSystem
 
 from oracles import exact_log_series
@@ -75,3 +80,20 @@ def test_every_order_inside_its_tail_bound(family):
     rounding = 16 * math.ulp(1.0) * n * (n - 1) / 2 * math.log(2.0)
     for row in rep.orders:
         assert row.gap_to_exact <= row.tail_bound + rounding, row
+
+
+@st.composite
+def motifs(draw):
+    m = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+    return Motif("drawn", m, frozenset(edges))
+
+
+@PROPERTY_SETTINGS
+@given(motifs(), st.integers(1, 5))
+def test_hom_table_matches_backtracking(H, n):
+    table = motif_hom_table(H, n)
+    assert len(table) == 1 << n * (n - 1) // 2
+    for mask, count in enumerate(table.tolist()):
+        assert count == hom_count(H, graph_from_mask(n, mask)), mask
