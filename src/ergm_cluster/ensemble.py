@@ -10,7 +10,7 @@ partition_normalized goes through the sparse interaction; the two pipelines
 share no intermediate, which is what makes the bookkeeping identity
 psi_n = (C(n,2) log 2 + log W) / n^2 a real cross-check.  The hom tables never
 touch the interaction: they are built from the edge images of vertex maps,
-not from lattice.support_families or build_interaction.
+not from lattice.support_families or build_interaction; log W reads only K.
 """
 
 from __future__ import annotations
@@ -49,6 +49,19 @@ def _logsumexp(values: np.ndarray) -> float:
     return hi + math.log(float(np.sum(np.exp(values - hi))))
 
 
+def _subset_sums(table: np.ndarray) -> np.ndarray:
+    """In place, table[mask] becomes the sum of table[X] over the X inside mask.
+
+    The passes of the lowest three bits loop over their columns, because numpy
+    adds many short strided rows slowly.
+    """
+    for s in range(len(table).bit_length() - 1):
+        t = table.reshape(-1, 2, 1 << s)
+        for u in t.T if s < 3 else [t.transpose(1, 0, 2)]:
+            u[1] += u[0]
+    return table
+
+
 @lru_cache(maxsize=None)
 def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     """hom_count(H, G) for every graph G on n vertices, indexed by bitmask.
@@ -62,7 +75,6 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     the returned exact int64 array is read-only because it is shared.
     """
     earlier, isolated = _traversal_order(H)
-    sites = len(all_edge_sites(n))
     bit = np.zeros((n, n), dtype=np.int64)  # zero on the diagonal marks a loop
     for (u, v), k in edge_index(n).items():
         bit[u, v] = bit[v, u] = 1 << k
@@ -79,10 +91,8 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
             masks |= b
         images = [c[keep] for c in images]
         masks = masks[keep]
-    table = np.bincount(masks, minlength=1 << sites).astype(np.int64, copy=False)
-    for s in range(sites):
-        t = table.reshape(-1, 2, 1 << s)
-        t[:, 1] += t[:, 0]
+    table = _subset_sums(
+        np.bincount(masks, minlength=1 << n * (n - 1) // 2).astype(np.int64, copy=False))
     table *= n ** isolated
     table.flags.writeable = False
     return table
@@ -107,38 +117,38 @@ def psi_n(motifs: Sequence[Motif], betas: Sequence[float], n: int, force: bool =
     return _logsumexp(graph_log_weights(motifs, betas, n)) / (n * n)
 
 
+def _energies(K: Interaction) -> np.ndarray:
+    """sum K(X) over the stored X inside each configuration, by bitmask."""
+    idx = edge_index(K.n)
+    energies = np.zeros(1 << len(idx), dtype=np.float64)
+    for X, k in K.k_map.items():
+        energies[sum(1 << idx[e] for e in X)] += k
+    return _subset_sums(energies)
+
+
 def partition_normalized(K: Interaction, force: bool = False) -> float:
     """log W for W = 2^-C(n,2) sum over configurations of exp(sum K(X) sigma_X).
 
-    Configurations are edge subsets; sigma_X = 1 exactly when X is inside the
-    occupied set, so each stored subset adds K(X) to the energy of every
-    bitmask containing it.  Summation order is fixed by the bitmask order.
+    The energies E are subset sums of K by bitmask.  log1p(mean expm1(E)) keeps full
+    relative precision while mean exp(E) >= 1/2 and exp(E) is finite, else log-sum-exp.
     """
     _check_guard(K.n, force)
-    sites = all_edge_sites(K.n)
-    idx = edge_index(K.n)
-    count = 1 << len(sites)
-    energies = np.zeros(count, dtype=np.float64)
-    masks = np.arange(count, dtype=np.int64)
-    for X in sorted(K.k_map):
-        xmask = 0
-        for e in X:
-            xmask |= 1 << idx[e]
-        energies[(masks & xmask) == xmask] += K.k_map[X]
-    return _logsumexp(energies) - len(sites) * math.log(2.0)
+    energies = _energies(K)
+    if np.max(energies) < 700.0 and (mean := float(np.mean(np.expm1(energies)))) >= -0.5:
+        return math.log1p(mean)
+    return _logsumexp(energies) - math.log(len(energies))
 
 
 def phi_n(K: Interaction, force: bool = False) -> float:
     """Per-site free energy log W / C(n,2)."""
-    sites = all_edge_sites(K.n)
-    return partition_normalized(K, force=force) / len(sites)
+    return partition_normalized(K, force=force) / len(all_edge_sites(K.n))
 
 
 def _expectations(motifs: Sequence[Motif], weights: np.ndarray, n: int) -> list[float]:
     """E[t(H_i, G)] under the graph log-weights of graph_log_weights."""
     probs = np.exp(weights - np.max(weights))
     probs /= np.sum(probs)
-    return [float(np.dot(motif_hom_table(H, n) / float(n ** H.m), probs)) for H in motifs]
+    return [float(np.sum(motif_hom_table(H, n) * probs)) / n ** H.m for H in motifs]
 
 
 def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float], n: int,

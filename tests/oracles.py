@@ -4,7 +4,8 @@ Each one computes a quantity the library also computes, by a slower and more
 literal route: the literal spin sum behind a polymer activity, per-support
 hypergraph sums, signed connected-graph (Ursell) coefficients, cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
-and the majorant coefficients by their compositions recursion.
+the majorant coefficients by their compositions recursion, and the energy of
+every configuration by one masking pass per interaction link.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ergm_cluster.expansion import (
     DEFAULT_MAX_COUNT,
     Polymer,
     _connected_item_sets,
     _LinkSystem,
 )
-from ergm_cluster.graphs import GuardExceeded
+from ergm_cluster.graphs import GuardExceeded, edge_index
 from ergm_cluster.lattice import Interaction, freeze_sites
 
 URSELL_GUARD = 8
@@ -326,3 +329,21 @@ def gamma_by_compositions(p: int, n_max: int) -> tuple[Fraction, ...]:
                 total += prod
         g.append(total)
     return tuple(g)
+
+
+def energies_by_link(K: Interaction) -> np.ndarray:
+    """sum K(X) over the stored X inside each configuration, by bitmask.
+
+    Each stored X adds K(X) to every bitmask containing it, one comparison of
+    all 2^C(n,2) masks per link, in sorted link order.
+    """
+    idx = edge_index(K.n)
+    count = 1 << len(idx)
+    energies = np.zeros(count, dtype=np.float64)
+    masks = np.arange(count, dtype=np.int64)
+    for X in sorted(K.k_map):
+        xmask = 0
+        for e in X:
+            xmask |= 1 << idx[e]
+        energies[(masks & xmask) == xmask] += K.k_map[X]
+    return energies

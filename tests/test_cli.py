@@ -140,6 +140,16 @@ class TestExact:
         want = 6 / 16 * math.log1p(math.exp(0.6))
         assert doc["psi_n"] == pytest.approx(want, abs=1e-15)
 
+    @pytest.mark.parametrize("beta, phi", [
+        ("-40", "-0.69314718055994529"),  # shifted sum: phi = -log 2
+        ("50", "99.306852819440053"),  # log1p of a mean weight near e^600 / 64
+        ("60", "119.30685281944005"),  # exp(720) would overflow: shifted sum
+        ("1e-300", "1e-300"),  # log1p: log W = 6e-300 survives
+    ])
+    def test_log_w_branches(self, capsys, beta, phi):
+        assert main(["exact", "--motifs", "edge", "--betas", beta, "--n", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"phi_4 = {phi}"
+
     @pytest.mark.parametrize("beta", ["-6.1e-05", "-6E-05", "-2e+00", "-.5e-3"])
     def test_negative_exponent_beta(self, tmp_path, beta):
         out = tmp_path / "run.json"

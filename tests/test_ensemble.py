@@ -2,6 +2,7 @@ import math
 import random
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import numpy as np
@@ -20,8 +21,12 @@ from ergm_cluster import (
     hom_count,
     results_csv,
 )
-from ergm_cluster.ensemble import csv_header, csv_row, motif_hom_table
-from ergm_cluster.graphs import all_edge_sites
+from ergm_cluster import ensemble
+from ergm_cluster.ensemble import _energies, csv_header, csv_row, motif_hom_table
+from ergm_cluster.graphs import all_edge_sites, edge_index
+from ergm_cluster.lattice import hamiltonian
+
+from oracles import energies_by_link
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,6 +150,30 @@ class TestResultPlumbing:
         res = ensemble_result([edge, triangle], [0.05, 0.02], 4)
         assert results_csv([res]) == (DATA / "ensemble_golden.csv").read_text()
 
+    def test_golden_csv_is_correctly_rounded(self, edge, triangle):
+        # Every float in the golden row is the 50-digit value of its quantity,
+        # rounded once: psi_n, phi_n and the expectations, from backtracking
+        # hom counts and the row's own couplings.
+        header, row = (DATA / "ensemble_golden.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        n, motifs = int(cells["n"]), [edge, triangle]
+        betas = [mpmath.mpf(float(cells[f"beta_{i}"])) for i in (1, 2)]
+        sites = len(all_edge_sites(n))
+        graphs = [graph_from_mask(n, mask) for mask in range(1 << sites)]
+        dens = [[mpmath.mpf(hom_count(H, G)) / n ** H.m for G in graphs] for H in motifs]
+        with mpmath.workdps(50):
+            weights = [mpmath.exp(n * n * sum(b * t[g] for b, t in zip(betas, dens)))
+                       for g in range(len(graphs))]
+            z = mpmath.fsum(weights)
+            want = {
+                "psi_n": mpmath.log(z) / (n * n),
+                "phi_n": mpmath.log(z / 2 ** sites) / sites,
+                "E_1": mpmath.fsum(w * t for w, t in zip(weights, dens[0])) / z,
+                "E_2": mpmath.fsum(w * t for w, t in zip(weights, dens[1])) / z,
+            }
+        for name, value in want.items():
+            assert float(cells[name]) == float(value), name
+
     def test_results_csv_validation(self, edge, triangle):
         with pytest.raises(ValueError):
             results_csv([])
@@ -207,3 +236,87 @@ class TestHomTable:
         assert np.array_equal(motif_hom_table(two_star, 6), (deg * deg).sum(axis=1))
         assert np.array_equal(motif_hom_table(triangle, 6),
                               np.einsum("gij,gjk,gki->g", A, A, A))
+
+
+def _family(*names):
+    by_name = {H.name: H for H in ORACLE_MOTIFS}
+    return [by_name[x] for x in names]
+
+
+ENERGY_FAMILIES = [("edge", "triangle"), ("two-star", "triangle"), ("diamond",)]
+
+
+def _sum_bound(K):
+    # Each route adds at most C(n,2) (subset sums) or one term per link
+    # (masking loop, hamiltonian) into an energy, and each addition rounds by
+    # at most u times the absolute mass behind it, u * sum|K| < ulp(sum|K|).
+    total = math.fsum(abs(v) for v in K.k_map.values())
+    return (len(all_edge_sites(K.n)) + len(K.k_map)) * math.ulp(total)
+
+
+class TestEnergies:
+    @pytest.mark.parametrize("names", ENERGY_FAMILIES, ids="+".join)
+    def test_subset_sums_match_masking_loop(self, names):
+        rng = random.Random(17)
+        motifs = _family(*names)
+        for n in range(1, 7):
+            for _ in range(3):
+                betas = [rng.uniform(-2.0, 2.0) * 10 ** rng.randint(-4, 0) for _ in motifs]
+                K = build_interaction(motifs, betas, n)
+                got, want = _energies(K), energies_by_link(K)
+                assert len(got) == 1 << len(all_edge_sites(n))
+                assert np.max(np.abs(got - want)) <= _sum_bound(K), (n, betas)
+
+    @pytest.mark.parametrize("names", ENERGY_FAMILIES, ids="+".join)
+    def test_energy_is_minus_hamiltonian(self, names):
+        motifs = _family(*names)
+        for n in range(1, 5):
+            K = build_interaction(motifs, [0.3, -0.2][:len(motifs)], n)
+            got = _energies(K)
+            for mask in range(len(got)):
+                want = -hamiltonian(K, graph_from_mask(n, mask))
+                assert abs(got[mask] - want) <= _sum_bound(K), mask
+
+    def test_log_w_reads_no_hom_table(self, monkeypatch, two_star, triangle):
+        K = build_interaction([two_star, triangle], [0.04, -0.03], 5)
+        want = partition_normalized(K)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("log W must not read the graph weights")
+
+        monkeypatch.setattr(ensemble, "motif_hom_table", refuse)
+        monkeypatch.setattr(ensemble, "graph_log_weights", refuse)
+        assert partition_normalized(K) == want
+        assert phi_n(K) == want / 10
+
+
+def _mp_log_w(K):
+    """log W in 50 digits, from the interaction's own float K values."""
+    idx = edge_index(K.n)
+    links = [(sum(1 << idx[e] for e in X), mpmath.mpf(v)) for X, v in K.k_map.items()]
+    count = 1 << len(idx)
+    with mpmath.workdps(50):
+        # log mean exp(E) as log1p(mean expm1(E)): no cancellation against 1,
+        # so 50 digits resolve even log W = 6e-300.
+        mean = mpmath.fsum(mpmath.expm1(mpmath.fsum(v for x, v in links if x & mask == x))
+                           for mask in range(count)) / count
+        return mpmath.log1p(mean)
+
+
+class TestLogWPrecision:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_small_betas_to_full_relative_precision(self, n, two_star, triangle):
+        rng = random.Random(2024 + n)
+        for _ in range(20):
+            betas = [rng.uniform(-1e-3, 1e-3) for _ in range(2)]
+            K = build_interaction([two_star, triangle], betas, n)
+            want = _mp_log_w(K)
+            assert abs(float((partition_normalized(K) - want) / want)) <= 1e-14, betas
+
+    @pytest.mark.parametrize("beta", [-40.0, 50.0, 60.0, 1e-300, -0.7])
+    def test_each_branch_against_mpmath(self, edge, beta):
+        # -40 and -0.7: mean weight under 1/2, shifted sum.  50: mean weight
+        # near e^600 / 64, still log1p.  60: exp(720) would overflow, shifted
+        # sum.  1e-300: log W = 6e-300, which the shifted sum would lose.
+        K = build_interaction([edge], [beta], 4)
+        assert partition_normalized(K) == float(_mp_log_w(K))
