@@ -337,11 +337,9 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
         M = _finite("M", M)
     n_max = int(_opt(ns, cfg, "n_max", 30))
     table = abar_recursion(p, norm, M, n_max)
+    # radius_and_tail overflows for large p; fail before the O(p n_max^2) check.
+    radius = radius_and_tail(p, norm, M)[0] if p >= 2 else None
     checked = generating_function_check(p, norm, M, min(n_max, 30))
-    if p >= 2:
-        radius, _ = radius_and_tail(p, norm, M)
-    else:
-        radius = None
     tail = coefficient_tail(table, n_max)
     divergent = math.isinf(tail)
     print(f"c = {_fmt(table.c)}")
@@ -447,7 +445,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(render_json({"error": str(exc), "kind": "guard",
                                       "hint": "pass --force to override"}) + "\n")
         return 3
-    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError, KeyError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(render_json({"error": str(exc), "kind": "invalid-config"}) + "\n")
         return 2
 

@@ -59,18 +59,8 @@ def region_bound(p: int, m: int, M: float) -> float:
 
 @lru_cache(maxsize=None)
 def _gamma_table(p: int, n_max: int) -> tuple[Fraction, ...]:
-    """gamma_1..gamma_n_max as exact rationals, 0-slot padded for 1-indexing.
-
-    gamma_n = [z^(n-1)] P for the power P = (1 + w)^p of the series w itself.
-    J.C.P. Miller's recurrence for a power of a series A with A_0 = 1 gives
-    P_k = (1/k) sum_{j=1..k} ((p+1) j - k) A_j P_{k-j}, and A_j = gamma_j =
-    P_{j-1} is known by the time P_k is needed: O(n_max^2) rational steps.
-    """
-    power = [Fraction(1)]
-    for k in range(1, n_max):
-        total = sum(((p + 1) * j - k) * power[j - 1] * power[k - j] for j in range(1, k + 1))
-        power.append(Fraction(total, k))
-    return (Fraction(0),) + tuple(power)
+    """gamma_1..gamma_n_max as exact rationals, 0-slot padded for 1-indexing."""
+    return (Fraction(0),) + tuple(gamma_closed_form(p, n) for n in range(1, n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,7 @@ def _satisfies_identity(p: int, gamma: tuple[Fraction, ...]) -> bool:
 
 
 def generating_function_check(p: int, norm: float, M: float, n_max: int = 30) -> bool:
-    """Verify the recursion output against its generating-function identity.
+    """Verify the tabulated coefficients against their generating-function identity.
 
     The scalar c = 2 norm M^p rescales z without touching the identity, so the
     check runs on the exact gamma coefficients.

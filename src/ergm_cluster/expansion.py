@@ -4,14 +4,16 @@ The links of an interaction are its stored subsets; a hypergraph is a set of
 links, connected when the links cannot be split into two groups with disjoint
 supports.  Grouping connected hypergraphs by their support N gives polymers
 with activity w_N; disjoint collections of polymers resum the partition
-function exactly.  Scaling every activity by lambda, the per-size cluster sum
-S_k is [lambda^k] log Xi(lambda), where Xi sums over families of pairwise
-disjoint polymers (the Mayer expansion read as a formal power series), so the
-cluster sums come from one subset-mask sweep over the site masks with a
-lambda axis, followed by the log-series recursion.  The per-site
-Kotecky-Preiss condition sum_{N containing e} |w_N|-bound * M^|N| <= log M is
-certified by the polymer bounds up to a link-count head plus the analytic
-coefficient tail.
+function exactly.  One walk over the connected link sets accumulates, per
+support mask, the activities up to the series depth and the bounds up to the
+certificate's head depth; the series and the certificate both read it.
+Scaling every activity by lambda, the per-size cluster sum S_k is
+[lambda^k] log Xi(lambda), where Xi sums over families of pairwise disjoint
+polymers (the Mayer expansion read as a formal power series), so the cluster
+sums come from one subset-mask sweep over the site masks with a lambda axis,
+followed by the log-series recursion.  The per-site Kotecky-Preiss condition
+sum_{N containing e} |w_N|-bound * M^|N| <= log M is certified by the
+polymer bounds up to a link-count head plus the analytic coefficient tail.
 
 Enumeration order everywhere is fixed: links in canonical subset order,
 connected sets by depth-first extension over that order, polymers in site-mask
@@ -36,7 +38,7 @@ from .coefficients import (
 )
 from .ensemble import ENSEMBLE_GUARD, partition_normalized
 from .graphs import GuardExceeded, Motif, all_edge_sites, edge_index, check_alignment
-from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction, freeze_sites
+from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
 
 # Enumeration stops with GuardExceeded after this many connected sets.
 DEFAULT_MAX_COUNT = 5_000_000
@@ -128,30 +130,16 @@ def _connected_item_sets(adj: Sequence[int], max_size: int,
         yield from rec((v,), adj[v] & above, vbit | adj[v], above)
 
 
-def enumerate_connected_hypergraphs(K: Interaction, max_links: int,
-                                    root: Sequence[int] | None = None,
-                                    max_count: int = DEFAULT_MAX_COUNT,
-                                    ) -> Iterator[tuple[EdgeSubset, ...]]:
+def enumerate_connected_hypergraphs(K: Interaction,
+                                    max_links: int) -> Iterator[tuple[EdgeSubset, ...]]:
     """Connected sets of at most max_links links, as tuples of site tuples.
 
-    With root given, only hypergraphs whose support contains that edge site
-    are produced (the enumeration still walks the unrooted stream, so the
-    guard counts every connected set inspected).  max_links = 0 yields nothing.
+    max_links = 0 yields nothing.
     """
     if max_links < 0:
         raise ValueError("max_links cannot be negative")
     sys = _LinkSystem(K)
-    root_bit = None
-    if root is not None:
-        e = freeze_sites([root], K.n)[0]
-        root_bit = 1 << sys.index[e]
-    for idxs in _connected_item_sets(sys.adj, max_links, max_count):
-        if root_bit is not None:
-            support = 0
-            for i in idxs:
-                support |= sys.masks[i]
-            if not support & root_bit:
-                continue
+    for idxs in _connected_item_sets(sys.adj, max_links):
         yield tuple(sys.links[i] for i in idxs)
 
 
@@ -164,13 +152,17 @@ class Polymer:
     bound: float
 
 
-def _polymers(sys: _LinkSystem, max_links: int, max_count: int) -> list[Polymer]:
-    """polymer_table on a prebuilt link system."""
+def _polymer_sums(sys: _LinkSystem, max_links: int,
+                  head_links: int) -> tuple[dict[int, float], dict[int, float]]:
+    """Activities of the polymers built from at most max_links links and bounds
+    of those built from at most head_links, keyed by support mask in sorted
+    mask order, from one walk over the connected link sets.
+    """
     ew = [math.expm1(v) for v in sys.values]
     ev = [math.expm1(abs(v)) for v in sys.values]
     acc_w: dict[int, float] = {}
     acc_v: dict[int, float] = {}
-    for idxs in _connected_item_sets(sys.adj, max_links, max_count):
+    for idxs in _connected_item_sets(sys.adj, max(max_links, head_links)):
         support = 0
         w = 1.0
         v = 1.0
@@ -178,18 +170,17 @@ def _polymers(sys: _LinkSystem, max_links: int, max_count: int) -> list[Polymer]
             support |= sys.masks[i]
             w *= ew[i]
             v *= ev[i]
-        acc_w[support] = acc_w.get(support, 0.0) + w
-        acc_v[support] = acc_v.get(support, 0.0) + v
+        if len(idxs) <= max_links:
+            acc_w[support] = acc_w.get(support, 0.0) + w
+        if len(idxs) <= head_links:
+            acc_v[support] = acc_v.get(support, 0.0) + v
     # The activity carries the 2^-|N| spin normalization; the bound, by its
     # definition, does not (it dominates |w_N| all the more).
-    return [Polymer(sys.sites_of_mask(mask),
-                    acc_w[mask] / (1 << mask.bit_count()),
-                    acc_v[mask])
-            for mask in sorted(acc_w)]
+    activities = {mask: acc_w[mask] / (1 << mask.bit_count()) for mask in sorted(acc_w)}
+    return activities, {mask: acc_v[mask] for mask in sorted(acc_v)}
 
 
-def polymer_table(K: Interaction, max_links: int,
-                  max_count: int = DEFAULT_MAX_COUNT) -> list[Polymer]:
+def polymer_table(K: Interaction, max_links: int) -> list[Polymer]:
     """All polymers realizable with at most max_links links, canonically sorted.
 
     Activities accumulate per connected hypergraph using the collapsed form
@@ -197,7 +188,10 @@ def polymer_table(K: Interaction, max_links: int,
     factor, so the normalized sum equals the plain product of expm1(K(X))
     (bitwise identical to the literal spin sum, which a test pins down).
     """
-    return _polymers(_LinkSystem(K), max_links, max_count)
+    sys = _LinkSystem(K)
+    activities, bounds = _polymer_sums(sys, max_links, max_links)
+    return [Polymer(sys.sites_of_mask(mask), w, bounds[mask])
+            for mask, w in activities.items()]
 
 
 def _check_order(order: int) -> None:
@@ -206,9 +200,14 @@ def _check_order(order: int) -> None:
 
 
 def _check_sweep(site_count: int, order: int, force: bool = False) -> None:
-    """Refuse a site-mask table past SWEEP_GUARD entries before any work."""
-    size = (1 << site_count) * (order + 1)
-    if size > SWEEP_GUARD and not force:
+    """Refuse a site-mask table past SWEEP_GUARD entries before any work.
+
+    The exponent is compared first, so a huge site count never builds the
+    shifted integer.
+    """
+    if force:
+        return
+    if site_count >= SWEEP_GUARD.bit_length() or (order + 1) << site_count > SWEEP_GUARD:
         raise GuardExceeded(f"site-mask table of 2^{site_count} x {order + 1} entries "
                             f"exceeds guard {SWEEP_GUARD}")
 
@@ -255,40 +254,12 @@ def _cluster_sums(site_count: int, masks: Sequence[int], weights: Sequence[float
     return _log_series(table.sum(axis=0).tolist())
 
 
-def _pinned_abs_sums(site_count: int, masks: Sequence[int], weights: Sequence[float],
-                     order: int, pin: int) -> list[float]:
-    """Per-size absolute mass of the clusters that contain polymer `pin`.
-
-    Xi = Xi_without + lambda w0 Xi_disjoint, where Xi_without sums families
-    without the pinned polymer and Xi_disjoint those disjoint from it, so the
-    clusters holding it sum to log(1 + lambda w0 Xi_disjoint / Xi_without).
-    Taking that ratio, rather than the difference of two cluster totals,
-    keeps the small pinned mass free of cancellation.  Weights enter as -|w|.
-    """
-    rest = [i for i in range(len(masks)) if i != pin]
-    table = _family_sweep(site_count, [masks[i] for i in rest],
-                          [-abs(weights[i]) for i in rest], order - 1)
-    rows = np.arange(1 << site_count, dtype=np.int64)
-    without = table.sum(axis=0).tolist()
-    disjoint = table[(rows & masks[pin]) == 0].sum(axis=0).tolist()
-    ratio: list[float] = []
-    for k in range(order):
-        acc = disjoint[k]
-        for j in range(1, k + 1):
-            acc -= without[j] * ratio[k - j]
-        ratio.append(acc)
-    w0 = -abs(weights[pin])
-    return [-s for s in _log_series([1.0] + [w0 * r for r in ratio])]
-
-
-def _partials(sys: _LinkSystem, polymers: Sequence[Polymer], order: int) -> list[float]:
-    masks = [sys._site_mask(p.support) for p in polymers]
-    sums = _cluster_sums(len(sys.sites), masks, [p.activity for p in polymers], order)
+def _partials(site_count: int, activities: Mapping[int, float], order: int) -> list[float]:
+    sums = _cluster_sums(site_count, list(activities), list(activities.values()), order)
     return list(accumulate(sums))
 
 
-def truncated_log_partition(K: Interaction, order: int, max_links: int = 4,
-                            max_count: int = DEFAULT_MAX_COUNT) -> list[float]:
+def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> list[float]:
     """Partial sums of the cluster expansion of log W through each order.
 
     Polymers come from connected hypergraphs with at most max_links links;
@@ -297,45 +268,8 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4,
     _check_order(order)
     sys = _LinkSystem(K)
     _check_sweep(len(sys.sites), order)
-    return _partials(sys, _polymers(sys, max_links, max_count), order)
-
-
-def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: int,
-                           max_links: int = 4, max_count: int = DEFAULT_MAX_COUNT) -> float:
-    """Absolute cluster mass through the given order of multisets containing N.
-
-    This is the quantity the Kotecky-Preiss condition controls: when the
-    certificate passes it is bounded by v_N * M^|N|.
-    """
-    _check_order(order)
-    sys = _LinkSystem(K)
-    _check_sweep(len(sys.sites), order)
-    X = freeze_sites(N, K.n)
-    polymers = _polymers(sys, max_links, max_count)
-    index = {p.support: i for i, p in enumerate(polymers)}
-    if X not in index:
-        raise ValueError(f"{X} is not a realizable polymer support here")
-    masks = [sys._site_mask(p.support) for p in polymers]
-    return sum(_pinned_abs_sums(len(sys.sites), masks, [p.activity for p in polymers],
-                                order, index[X]))
-
-
-def cluster_partition_sum(K: Interaction, max_count: int = DEFAULT_MAX_COUNT) -> float:
-    """W resummed as sum over collections of pairwise-disjoint polymers.
-
-    Polymer activities are aggregated over every connected hypergraph (no
-    link-count cut: links inside a finite site set are finite), then the sum
-    over disjoint collections is the site-mask sweep of the cluster sums,
-    with room for one polymer per site.  Equals exp(partition_normalized(K))
-    up to float arithmetic.
-    """
-    sys = _LinkSystem(K)
-    site_count = len(sys.sites)
-    _check_sweep(site_count, site_count)
-    polymers = _polymers(sys, len(sys.links), max_count)
-    masks = [sys._site_mask(p.support) for p in polymers]
-    table = _family_sweep(site_count, masks, [p.activity for p in polymers], site_count)
-    return float(np.sum(table))
+    activities, _ = _polymer_sums(sys, max_links, 0)
+    return _partials(len(sys.sites), activities, order)
 
 
 @dataclass(frozen=True)
@@ -372,15 +306,16 @@ def _check_certify_args(M: float, head_links: int) -> None:
         raise ValueError("head_links cannot be negative")
 
 
-def _certify(K: Interaction, sys: _LinkSystem, head: Sequence[Polymer], M: float,
-             head_links: int, table_order: int) -> KPCertificate:
-    """kp_certify on the polymers of at most head_links links."""
-    heads = {site: 0.0 for site in sys.sites}
-    for poly in head:
-        term = poly.bound * M ** len(poly.support)
-        for site in poly.support:
-            heads[site] += term
-    norm = banach_norm(K)
+def _certify(sites: Sequence[tuple[int, int]], bounds: Mapping[int, float], M: float,
+             head_links: int, norm: float, p: int) -> KPCertificate:
+    """kp_certify from the bounds of the polymers of at most head_links links."""
+    heads = [0.0] * len(sites)
+    for mask, bound in bounds.items():
+        term = bound * M ** mask.bit_count()
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            heads[bit.bit_length() - 1] += term
     reason = ""
     if norm == 0.0:
         tail = 0.0
@@ -389,12 +324,12 @@ def _certify(K: Interaction, sys: _LinkSystem, head: Sequence[Polymer], M: float
         reason = (f"norm {norm:.6g} exceeds the 1/2 cap; "
                   "the analytic tail is not justified there")
     else:
-        table = abar_recursion(K.p_max, norm, M, table_order)
+        table = abar_recursion(p, norm, M, TABLE_ORDER)
         tail = coefficient_tail(table, head_links)
         if math.isinf(tail):
             reason = ("tail series divergent: 2 norm (M p)^p reaches "
                       "(p-1)^(p-1) at this norm")
-    per_site = {site: heads[site] + tail for site in sys.sites}
+    per_site = {site: head + tail for site, head in zip(sites, heads)}
     log_m = math.log(M)
     verdict = math.isfinite(tail) and all(v <= log_m for v in per_site.values())
     if not verdict and not reason:
@@ -403,9 +338,7 @@ def _certify(K: Interaction, sys: _LinkSystem, head: Sequence[Polymer], M: float
                          tail_order=head_links, norm=norm, tail=tail, reason=reason)
 
 
-def kp_certify(K: Interaction, M: float, head_links: int = 4,
-               table_order: int = TABLE_ORDER,
-               max_count: int = DEFAULT_MAX_COUNT) -> KPCertificate:
+def kp_certify(K: Interaction, M: float, head_links: int = 4) -> KPCertificate:
     """Certify the per-site condition sum_{N ni e} v_N M^|N| <= log M.
 
     The head is exact: every polymer built from at most head_links links puts
@@ -417,8 +350,8 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4,
     """
     _check_certify_args(M, head_links)
     sys = _LinkSystem(K)
-    return _certify(K, sys, _polymers(sys, head_links, max_count), M, head_links,
-                    table_order)
+    _, bounds = _polymer_sums(sys, 0, head_links)
+    return _certify(sys.sites, bounds, M, head_links, banach_norm(K), K.p_max)
 
 
 @dataclass(frozen=True)
@@ -449,8 +382,7 @@ class ExpansionReport:
 
 def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                      order: int = 4, max_links: int = 4, M: float | None = None,
-                     head_links: int | None = None, force: bool = False,
-                     max_count: int = DEFAULT_MAX_COUNT) -> ExpansionReport:
+                     head_links: int | None = None, force: bool = False) -> ExpansionReport:
     """Run the whole expansion pipeline for one parameter point.
 
     M defaults to the region-optimal base for the family's maximal edge count
@@ -459,7 +391,7 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     """
     check_alignment(motifs, betas)
     _check_order(order)
-    site_count = len(all_edge_sites(n))
+    site_count = n * (n - 1) // 2 if n > 1 else 0
     _check_sweep(site_count, order, force)
     p = max(H.p for H in motifs)
     m = max(H.m for H in motifs)
@@ -469,13 +401,12 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     _check_certify_args(M, head)
     K = build_interaction(motifs, betas, n)
     norm = banach_norm(K)
-    # One link system and one polymer table serve the series and the
-    # certificate head (a second table only when the head depth differs).
+    # One walk over the connected link sets serves the series and the
+    # certificate head, whatever the two depths.
     sys = _LinkSystem(K)
-    polymers = _polymers(sys, max_links, max_count)
-    head_polymers = polymers if head == max_links else _polymers(sys, head, max_count)
-    cert = _certify(K, sys, head_polymers, M, head, TABLE_ORDER)
-    partials = _partials(sys, polymers, order)
+    activities, bounds = _polymer_sums(sys, max_links, head)
+    cert = _certify(sys.sites, bounds, M, head, norm, p)
+    partials = _partials(site_count, activities, order)
     exact: float | None = None
     if n <= ENSEMBLE_GUARD or force:
         exact = partition_normalized(K, force=force)

@@ -1,11 +1,14 @@
 """Reference implementations that only the tests use.
 
-Each one computes a quantity the library also computes, by a slower and more
+Most compute a quantity the library also computes, by a slower and more
 literal route: the literal spin sum behind a polymer activity, per-support
 hypergraph sums, signed connected-graph (Ursell) coefficients, cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
 the majorant coefficients by their compositions recursion, and the energy of
-every configuration by one masking pass per interaction link.
+every configuration by one masking pass per interaction link.  Two check
+quantities the library never needs: the absolute cluster mass pinned to one
+polymer, which the Kotecky-Preiss condition bounds, and W resummed over every
+family of disjoint polymers, which must equal the exact partition function.
 """
 
 from __future__ import annotations
@@ -21,8 +24,13 @@ import numpy as np
 from ergm_cluster.expansion import (
     DEFAULT_MAX_COUNT,
     Polymer,
+    _check_order,
+    _check_sweep,
     _connected_item_sets,
+    _family_sweep,
     _LinkSystem,
+    _log_series,
+    _polymer_sums,
 )
 from ergm_cluster.graphs import GuardExceeded, edge_index
 from ergm_cluster.lattice import Interaction, freeze_sites
@@ -347,3 +355,67 @@ def energies_by_link(K: Interaction) -> np.ndarray:
             xmask |= 1 << idx[e]
         energies[(masks & xmask) == xmask] += K.k_map[X]
     return energies
+
+
+def _pinned_abs_sums(site_count: int, masks: Sequence[int], weights: Sequence[float],
+                     order: int, pin: int) -> list[float]:
+    """Per-size absolute mass of the clusters that contain polymer `pin`.
+
+    Xi = Xi_without + lambda w0 Xi_disjoint, where Xi_without sums families
+    without the pinned polymer and Xi_disjoint those disjoint from it, so the
+    clusters holding it sum to log(1 + lambda w0 Xi_disjoint / Xi_without).
+    Taking that ratio, rather than the difference of two cluster totals,
+    keeps the small pinned mass free of cancellation.  Weights enter as -|w|.
+    """
+    rest = [i for i in range(len(masks)) if i != pin]
+    table = _family_sweep(site_count, [masks[i] for i in rest],
+                          [-abs(weights[i]) for i in rest], order - 1)
+    rows = np.arange(1 << site_count, dtype=np.int64)
+    without = table.sum(axis=0).tolist()
+    disjoint = table[(rows & masks[pin]) == 0].sum(axis=0).tolist()
+    ratio: list[float] = []
+    for k in range(order):
+        acc = disjoint[k]
+        for j in range(1, k + 1):
+            acc -= without[j] * ratio[k - j]
+        ratio.append(acc)
+    w0 = -abs(weights[pin])
+    return [-s for s in _log_series([1.0] + [w0 * r for r in ratio])]
+
+
+def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: int,
+                           max_links: int = 4) -> float:
+    """Absolute cluster mass through the given order of multisets containing N.
+
+    This is the quantity the Kotecky-Preiss condition controls: when the
+    certificate passes it is bounded by v_N * M^|N|.
+    """
+    _check_order(order)
+    sys = _LinkSystem(K)
+    _check_sweep(len(sys.sites), order)
+    X = freeze_sites(N, K.n)
+    activities, _ = _polymer_sums(sys, max_links, 0)
+    masks = list(activities)
+    if sys._site_mask(X) not in activities:
+        raise ValueError(f"{X} is not a realizable polymer support here")
+    pin = masks.index(sys._site_mask(X))
+    return sum(_pinned_abs_sums(len(sys.sites), masks, list(activities.values()),
+                                order, pin))
+
+
+def cluster_partition_sum(K: Interaction) -> float:
+    """W resummed as sum over collections of pairwise-disjoint polymers.
+
+    Polymer activities are aggregated over every connected hypergraph (no
+    link-count cut: links inside a finite site set are finite), then the sum
+    over disjoint collections is the site-mask sweep of the cluster sums,
+    with room for one polymer per site.  Equals exp(partition_normalized(K))
+    up to float arithmetic.
+    """
+    sys = _LinkSystem(K)
+    site_count = len(sys.sites)
+    _check_sweep(site_count, site_count)
+    activities, _ = _polymer_sums(sys, len(sys.links), 0)
+    table = _family_sweep(site_count, list(activities), list(activities.values()),
+                          site_count)
+    return float(np.sum(table))

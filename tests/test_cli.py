@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from ergm_cluster.cli import main, render_json, write_artifact
 from ergm_cluster.graphs import BUILTIN_MOTIFS
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIG_DOC = '{"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [1, 3]]}'
 
@@ -202,6 +204,12 @@ class TestExpand:
         assert main(self.ARGS + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("head", ["2", "5"])
+    def test_head_links(self, tmp_path, head):
+        out = tmp_path / "report.json"
+        assert main(self.ARGS + ["--head-links", head, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kp"]["tail_order"] == int(head)
+
     def test_csv_artifact(self, tmp_path):
         out = tmp_path / "orders.csv"
         rc = main(self.ARGS + ["--out", str(out), "--format", "csv"])
@@ -336,6 +344,32 @@ class TestFailureModes:
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "invalid-config"
 
+    @pytest.mark.parametrize("argv,code", [
+        (["expand", "--motifs", "edge", "--betas", "0.1", "--n", "100000"], 3),
+        (["coeffs", "--p", "20000", "--norm", "1e-9"], 2),
+    ])
+    def test_huge_sizes_refused_up_front(self, argv, code, capsys):
+        start = time.perf_counter()
+        rc = main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == code
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (["density", "--motif", "edge", "--n", "4", "--sites", "5"], {}),
+        (["exact", "--motifs", "edge", "--n", "3"], {"betas": 0.1}),
+        (["exact", "--motifs", "edge", "--n", "3"], {"betas": [[0.1]]}),
+        (["exact", "--motifs", "edge", "--betas", "0.1"], {"n": [3]}),
+        (["exact", "--betas", "0.1", "--n", "3"], {"motifs": 5}),
+        (["exact", "--motifs", "edge", "--betas", "0.1", "--n", "3"], {"out": 5}),
+        (["expand", "--motifs", "edge", "--betas", "0.1", "--n", "3"], {"order": [2]}),
+        (["coeffs", "--p", "2"], {"norm": [0.1]}),
+    ])
+    def test_wrongly_typed_values(self, argv, cfg, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert main(argv + ["--config", str(config)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "invalid-config"
+
     def test_mismatched_weights(self, capsys):
         rc = main(["exact", "--motifs", "edge", "triangle",
                    "--betas", "0.1", "--n", "3"])
@@ -364,6 +398,6 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ergm_cluster.cli", "region", "--p", "2", "--m", "3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert proc.returncode == 0
         assert "beta budget = 0.0026846371081645369" in proc.stdout

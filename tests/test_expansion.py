@@ -11,31 +11,29 @@ from ergm_cluster import (
     GuardExceeded,
     banach_norm,
     build_interaction,
-    cluster_partition_sum,
     enumerate_connected_hypergraphs,
     expansion_report,
     kp_certify,
     optimal_M,
     partition_normalized,
-    pinned_cluster_abs_sum,
     polymer_table,
     region_bound,
     report_jsonable,
     truncated_log_partition,
 )
+from ergm_cluster import expansion
 from ergm_cluster.expansion import (
     ORDER_GUARD,
     _check_sweep,
     _cluster_sums,
     _connected_item_sets,
     _LinkSystem,
-    _pinned_abs_sums,
 )
 from ergm_cluster.lattice import freeze_sites
 
 import oracles
-from oracles import _spin_sum, activity_bound, exact_log_series, polymer_activity, \
-    ursell_coefficient
+from oracles import _pinned_abs_sums, _spin_sum, activity_bound, cluster_partition_sum, \
+    exact_log_series, pinned_cluster_abs_sum, polymer_activity, ursell_coefficient
 
 HALF_BUDGET = region_bound(2, 3, optimal_M(2)) / 2
 
@@ -107,14 +105,6 @@ class TestHypergraphEnumeration:
         # three single-site links that never overlap
         assert len(got) == 3
         assert all(len(h) == 1 for h in got)
-
-    def test_rooted_filter(self, two_star):
-        K = build_interaction([two_star], [0.1], 4)
-        got = list(enumerate_connected_hypergraphs(K, 1, root=(0, 1)))
-        # the singleton on that site plus the four adjacent-pair links through it
-        assert len(got) == 5
-        for h in got:
-            assert any((0, 1) in link for link in h)
 
     def test_zero_links(self, two_star):
         K = build_interaction([two_star], [0.1], 4)
@@ -551,6 +541,28 @@ class TestReport:
         values += [pinned_cluster_abs_sum(K, [(0, 1)], 3, max_links=3),
                    cluster_partition_sum(K), partition_normalized(K)]
         assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("head", [2, 5])
+    def test_head_depth_matches_entry_points(self, two_star, triangle, head):
+        motifs, betas = [two_star, triangle], [0.0009, -0.0007]
+        rep = expansion_report(motifs, betas, 4, order=3, max_links=3, head_links=head)
+        K = build_interaction(motifs, betas, 4)
+        assert rep.certificate == kp_certify(K, rep.M, head)
+        assert [row.partial_sum for row in rep.orders] == truncated_log_partition(K, 3, 3)
+
+    @pytest.mark.parametrize("head", [None, 2, 5])
+    def test_one_walk_per_report(self, two_star, triangle, head, monkeypatch):
+        calls = []
+        walk = expansion._connected_item_sets
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(expansion, "_connected_item_sets", counted)
+        expansion_report([two_star, triangle], [0.0009, -0.0007], 4, order=3,
+                         max_links=3, head_links=head)
+        assert calls == [3 if head is None else max(3, head)]
 
     def test_deterministic(self, two_star, triangle):
         a = report_jsonable(expansion_report([two_star, triangle], [0.001, 0.0005], 3))
