@@ -31,7 +31,7 @@ from .coefficients import (
     radius_and_tail,
     region_bound,
 )
-from .ensemble import ensemble_result, results_csv
+from .ensemble import _fmt, ensemble_result, results_csv
 from .expansion import expansion_report, report_jsonable
 from .graphs import (
     GuardExceeded,
@@ -42,10 +42,6 @@ from .graphs import (
     load_motif,
 )
 from .lattice import exact_hom_count, freeze_sites
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def render_json(obj, indent: int = 0) -> str:

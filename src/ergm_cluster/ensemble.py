@@ -1,13 +1,14 @@
 """Exhaustive ensemble computations on small vertex sets.
 
-Everything here enumerates all 2^C(n,2) graphs in bitmask order: the exact
-normalized partition function of an interaction, the finite-size free energies
-psi_n and phi_n, model expectations of motif densities, and a central-difference
-check that d psi / d beta_i matches the expectation of t(H_i, G).
+Everything here sums over all 2^C(n,2) graphs: the exact normalized partition
+function of an interaction, the finite-size free energies psi_n and phi_n,
+model expectations of motif densities, and a central-difference check that
+d psi / d beta_i matches the expectation of t(H_i, G).
 
-psi_n and the expectations go through raw homomorphism counts, while
-partition_normalized goes through the sparse interaction; the two pipelines
-share no intermediate, which is what makes the bookkeeping identity
+psi_n and the expectations go through raw homomorphism counts, reduced once
+per (motifs, n) to the distinct statistic columns (hom(H_i, G))_i and their
+graph counts, while partition_normalized goes through the sparse interaction;
+the two pipelines share no intermediate, which is what makes the identity
 psi_n = (C(n,2) log 2 + log W) / n^2 a real cross-check.  The hom tables never
 touch the interaction: they are built from the edge images of vertex maps,
 not from lattice.support_families or build_interaction; log W reads only K.
@@ -26,7 +27,6 @@ from .graphs import (
     GuardExceeded,
     Motif,
     _traversal_order,
-    all_edge_sites,
     check_alignment,
     edge_index,
 )
@@ -36,17 +36,11 @@ from .lattice import Interaction
 ENSEMBLE_GUARD = 6
 
 
-def _check_guard(n: int, force: bool) -> None:
-    if n < 1:
-        raise ValueError("need at least one vertex")
+def _check_guard(n: int, force: bool, least: int = 1) -> None:
+    if n < least:
+        raise ValueError(f"need n >= {least} vertices, got n={n}")
     if n > ENSEMBLE_GUARD and not force:
         raise GuardExceeded(f"exhaustive ensemble at n={n} exceeds guard n<={ENSEMBLE_GUARD}")
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    """Max-shifted log of a sum of exponentials, summed in array order."""
-    hi = float(np.max(values))
-    return hi + math.log(float(np.sum(np.exp(values - hi))))
 
 
 def _subset_sums(table: np.ndarray) -> np.ndarray:
@@ -98,23 +92,46 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     return table
 
 
-def graph_log_weights(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> np.ndarray:
-    """n^2 * T(G) for every graph, T(G) = sum_i beta_i t(H_i, G)."""
+@lru_cache(maxsize=None)
+def _statistic_histogram(motifs: tuple[Motif, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts): the distinct columns of the stacked motif_hom_tables.
+
+    rows[i, c] is hom(H_i, G) for each of the counts[c] graphs G of column c;
+    exact int64, read-only because they are shared.
+    """
+    tables = [motif_hom_table(H, n) for H in motifs]
+    order = np.lexsort(tables)
+    cols = np.stack([t[order] for t in tables])
+    starts = np.flatnonzero(np.r_[True, np.any(cols[:, 1:] != cols[:, :-1], axis=0)])
+    rows, counts = cols[:, starts], np.diff(starts, append=cols.shape[1])
+    rows.flags.writeable = counts.flags.writeable = False
+    return rows, counts
+
+
+def _ensemble_sums(motifs: Sequence[Motif], betas: Sequence[float],
+                   n: int) -> tuple[float, list[float]]:
+    """psi_n and E[t(H_i, G)] from the statistic histogram.
+
+    A column's log-weight n^2 T(G) is the same float for all its graphs, so
+    its count multiplies its shifted weight once.
+    """
     check_alignment(motifs, betas)
-    sites = all_edge_sites(n)
-    weights = np.zeros(1 << len(sites), dtype=np.float64)
+    rows, counts = _statistic_histogram(tuple(motifs), n)
+    weights = np.zeros(len(counts), dtype=np.float64)
     n2 = float(n * n)
-    for H, b in zip(motifs, betas):
-        if b == 0:
-            continue
-        weights += (n2 * float(b) / n ** H.m) * motif_hom_table(H, n)
-    return weights
+    for H, b, row in zip(motifs, betas, rows):
+        weights += (n2 * float(b) / n ** H.m) * row
+    hi = float(np.max(weights))
+    p = np.exp(weights - hi) * counts
+    z = math.fsum(p)
+    expectations = [math.fsum(row * p) / z / n ** H.m for H, row in zip(motifs, rows)]
+    return (hi + math.log(z)) / (n * n), expectations
 
 
 def psi_n(motifs: Sequence[Motif], betas: Sequence[float], n: int, force: bool = False) -> float:
     """Finite-size free energy (1/n^2) log sum_G exp(n^2 T(G))."""
     _check_guard(n, force)
-    return _logsumexp(graph_log_weights(motifs, betas, n)) / (n * n)
+    return _ensemble_sums(motifs, betas, n)[0]
 
 
 def _energies(K: Interaction) -> np.ndarray:
@@ -134,28 +151,23 @@ def partition_normalized(K: Interaction, force: bool = False) -> float:
     """
     _check_guard(K.n, force)
     energies = _energies(K)
-    if np.max(energies) < 700.0 and (mean := float(np.mean(np.expm1(energies)))) >= -0.5:
+    hi = float(np.max(energies))
+    if hi < 700.0 and (mean := float(np.mean(np.expm1(energies)))) >= -0.5:
         return math.log1p(mean)
-    return _logsumexp(energies) - math.log(len(energies))
+    return hi + math.log(float(np.sum(np.exp(energies - hi)))) - math.log(len(energies))
 
 
 def phi_n(K: Interaction, force: bool = False) -> float:
-    """Per-site free energy log W / C(n,2)."""
-    return partition_normalized(K, force=force) / len(all_edge_sites(K.n))
-
-
-def _expectations(motifs: Sequence[Motif], weights: np.ndarray, n: int) -> list[float]:
-    """E[t(H_i, G)] under the graph log-weights of graph_log_weights."""
-    probs = np.exp(weights - np.max(weights))
-    probs /= np.sum(probs)
-    return [float(np.sum(motif_hom_table(H, n) * probs)) / n ** H.m for H in motifs]
+    """Per-site free energy log W / C(n,2); refused at n < 2, where it is 0/0."""
+    _check_guard(K.n, force, least=2)
+    return partition_normalized(K, force=force) / (K.n * (K.n - 1) // 2)
 
 
 def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                           force: bool = False) -> list[float]:
     """Model expectations E[t(H_i, G)] under the exponential family weights."""
     _check_guard(n, force)
-    return _expectations(motifs, graph_log_weights(motifs, betas, n), n)
+    return _ensemble_sums(motifs, betas, n)[1]
 
 
 def derivative_check(motifs: Sequence[Motif], betas: Sequence[float], n: int,
@@ -197,21 +209,21 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                     force: bool = False) -> EnsembleResult:
     """Run both exact pipelines for one parameter point.
 
-    One graph log-weight vector serves psi_n and the expectations.
+    One pass over the statistic histogram serves psi_n and the expectations.
     """
     from .lattice import build_interaction
 
-    _check_guard(n, force)
+    _check_guard(n, force, least=2)
     K = build_interaction(motifs, betas, n)
     log_w = partition_normalized(K, force=force)
-    weights = graph_log_weights(motifs, betas, n)
+    psi, expectations = _ensemble_sums(motifs, betas, n)
     return EnsembleResult(
         n=n,
         betas=tuple(float(b) for b in betas),
         log_w_normalized=log_w,
-        psi=_logsumexp(weights) / (n * n),
-        phi=log_w / len(all_edge_sites(n)),
-        expectations=tuple(_expectations(motifs, weights, n)),
+        psi=psi,
+        phi=log_w / (n * (n - 1) // 2),
+        expectations=tuple(expectations),
     )
 
 

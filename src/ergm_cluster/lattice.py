@@ -12,6 +12,7 @@ single documented rounding point in build_interaction.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -213,20 +214,19 @@ class Interaction:
 def build_interaction(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> Interaction:
     """K(X) = n^2 * sum_i beta_i d(H_i, X), assembled exactly and rounded once.
 
-    The support families are exact rationals and each beta enters as the exact
-    binary rational behind the float, so cancellations are decided exactly;
-    the single rounding point is the final float() per stored subset.
+    Over the common denominator of the betas (exact binary rationals) and the
+    n^m_i, every K(X) has an integer numerator, so cancellations are exact; the
+    one rounding is the correctly rounded int/int division per stored subset.
     """
     check_alignment(motifs, betas)
-    acc: dict[EdgeSubset, Fraction] = defaultdict(Fraction)
-    for H, b in zip(motifs, betas):
-        fb = Fraction(b)
-        if fb == 0:
-            continue
+    terms = [(fb, H) for H, b in zip(motifs, betas) if (fb := Fraction(b)) != 0]
+    denom = math.lcm(1, *(fb.denominator * n ** H.m for fb, H in terms))
+    acc: dict[EdgeSubset, int] = defaultdict(int)
+    for fb, H in terms:
+        scale = fb.numerator * (denom // fb.denominator)
         for X, d in support_families(H, n).items():
-            acc[X] += fb * d
-    n2 = n * n
-    k_map = {X: float(n2 * v) for X, v in sorted(acc.items()) if v != 0}
+            acc[X] += scale * d.numerator // d.denominator
+    k_map = {X: n * n * v / denom for X, v in sorted(acc.items()) if v != 0}
     return Interaction(n=n, k_map=k_map, p_max=max(H.p for H in motifs))
 
 

@@ -4,8 +4,10 @@ Most compute a quantity the library also computes, by a slower and more
 literal route: the literal spin sum behind a polymer activity, per-support
 hypergraph sums, signed connected-graph (Ursell) coefficients, cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
-the majorant coefficients by their compositions recursion, and the energy of
-every configuration by one masking pass per interaction link.  Two check
+the majorant coefficients by their compositions recursion, the energy of
+every configuration by one masking pass per interaction link, the interaction
+accumulated in Fractions, and psi_n and the motif expectations summed graph by
+graph over one log-weight per graph.  Two check
 quantities the library never needs: the absolute cluster mass pinned to one
 polymer, which the Kotecky-Preiss condition bounds, and W resummed over every
 family of disjoint polymers, which must equal the exact partition function.
@@ -32,8 +34,9 @@ from ergm_cluster.expansion import (
     _log_series,
     _polymer_sums,
 )
-from ergm_cluster.graphs import GuardExceeded, edge_index
-from ergm_cluster.lattice import Interaction, freeze_sites
+from ergm_cluster.ensemble import motif_hom_table
+from ergm_cluster.graphs import GuardExceeded, Motif, check_alignment, edge_index
+from ergm_cluster.lattice import EdgeSubset, Interaction, freeze_sites, support_families
 
 URSELL_GUARD = 8
 SPIN_GUARD = 20
@@ -355,6 +358,49 @@ def energies_by_link(K: Interaction) -> np.ndarray:
             xmask |= 1 << idx[e]
         energies[(masks & xmask) == xmask] += K.k_map[X]
     return energies
+
+
+def interaction_by_fractions(motifs: Sequence[Motif], betas: Sequence[float],
+                             n: int) -> Interaction:
+    """K(X) = n^2 * sum_i beta_i d(H_i, X), accumulated in Fractions, rounded once."""
+    check_alignment(motifs, betas)
+    acc: dict[EdgeSubset, Fraction] = {}
+    for H, b in zip(motifs, betas):
+        fb = Fraction(b)
+        if fb == 0:
+            continue
+        for X, d in support_families(H, n).items():
+            acc[X] = acc.get(X, Fraction(0)) + fb * d
+    n2 = n * n
+    k_map = {X: float(n2 * v) for X, v in sorted(acc.items()) if v != 0}
+    return Interaction(n=n, k_map=k_map, p_max=max(H.p for H in motifs))
+
+
+def graph_log_weights(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> np.ndarray:
+    """n^2 * T(G) for every graph by bitmask, T(G) = sum_i beta_i t(H_i, G)."""
+    check_alignment(motifs, betas)
+    weights = np.zeros(1 << n * (n - 1) // 2, dtype=np.float64)
+    n2 = float(n * n)
+    for H, b in zip(motifs, betas):
+        if b != 0:
+            weights += (n2 * float(b) / n ** H.m) * motif_hom_table(H, n)
+    return weights
+
+
+def psi_by_graph(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> float:
+    """(1/n^2) log sum_G exp(n^2 T(G)), one max-shifted term per graph."""
+    weights = graph_log_weights(motifs, betas, n)
+    hi = float(np.max(weights))
+    return (hi + math.log(float(np.sum(np.exp(weights - hi))))) / (n * n)
+
+
+def expectations_by_graph(motifs: Sequence[Motif], betas: Sequence[float],
+                          n: int) -> list[float]:
+    """E[t(H_i, G)], one normalized probability per graph."""
+    weights = graph_log_weights(motifs, betas, n)
+    probs = np.exp(weights - np.max(weights))
+    probs /= np.sum(probs)
+    return [float(np.sum(motif_hom_table(H, n) * probs)) / n ** H.m for H in motifs]
 
 
 def _pinned_abs_sums(site_count: int, masks: Sequence[int], weights: Sequence[float],

@@ -334,12 +334,20 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("argv", [
         ["exact", "--motifs", "edge", "--betas", "inf", "--n", "4"],
+        ["exact", "--motifs", "edge", "--betas", "nan", "--n", "4"],
         ["expand", "--motifs", "two-star", "--betas", "1e308", "--n", "4"],
         ["coeffs", "--p", "2", "--norm", "nan", "--n-max", "12"],
         ["region", "--p", "2", "--m", "3", "--M", "inf"],
     ])
     def test_non_finite_and_overflowing_inputs(self, argv, capsys):
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "invalid-config"
+
+    def test_exact_needs_two_vertices(self, capsys):
+        # phi_n divides log W by C(n,2), which is 0 at n = 1.
+        assert main(["exact", "--motifs", "edge", "--betas", "0.1", "--n", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "invalid-config"

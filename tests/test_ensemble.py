@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -21,12 +22,18 @@ from ergm_cluster import (
     hom_count,
     results_csv,
 )
-from ergm_cluster import ensemble
-from ergm_cluster.ensemble import _energies, csv_header, csv_row, motif_hom_table
+from ergm_cluster import ensemble, lattice
+from ergm_cluster.ensemble import (
+    _energies,
+    _statistic_histogram,
+    csv_header,
+    csv_row,
+    motif_hom_table,
+)
 from ergm_cluster.graphs import all_edge_sites, edge_index
 from ergm_cluster.lattice import hamiltonian
 
-from oracles import energies_by_link
+from oracles import energies_by_link, expectations_by_graph, psi_by_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -62,6 +69,15 @@ class TestPartition:
     def test_phi_is_log_w_per_site(self, two_star):
         K = build_interaction([two_star], [0.05], 4)
         assert phi_n(K) == pytest.approx(partition_normalized(K) / 6, abs=1e-15)
+
+    def test_phi_needs_two_vertices(self, edge):
+        # One vertex has no edge site: log W = 0 and phi_n = 0 / C(1,2).
+        K = build_interaction([edge], [0.1], 1)
+        assert partition_normalized(K) == 0.0
+        with pytest.raises(ValueError):
+            phi_n(K)
+        with pytest.raises(ValueError):
+            ensemble_result([edge], [0.1], 1)
 
 
 class TestPsi:
@@ -277,6 +293,22 @@ class TestEnergies:
                 want = -hamiltonian(K, graph_from_mask(n, mask))
                 assert abs(got[mask] - want) <= _sum_bound(K), mask
 
+    def test_hom_route_reads_no_interaction(self, monkeypatch, two_star, triangle):
+        motifs, betas = [two_star, triangle], [0.04, -0.03]
+        want = psi_n(motifs, betas, 5), expectation_densities(motifs, betas, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("psi_n and the expectations must not read the interaction")
+
+        monkeypatch.setattr(lattice, "build_interaction", refuse)
+        monkeypatch.setattr(lattice, "support_families", refuse)
+        # Rebuild the memoized tables under the patch, so the check is not
+        # answered from a cache filled before it.
+        _statistic_histogram.cache_clear()
+        motif_hom_table.cache_clear()
+        assert psi_n(motifs, betas, 5) == want[0]
+        assert expectation_densities(motifs, betas, 5) == want[1]
+
     def test_log_w_reads_no_hom_table(self, monkeypatch, two_star, triangle):
         K = build_interaction([two_star, triangle], [0.04, -0.03], 5)
         want = partition_normalized(K)
@@ -285,9 +317,71 @@ class TestEnergies:
             raise AssertionError("log W must not read the graph weights")
 
         monkeypatch.setattr(ensemble, "motif_hom_table", refuse)
-        monkeypatch.setattr(ensemble, "graph_log_weights", refuse)
+        monkeypatch.setattr(ensemble, "_statistic_histogram", refuse)
         assert partition_normalized(K) == want
         assert phi_n(K) == want / 10
+
+
+def _mp_ensemble(motifs, betas, n):
+    """psi_n and the expectations in 50 digits, from the couplings' own floats.
+
+    Graphs are grouped by their hom-count column with a Counter, independently
+    of the library's histogram.
+    """
+    columns = Counter(zip(*(motif_hom_table(H, n).tolist() for H in motifs)))
+    with mpmath.workdps(50):
+        scales = [n * n * mpmath.mpf(b) / n ** H.m for H, b in zip(motifs, betas)]
+        weighted = [(c * mpmath.exp(mpmath.fsum(s * h for s, h in zip(scales, col))), col)
+                    for col, c in columns.items()]
+        z = mpmath.fsum(w for w, _ in weighted)
+        psi = mpmath.log(z) / (n * n)
+        expect = [mpmath.fsum(w * col[i] for w, col in weighted) / z / n ** H.m
+                  for i, H in enumerate(motifs)]
+        return psi, expect
+
+
+HISTOGRAM_FAMILIES = [("edge", "triangle"), ("two-star", "triangle"), ("diamond",),
+                      ("edge", "two-star", "triangle", "diamond", "K4")]
+
+
+class TestHistogram:
+    @pytest.mark.parametrize("names,columns", [
+        (("edge", "triangle"), 49),
+        (("two-star", "triangle"), 102),
+        (("edge", "two-star", "triangle", "diamond", "K4"), 131),
+    ])
+    def test_column_counts_at_n6(self, names, columns):
+        rows, counts = _statistic_histogram(tuple(_family(*names)), 6)
+        assert rows.shape == (len(names), columns) == (len(names), len(counts))
+        # never more columns than the 156 isomorphism classes of 6-vertex graphs
+        assert columns <= 156 and int(counts.sum()) == 32768
+        assert not rows.flags.writeable and not counts.flags.writeable
+        assert rows.dtype == counts.dtype == np.int64
+
+    @pytest.mark.parametrize("names", HISTOGRAM_FAMILIES, ids="+".join)
+    def test_matches_per_graph_oracle(self, names):
+        rng = random.Random(41)
+        motifs = _family(*names)
+        for n in range(2, 7):
+            for _ in range(3):
+                betas = [rng.uniform(-1.0, 1.0) for _ in motifs]
+                psi = psi_n(motifs, betas, n)
+                assert psi == pytest.approx(psi_by_graph(motifs, betas, n), rel=1e-14)
+                want = expectations_by_graph(motifs, betas, n)
+                assert expectation_densities(motifs, betas, n) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("names", HISTOGRAM_FAMILIES, ids="+".join)
+    def test_against_mpmath(self, n, names):
+        rng = random.Random(100 * n + len(names))
+        motifs = _family(*names)
+        for _ in range(4):
+            betas = [rng.uniform(-1.0, 1.0) * 10 ** rng.randint(-3, 0) for _ in motifs]
+            psi, expect = _mp_ensemble(motifs, betas, n)
+            res = ensemble_result(motifs, betas, n)
+            assert abs(float((res.psi - psi) / psi)) <= 1e-14, betas
+            for got, want in zip(res.expectations, expect):
+                assert abs(float((got - want) / want)) <= 1e-14, betas
 
 
 def _mp_log_w(K):

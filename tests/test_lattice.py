@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from ergm_cluster import (
+    BUILTIN_MOTIFS,
     Interaction,
+    Motif,
     banach_norm,
     build_interaction,
     complete_graph,
@@ -26,9 +28,16 @@ from ergm_cluster import (
 )
 from ergm_cluster.lattice import freeze_sites
 
+from oracles import interaction_by_fractions
+
 DATA = Path(__file__).parent / "data"
 
 AB, AC, AD, BC, BD, CD = (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+
+FAMILY_MOTIFS = dict(BUILTIN_MOTIFS, diamond=Motif(
+    "diamond", 4, frozenset([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])))
+BIT_FAMILIES = [("edge", "triangle"), ("two-star", "triangle"), ("diamond",),
+                ("edge", "two-star")]
 
 
 class TestExactDensity:
@@ -144,6 +153,27 @@ class TestInteraction:
         # equal and opposite copies of the same motif cancel exactly
         K = build_interaction([two_star, two_star], [0.7, -0.7], 4)
         assert len(K) == 0
+
+    @pytest.mark.parametrize("n,beta_edge", [(4, 0.25), (5, 0.25), (6, 0.125)])
+    def test_edge_against_two_star_cancels(self, edge, two_star, n, beta_edge):
+        # On one site, K = 2 beta_edge + 2 beta_two_star / n: zero at -n beta_edge.
+        motifs, betas = [edge, two_star], [beta_edge, -n * beta_edge]
+        K = build_interaction(motifs, betas, n)
+        assert K.k_map and all(len(X) == 2 for X in K.k_map)
+        assert K.k_map == interaction_by_fractions(motifs, betas, n).k_map
+
+    @pytest.mark.parametrize("names", BIT_FAMILIES, ids="+".join)
+    def test_bit_identical_to_fraction_accumulation(self, names):
+        rng = random.Random(73)
+        motifs = [FAMILY_MOTIFS[x] for x in names]
+        for n in range(1, 7):
+            for _ in range(8):
+                betas = [rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-300.0, 3.0)
+                         for _ in motifs]
+                got = build_interaction(motifs, betas, n).k_map
+                want = interaction_by_fractions(motifs, betas, n).k_map
+                assert list(got) == list(want), (n, betas)
+                assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,13 @@ Each expansion example is a family of built-in motifs, at least one of them
 with two or more edges, at n = 3 or 4, with couplings whose absolute sum stays
 inside half the certified region budget for the family's (p, m).  Each hom
 table example is a random motif on at most 5 vertices with at least one edge,
-at n <= 5.  The examples are derandomized, so every run checks the same ones.
+at n <= 5; each histogram example is one to three such motifs on at most 4
+vertices, at n <= 5.  The examples are derandomized, so every run checks the
+same ones.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -26,7 +29,7 @@ from ergm_cluster import (
     region_bound,
     truncated_log_partition,
 )
-from ergm_cluster.ensemble import motif_hom_table
+from ergm_cluster.ensemble import _statistic_histogram, motif_hom_table
 from ergm_cluster.expansion import _LinkSystem
 
 from oracles import exact_log_series
@@ -85,8 +88,8 @@ def test_every_order_inside_its_tail_bound(family):
 
 
 @st.composite
-def motifs(draw):
-    m = draw(st.integers(2, 5))
+def motifs(draw, max_m=5):
+    m = draw(st.integers(2, max_m))
     pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
     edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
     return Motif("drawn", m, frozenset(edges))
@@ -99,3 +102,15 @@ def test_hom_table_matches_backtracking(H, n):
     assert len(table) == 1 << n * (n - 1) // 2
     for mask, count in enumerate(table.tolist()):
         assert count == hom_count(H, graph_from_mask(n, mask)), mask
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(motifs(max_m=4), min_size=1, max_size=3), st.integers(1, 5))
+def test_histogram_partitions_the_graphs(family, n):
+    tables = [motif_hom_table(H, n) for H in family]
+    rows, counts = _statistic_histogram(tuple(family), n)
+    assert int(counts.sum()) == 1 << n * (n - 1) // 2
+    for row, table in zip(rows.tolist(), tables):
+        assert sum(c * h for c, h in zip(counts.tolist(), row)) == int(table.sum())
+    want = Counter(zip(*(t.tolist() for t in tables)))
+    assert dict(zip(map(tuple, rows.T.tolist()), counts.tolist())) == want
