@@ -28,7 +28,7 @@ def main():
         g = table.gamma[n]
         print(f"{n:>3} {str(g):>12} {table.abar(n):>14.3e}")
 
-    ok = generating_function_check(p, norm, M, n_max=20)
+    ok = generating_function_check(p, n_max=20)
     print(f"generating identity through order 20: {'ok' if ok else 'FAILED'}")
 
     radius, tail = radius_and_tail(p, norm, M)

@@ -9,7 +9,8 @@ null next to an explicit "divergent" flag.
 
 Exit codes: 0 success (including negative certificate verdicts, which are
 valid results), 2 invalid configuration (non-finite numbers and inputs whose
-arithmetic overflows included), 3 enumeration guard exceeded without --force.
+arithmetic overflows included), 3 a guard refused the job: the n <= 6 size
+guard without --force (exact and expand only), or the connected-set budget.
 """
 
 from __future__ import annotations
@@ -275,11 +276,10 @@ def cmd_expand(ns: argparse.Namespace) -> int:
                               M=M, head_links=head_links, force=force)
     doc = report_jsonable(report)
     for row in report.orders:
-        gap = "n/a" if row.gap_to_exact is None else _fmt(row.gap_to_exact)
         tb = "n/a" if row.tail_bound is None or not math.isfinite(row.tail_bound) \
             else _fmt(row.tail_bound)
         print(f"order {row.order}: partial = {_fmt(row.partial_sum)}, "
-              f"gap = {gap}, tail bound = {tb}")
+              f"gap = {_fmt(row.gap_to_exact)}, tail bound = {tb}")
     cert = report.certificate
     state = "pass" if cert.verdict else "FAIL"
     print(f"KP check at M = {_fmt(cert.M)}: max site sum = {_fmt(cert.max_site_sum)}, "
@@ -290,10 +290,9 @@ def cmd_expand(ns: argparse.Namespace) -> int:
         print(f"beta budget at this M = {_fmt(report.beta_budget)}")
     lines = ["order,partial_sum,gap_to_exact,tail_bound"]
     for row in report.orders:
-        gap = "" if row.gap_to_exact is None else _fmt(row.gap_to_exact)
         tb = "" if row.tail_bound is None or not math.isfinite(row.tail_bound) \
             else _fmt(row.tail_bound)
-        lines.append(f"{row.order},{_fmt(row.partial_sum)},{gap},{tb}")
+        lines.append(f"{row.order},{_fmt(row.partial_sum)},{_fmt(row.gap_to_exact)},{tb}")
     _emit(ns, cfg, doc, "\n".join(lines) + "\n")
     return 0
 
@@ -335,7 +334,7 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
     table = abar_recursion(p, norm, M, n_max)
     # radius_and_tail overflows for large p; fail before the O(p n_max^2) check.
     radius = radius_and_tail(p, norm, M)[0] if p >= 2 else None
-    checked = generating_function_check(p, norm, M, min(n_max, 30))
+    checked = generating_function_check(p, min(n_max, 30))
     tail = coefficient_tail(table, n_max)
     divergent = math.isinf(tail)
     print(f"c = {_fmt(table.c)}")
@@ -358,13 +357,14 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, force: bool = False) -> None:
     sub.add_argument("--out", help="artifact path (written atomically)")
     sub.add_argument("--format", choices=("csv", "json"),
                      help="artifact format (default json)")
     sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--force", action="store_true", default=None,
-                     help="override enumeration size guards")
+    if force:
+        sub.add_argument("--force", action="store_true", default=None,
+                         help="run past the n <= 6 size guard")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--motifs", "--motif", nargs="+", dest="motifs")
     s.add_argument("--betas", "--beta", nargs="+", type=float, dest="betas")
     s.add_argument("--n", type=int)
-    _add_common(s)
+    _add_common(s, force=True)
     s.set_defaults(func=cmd_exact)
 
     s = subs.add_parser("expand",
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--head-links", type=int, dest="head_links",
                    help="exact head depth of the certificate (default max-links)")
     s.add_argument("--M", type=float, help="weight base (default optimal)")
-    _add_common(s)
+    _add_common(s, force=True)
     s.set_defaults(func=cmd_expand)
 
     s = subs.add_parser("region", help="convergence budget in parameter space")
@@ -439,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return ns.func(ns)
     except GuardExceeded as exc:
         sys.stderr.write(render_json({"error": str(exc), "kind": "guard",
-                                      "hint": "pass --force to override"}) + "\n")
+                                      "hint": exc.hint}) + "\n")
         return 3
     except (ValueError, TypeError, OverflowError, OSError, KeyError,
             json.JSONDecodeError) as exc:

@@ -53,7 +53,10 @@ def region_bound(p: int, m: int, M: float) -> float:
         raise ValueError(f"vertex count m must be an integer >= 2, got {m!r}")
     _validate_pm(p, M)
     log_m = math.log(M)
-    rhs = log_m * (p - 1) ** p / (2.0 * (M * p) ** p * (1.0 + (p - 1) * log_m))
+    # The float (M p)^p overflows for every p >= 144: raise before the exact
+    # integer (p-1)^p, of about p log2(p) bits, is built.
+    scale = (M * p) ** p
+    rhs = log_m * (p - 1) ** p / (2.0 * scale * (1.0 + (p - 1) * log_m))
     return min(rhs, 0.5) / (m * (m - 1))
 
 
@@ -128,25 +131,24 @@ def _satisfies_identity(p: int, gamma: tuple[Fraction, ...]) -> bool:
     """
     n_max = len(gamma) - 1
     w = [Fraction(0)] + list(gamma[1:])
-    one_plus_w = list(w)
-    one_plus_w[0] = Fraction(1)
-    power = [Fraction(1)]
-    for _ in range(p):
-        power = _poly_mul(power, one_plus_w, n_max)
-    rhs = [Fraction(0)] * (n_max + 1)
-    for i in range(1, n_max + 1):
-        rhs[i] = power[i - 1]
-    return rhs == w
+    one_plus_w = [Fraction(1)] + w[1:]
+    power = [Fraction(1)] + [Fraction(0)] * n_max
+    while p > 0:  # square-and-multiply
+        if p & 1:
+            power = _poly_mul(power, one_plus_w, n_max)
+        p >>= 1
+        if p:
+            one_plus_w = _poly_mul(one_plus_w, one_plus_w, n_max)
+    return [Fraction(0)] + power[:n_max] == w
 
 
-def generating_function_check(p: int, norm: float, M: float, n_max: int = 30) -> bool:
+def generating_function_check(p: int, n_max: int = 30) -> bool:
     """Verify the tabulated coefficients against their generating-function identity.
 
-    The scalar c = 2 norm M^p rescales z without touching the identity, so the
-    check runs on the exact gamma coefficients.
+    The scalar c = 2 norm M^p only rescales z, so the identity is checked on
+    the exact gamma coefficients, which depend on p and n_max alone.
     """
-    table = abar_recursion(p, norm, M, n_max)
-    return _satisfies_identity(p, table.gamma)
+    return _satisfies_identity(p, _gamma_table(p, n_max))
 
 
 def radius_and_tail(p: int, norm: float, M: float) -> tuple[float, Callable[[int], float]]:
@@ -164,8 +166,9 @@ def radius_and_tail(p: int, norm: float, M: float) -> tuple[float, Callable[[int
         raise ValueError("interaction norm cannot be negative")
     if norm == 0:
         return math.inf, lambda n0: 0.0
-    radius = (p - 1) ** (p - 1) / (2.0 * norm * (M * p) ** p)
-    q = 2.0 * norm * (M * p) ** p / (p - 1) ** (p - 1)
+    scale = (M * p) ** p  # overflows first, as in region_bound
+    radius = (p - 1) ** (p - 1) / (2.0 * norm * scale)
+    q = 2.0 * norm * scale / (p - 1) ** (p - 1)
 
     def tail_bound(n0: int) -> float:
         if n0 < 0:

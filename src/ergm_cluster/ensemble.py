@@ -23,24 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import (
-    GuardExceeded,
-    Motif,
-    _traversal_order,
-    check_alignment,
-    edge_index,
-)
+from .graphs import Motif, _traversal_order, check_alignment, check_guard, edge_index
 from .lattice import Interaction
-
-# 2^15 graphs at n = 6 is where exhaustive float sweeps start to crawl.
-ENSEMBLE_GUARD = 6
-
-
-def _check_guard(n: int, force: bool, least: int = 1) -> None:
-    if n < least:
-        raise ValueError(f"need n >= {least} vertices, got n={n}")
-    if n > ENSEMBLE_GUARD and not force:
-        raise GuardExceeded(f"exhaustive ensemble at n={n} exceeds guard n<={ENSEMBLE_GUARD}")
 
 
 def _subset_sums(table: np.ndarray) -> np.ndarray:
@@ -130,7 +114,7 @@ def _ensemble_sums(motifs: Sequence[Motif], betas: Sequence[float],
 
 def psi_n(motifs: Sequence[Motif], betas: Sequence[float], n: int, force: bool = False) -> float:
     """Finite-size free energy (1/n^2) log sum_G exp(n^2 T(G))."""
-    _check_guard(n, force)
+    check_guard(n, force)
     return _ensemble_sums(motifs, betas, n)[0]
 
 
@@ -149,7 +133,7 @@ def partition_normalized(K: Interaction, force: bool = False) -> float:
     The energies E are subset sums of K by bitmask.  log1p(mean expm1(E)) keeps full
     relative precision while mean exp(E) >= 1/2 and exp(E) is finite, else log-sum-exp.
     """
-    _check_guard(K.n, force)
+    check_guard(K.n, force)
     energies = _energies(K)
     hi = float(np.max(energies))
     if hi < 700.0 and (mean := float(np.mean(np.expm1(energies)))) >= -0.5:
@@ -159,14 +143,14 @@ def partition_normalized(K: Interaction, force: bool = False) -> float:
 
 def phi_n(K: Interaction, force: bool = False) -> float:
     """Per-site free energy log W / C(n,2); refused at n < 2, where it is 0/0."""
-    _check_guard(K.n, force, least=2)
+    check_guard(K.n, force, least=2)
     return partition_normalized(K, force=force) / (K.n * (K.n - 1) // 2)
 
 
 def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                           force: bool = False) -> list[float]:
     """Model expectations E[t(H_i, G)] under the exponential family weights."""
-    _check_guard(n, force)
+    check_guard(n, force)
     return _ensemble_sums(motifs, betas, n)[1]
 
 
@@ -213,7 +197,7 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     """
     from .lattice import build_interaction
 
-    _check_guard(n, force, least=2)
+    check_guard(n, force, least=2)
     K = build_interaction(motifs, betas, n)
     log_w = partition_normalized(K, force=force)
     psi, expectations = _ensemble_sums(motifs, betas, n)

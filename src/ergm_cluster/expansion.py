@@ -36,16 +36,13 @@ from .coefficients import (
     radius_and_tail,
     region_bound,
 )
-from .ensemble import ENSEMBLE_GUARD, partition_normalized
-from .graphs import GuardExceeded, Motif, all_edge_sites, edge_index, check_alignment
+from .ensemble import partition_normalized
+from .graphs import GuardExceeded, Motif, all_edge_sites, check_alignment, check_guard, edge_index
 from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
 
 # Enumeration stops with GuardExceeded after this many connected sets.
 DEFAULT_MAX_COUNT = 5_000_000
 ORDER_GUARD = 8
-# Entries of the site-mask table, 2^C(n,2) * (order + 1): n = 6 fits at every
-# order up to ORDER_GUARD, n = 7 does not fit at any.
-SWEEP_GUARD = 1 << 20
 # Majorant coefficients tabulated exactly before the geometric tail takes over.
 TABLE_ORDER = 30
 
@@ -112,7 +109,9 @@ def _connected_item_sets(adj: Sequence[int], max_size: int,
         nonlocal budget
         budget -= 1
         if budget < 0:
-            raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets")
+            raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
+                                hint="lower --max-links or --head-links; --force does "
+                                     "not lift this budget")
         yield sub
         if len(sub) == max_size:
             return
@@ -199,19 +198,6 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must lie in 1..{ORDER_GUARD}")
 
 
-def _check_sweep(site_count: int, order: int, force: bool = False) -> None:
-    """Refuse a site-mask table past SWEEP_GUARD entries before any work.
-
-    The exponent is compared first, so a huge site count never builds the
-    shifted integer.
-    """
-    if force:
-        return
-    if site_count >= SWEEP_GUARD.bit_length() or (order + 1) << site_count > SWEEP_GUARD:
-        raise GuardExceeded(f"site-mask table of 2^{site_count} x {order + 1} entries "
-                            f"exceeds guard {SWEEP_GUARD}")
-
-
 def _family_sweep(site_count: int, masks: Sequence[int], weights: Sequence[float],
                   order: int) -> np.ndarray:
     """table[S, k]: sum over families of k pairwise-disjoint polymers whose
@@ -266,8 +252,8 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
     entry n0-1 of the result is the expansion truncated at cluster size n0.
     """
     _check_order(order)
+    check_guard(K.n)
     sys = _LinkSystem(K)
-    _check_sweep(len(sys.sites), order)
     activities, _ = _polymer_sums(sys, max_links, 0)
     return _partials(len(sys.sites), activities, order)
 
@@ -358,7 +344,7 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4) -> KPCertificate:
 class OrderRow:
     order: int
     partial_sum: float
-    gap_to_exact: float | None
+    gap_to_exact: float
     tail_bound: float | None
 
 
@@ -377,7 +363,7 @@ class ExpansionReport:
     orders: tuple[OrderRow, ...]
     certificate: KPCertificate
     beta_budget: float | None
-    log_w_exact: float | None
+    log_w_exact: float
 
 
 def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
@@ -387,12 +373,12 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
 
     M defaults to the region-optimal base for the family's maximal edge count
     (2.0 for single-edge families, which have no optimum).  The exact log W
-    reference is computed whenever n sits inside the ensemble guard.
+    is the reference for every order's gap.
     """
     check_alignment(motifs, betas)
     _check_order(order)
-    site_count = n * (n - 1) // 2 if n > 1 else 0
-    _check_sweep(site_count, order, force)
+    check_guard(n, force)
+    site_count = n * (n - 1) // 2
     p = max(H.p for H in motifs)
     m = max(H.m for H in motifs)
     if M is None:
@@ -407,15 +393,12 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     activities, bounds = _polymer_sums(sys, max_links, head)
     cert = _certify(sys.sites, bounds, M, head, norm, p)
     partials = _partials(site_count, activities, order)
-    exact: float | None = None
-    if n <= ENSEMBLE_GUARD or force:
-        exact = partition_normalized(K, force=force)
+    exact = partition_normalized(K, force=force)
     tail_fn: Callable[[int], float] | None = None
     if p >= 2 and norm > 0:
         _, tail_fn = radius_and_tail(p, norm, M)
     rows = []
     for n0, partial in enumerate(partials, start=1):
-        gap = abs(partial - exact) if exact is not None else None
         tb: float | None
         if norm == 0:
             tb = 0.0
@@ -424,7 +407,8 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
         else:
             t = tail_fn(n0)
             tb = site_count * t if math.isfinite(t) else None
-        rows.append(OrderRow(order=n0, partial_sum=partial, gap_to_exact=gap, tail_bound=tb))
+        rows.append(OrderRow(order=n0, partial_sum=partial, gap_to_exact=abs(partial - exact),
+                             tail_bound=tb))
     budget = region_bound(p, m, M) if p >= 2 else None
     return ExpansionReport(
         n=n, motif_names=tuple(H.name for H in motifs),

@@ -19,13 +19,28 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-# Exhaustive sweeps over all 2^C(n,2) graphs stop being a desk job past n = 7.
-ENUMERATION_GUARD = 7
+# Graph enumeration, hom tables, log W and the series sweep all tabulate the
+# 2^C(n,2) edge-site masks; 2^15 masks at n = 6 is where they start to crawl.
+ENSEMBLE_GUARD = 6
 
 
 class GuardExceeded(RuntimeError):
-    """An exhaustive computation would exceed its size guard; pass force=True
-    (or --force on the command line) to run it anyway."""
+    """A job refused before it starts.  force=True (CLI --force) lifts the size
+    guard n <= ENSEMBLE_GUARD but not the series' connected-set budget, whose
+    hint names the remedy instead: fewer links per hypergraph."""
+
+    def __init__(self, message: str, hint: str = "pass --force to override"):
+        super().__init__(message)
+        self.hint = hint
+
+
+def check_guard(n: int, force: bool = False, least: int = 1) -> None:
+    """Refuse a sweep over the 2^C(n,2) site masks past n = ENSEMBLE_GUARD."""
+    if n < least:
+        raise ValueError(f"need n >= {least} vertices, got n={n}")
+    if n > ENSEMBLE_GUARD and not force:
+        raise GuardExceeded(f"exhaustive sweep over the 2^C(n,2) site masks at n={n} "
+                            f"exceeds guard n<={ENSEMBLE_GUARD}")
 
 
 def canonical_edge(u: int, v: int, n: int) -> tuple[int, int]:
@@ -86,17 +101,15 @@ class SimpleGraph:
         return adj
 
 
-def make_graph(n: int, edges: Iterable[Sequence[int]], strict: bool = True) -> SimpleGraph:
+def make_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
     """Build a SimpleGraph from raw vertex pairs.
 
-    Pairs are canonicalized to (min, max).  Duplicates after canonicalization
-    are rejected when strict (the default) and collapsed otherwise.
+    Pairs are canonicalized to (min, max); duplicates after that are rejected.
     """
     seen: set[tuple[int, int]] = set()
-    for pair in edges:
-        u, v = pair
+    for u, v in edges:
         e = canonical_edge(u, v, n)
-        if e in seen and strict:
+        if e in seen:
             raise ValueError(f"duplicate edge {e} after canonicalization")
         seen.add(e)
     return SimpleGraph(n, frozenset(seen))
@@ -121,13 +134,11 @@ def graph_from_mask(n: int, mask: int) -> SimpleGraph:
 def enumerate_graphs(n: int, force: bool = False) -> Iterator[SimpleGraph]:
     """All 2^C(n,2) labeled graphs on n vertices, in increasing bitmask order.
 
-    Guarded at n <= ENUMERATION_GUARD unless force is given.
+    Guarded at n <= ENSEMBLE_GUARD unless force is given; the guard fires at
+    the call, before the first graph is asked for.
     """
-    if n > ENUMERATION_GUARD and not force:
-        raise GuardExceeded(f"enumerate_graphs(n={n}) exceeds guard n<={ENUMERATION_GUARD}")
-    sites = all_edge_sites(n)
-    for mask in range(1 << len(sites)):
-        yield graph_from_mask(n, mask)
+    check_guard(n, force, least=0)
+    return (graph_from_mask(n, mask) for mask in range(1 << len(all_edge_sites(n))))
 
 
 @dataclass(frozen=True)

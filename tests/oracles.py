@@ -27,7 +27,6 @@ from ergm_cluster.expansion import (
     DEFAULT_MAX_COUNT,
     Polymer,
     _check_order,
-    _check_sweep,
     _connected_item_sets,
     _family_sweep,
     _LinkSystem,
@@ -35,7 +34,7 @@ from ergm_cluster.expansion import (
     _polymer_sums,
 )
 from ergm_cluster.ensemble import motif_hom_table
-from ergm_cluster.graphs import GuardExceeded, Motif, check_alignment, edge_index
+from ergm_cluster.graphs import GuardExceeded, Motif, check_alignment, check_guard, edge_index
 from ergm_cluster.lattice import EdgeSubset, Interaction, freeze_sites, support_families
 
 URSELL_GUARD = 8
@@ -437,8 +436,8 @@ def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: in
     certificate passes it is bounded by v_N * M^|N|.
     """
     _check_order(order)
+    check_guard(K.n)
     sys = _LinkSystem(K)
-    _check_sweep(len(sys.sites), order)
     X = freeze_sites(N, K.n)
     activities, _ = _polymer_sums(sys, max_links, 0)
     masks = list(activities)
@@ -458,9 +457,9 @@ def cluster_partition_sum(K: Interaction) -> float:
     with room for one polymer per site.  Equals exp(partition_normalized(K))
     up to float arithmetic.
     """
+    check_guard(K.n)
     sys = _LinkSystem(K)
     site_count = len(sys.sites)
-    _check_sweep(site_count, site_count)
     activities, _ = _polymer_sums(sys, len(sys.links), 0)
     table = _family_sweep(site_count, list(activities), list(activities.values()),
                           site_count)

@@ -135,7 +135,7 @@ def test_criterion_08_coefficient_identities():
             assert g == gamma_closed_form(p, n)
             # growth bound, exact in rational arithmetic
             assert g * (p - 1) ** (1 + (p - 1) * n) <= Fraction(p ** (p * n))
-        assert generating_function_check(p, 0.01, M, n_max=30)
+        assert generating_function_check(p, n_max=30)
         # full majorant sum stays below log M on the boundary of the region
         log_m = math.log(M)
         threshold = (log_m * (p - 1) ** p

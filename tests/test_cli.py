@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ergm_cluster import expansion_report, optimal_M, report_jsonable
-from ergm_cluster.cli import main, render_json, write_artifact
+from ergm_cluster import expansion, expansion_report, optimal_M, report_jsonable
+from ergm_cluster.cli import build_parser, main, render_json, write_artifact
 from ergm_cluster.graphs import BUILTIN_MOTIFS
 
 DATA = Path(__file__).parent / "data"
@@ -313,6 +314,39 @@ class TestFailureModes:
         # the exact reference was actually computed past the guard
         assert "gap = n/a" not in capsys.readouterr().out
 
+    def test_force_only_where_a_guard_can_fire(self):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        forced = {name for name, sub in subs.choices.items()
+                  if any("--force" in a.option_strings for a in sub._actions)}
+        assert forced == {"exact", "expand"}
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--motif", "edge", "--n", "4", "--sites", "[[0, 1]]"],
+        ["represent", "--motif", "edge", "--graph", "fig.json"],
+        ["region", "--p", "2", "--m", "3"],
+        ["coeffs", "--p", "2", "--norm", "0.01"],
+    ])
+    def test_force_rejected_where_no_guard_fires(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--force"])
+        assert exc.value.code == 2
+
+    def test_budget_hint_names_the_real_remedy(self, monkeypatch, capsys):
+        walk = expansion._connected_item_sets
+        monkeypatch.setattr(expansion, "_connected_item_sets",
+                            lambda adj, size: walk(adj, size, max_count=10))
+        for force in ([], ["--force"]):
+            start = time.perf_counter()
+            rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4",
+                       "--order", "1", "--max-links", "2", *force])
+            assert time.perf_counter() - start < 1.0
+            assert rc == 3
+            err = json.loads(capsys.readouterr().err)
+            assert err["kind"] == "guard"
+            assert "--max-links" in err["hint"] and "--head-links" in err["hint"]
+            assert not err["hint"].startswith("pass --force")
+
     def test_expand_n6_runs_inside_tail_bounds(self, tmp_path):
         # the site-mask table at n = 6 is inside the guard: no exit 3
         out = tmp_path / "n6.json"
@@ -355,6 +389,10 @@ class TestFailureModes:
     @pytest.mark.parametrize("argv,code", [
         (["expand", "--motifs", "edge", "--betas", "0.1", "--n", "100000"], 3),
         (["coeffs", "--p", "20000", "--norm", "1e-9"], 2),
+        (["region", "--p", "3000000", "--m", "3"], 2),
+        (["coeffs", "--p", "3000000", "--norm", "1e-9"], 2),
+        (["region", "--p", "10000000", "--m", "3"], 2),
+        (["coeffs", "--p", "20000", "--norm", "0"], 0),
     ])
     def test_huge_sizes_refused_up_front(self, argv, code, capsys):
         start = time.perf_counter()

@@ -85,7 +85,7 @@ class TestGamma:
 
     def test_generating_identity(self):
         for p in (1, 2, 3):
-            assert generating_function_check(p, 0.01, 1.5, n_max=10)
+            assert generating_function_check(p, n_max=10)
 
     def test_identity_rejects_perturbed_sequence(self):
         good = (Fraction(0),) + tuple(gamma_closed_form(2, n) for n in range(1, 9))

@@ -23,12 +23,11 @@ from ergm_cluster import (
 )
 from ergm_cluster import expansion
 from ergm_cluster.expansion import (
-    ORDER_GUARD,
-    _check_sweep,
     _cluster_sums,
     _connected_item_sets,
     _LinkSystem,
 )
+from ergm_cluster.graphs import check_guard
 from ergm_cluster.lattice import freeze_sites
 
 import oracles
@@ -362,10 +361,10 @@ class TestLogSeriesOracles:
 
 class TestSweepGuard:
     def test_limits(self):
-        _check_sweep(15, ORDER_GUARD)  # n = 6 at the top order
+        check_guard(6)  # n = 6, C(6,2) = 15 sites
         with pytest.raises(GuardExceeded):
-            _check_sweep(21, 1)  # n = 7 at the lowest order
-        _check_sweep(21, 1, force=True)
+            check_guard(7)  # n = 7, C(7,2) = 21 sites
+        check_guard(7, force=True)
 
     def test_report_refuses_before_work(self, two_star, triangle):
         start = time.perf_counter()

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,13 @@ from ergm_cluster import (
     BUILTIN_MOTIFS,
     GuardExceeded,
     Motif,
+    build_interaction,
     complete_graph,
     empty_graph,
+    ensemble_result,
     enumerate_graphs,
+    expansion_report,
+    expectation_densities,
     graph_from_json,
     graph_from_mask,
     hom_count,
@@ -17,6 +22,10 @@ from ergm_cluster import (
     make_graph,
     motif_from_json,
     load_motif,
+    partition_normalized,
+    phi_n,
+    psi_n,
+    truncated_log_partition,
     weighted_density,
 )
 from ergm_cluster.ensemble import motif_hom_table
@@ -48,8 +57,6 @@ class TestSitesAndGraphs:
     def test_make_graph_rejects_duplicates_when_strict(self):
         with pytest.raises(ValueError):
             make_graph(2, [(0, 1), (1, 0)])
-        G = make_graph(2, [(0, 1), (1, 0)], strict=False)
-        assert G.edge_count == 1
 
     def test_make_graph_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
@@ -75,6 +82,39 @@ class TestSitesAndGraphs:
     def test_enumeration_guard(self):
         with pytest.raises(GuardExceeded):
             next(enumerate_graphs(8))
+
+
+EDGE = BUILTIN_MOTIFS["edge"]
+
+# Every exhaustive entry point, run on the edge model at vertex count n;
+# truncated_log_partition takes no force.
+SWEEPS = {
+    "enumerate_graphs": lambda n, **kw: next(enumerate_graphs(n, **kw)),
+    "psi_n": lambda n, **kw: psi_n([EDGE], [0.1], n, **kw),
+    "expectation_densities": lambda n, **kw: expectation_densities([EDGE], [0.1], n, **kw),
+    "partition_normalized":
+        lambda n, **kw: partition_normalized(build_interaction([EDGE], [0.1], n), **kw),
+    "phi_n": lambda n, **kw: phi_n(build_interaction([EDGE], [0.1], n), **kw),
+    "ensemble_result": lambda n, **kw: ensemble_result([EDGE], [0.1], n, **kw),
+    "truncated_log_partition":
+        lambda n, **kw: truncated_log_partition(build_interaction([EDGE], [0.1], n), 1,
+                                                max_links=1, **kw),
+    "expansion_report":
+        lambda n, **kw: expansion_report([EDGE], [0.1], n, order=1, max_links=1, **kw),
+}
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_one_limit_for_every_sweep(self, name):
+        run = SWEEPS[name]
+        run(6)
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            run(7)
+        assert time.perf_counter() - start < 1.0
+        if name != "truncated_log_partition":
+            run(7, force=True)
 
 
 class TestMotifs:
