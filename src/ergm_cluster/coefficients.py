@@ -200,6 +200,10 @@ def coefficient_tail(table: CoefficientTable, from_order: int) -> float:
         # past the table is exactly geometric in c.
         ratio, scale = c, 1.0
     else:
+        # p^p is past the float range for every p >= 144: raise before the
+        # exact integers p^p and (p-1)^(p-1), of about p log2(p) bits, are built.
+        if p * math.log2(p) >= 1024:
+            raise OverflowError(f"p^p does not fit a float at p={p}")
         ratio, scale = c * p ** p / (p - 1) ** (p - 1), 1.0 / (p - 1)
     if ratio >= 1.0:
         return math.inf

@@ -5,18 +5,23 @@ function of an interaction, the finite-size free energies psi_n and phi_n,
 model expectations of motif densities, and a central-difference check that
 d psi / d beta_i matches the expectation of t(H_i, G).
 
-psi_n and the expectations go through raw homomorphism counts, reduced once
-per (motifs, n) to the distinct statistic columns (hom(H_i, G))_i and their
-graph counts, while partition_normalized goes through the sparse interaction;
-the two pipelines share no intermediate, which is what makes the identity
-psi_n = (C(n,2) log 2 + log W) / n^2 a real cross-check.  The hom tables never
-touch the interaction: they are built from the edge images of vertex maps,
-not from lattice.support_families or build_interaction; log W reads only K.
+Both routes sum over histograms, not graphs.  psi_n and the expectations go
+through raw homomorphism counts, reduced once per (motifs, n) to the distinct
+statistic columns (hom(H_i, G))_i and their graph counts.  partition_normalized
+goes through the sparse interaction: its links are grouped by value, and a
+configuration's energy is fixed by how many links of each class it contains,
+so the distinct class-count columns and their configuration counts are
+reduced once per class structure.  The two pipelines share no intermediate,
+which is what makes the identity psi_n = (C(n,2) log 2 + log W) / n^2 a real
+cross-check.  The hom tables never touch the interaction: they are built from
+the edge images of vertex maps, not from lattice.support_families or
+build_interaction; log W reads only K.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -24,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Motif, _traversal_order, check_alignment, check_guard, edge_index
-from .lattice import Interaction
+from .lattice import EdgeSubset, Interaction
 
 
 def _subset_sums(table: np.ndarray) -> np.ndarray:
@@ -76,20 +81,28 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _statistic_histogram(motifs: tuple[Motif, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, counts): the distinct columns of the stacked motif_hom_tables.
+def _distinct_columns(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts): the distinct columns of the stacked tables, in lexsort order.
 
-    rows[i, c] is hom(H_i, G) for each of the counts[c] graphs G of column c;
-    exact int64, read-only because they are shared.
+    rows[i, c] is tables[i][x] for each of the counts[c] masks x of column c;
+    read-only, because the memoized histograms share them.
     """
-    tables = [motif_hom_table(H, n) for H in motifs]
     order = np.lexsort(tables)
     cols = np.stack([t[order] for t in tables])
     starts = np.flatnonzero(np.r_[True, np.any(cols[:, 1:] != cols[:, :-1], axis=0)])
     rows, counts = cols[:, starts], np.diff(starts, append=cols.shape[1])
     rows.flags.writeable = counts.flags.writeable = False
     return rows, counts
+
+
+@lru_cache(maxsize=None)
+def _statistic_histogram(motifs: tuple[Motif, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts): the distinct columns of the stacked motif_hom_tables.
+
+    rows[i, c] is hom(H_i, G) for each of the counts[c] graphs G of column c;
+    exact int64.
+    """
+    return _distinct_columns([motif_hom_table(H, n) for H in motifs])
 
 
 def _ensemble_sums(motifs: Sequence[Motif], betas: Sequence[float],
@@ -118,27 +131,80 @@ def psi_n(motifs: Sequence[Motif], betas: Sequence[float], n: int, force: bool =
     return _ensemble_sums(motifs, betas, n)[0]
 
 
-def _energies(K: Interaction) -> np.ndarray:
-    """sum K(X) over the stored X inside each configuration, by bitmask."""
-    idx = edge_index(K.n)
-    energies = np.zeros(1 << len(idx), dtype=np.float64)
-    for X, k in K.k_map.items():
-        energies[sum(1 << idx[e] for e in X)] += k
-    return _subset_sums(energies)
+LinkClasses = tuple[tuple[EdgeSubset, ...], ...]
+
+
+def _link_classes(K: Interaction) -> tuple[LinkClasses, tuple[float, ...]]:
+    """K's links grouped by value, and the values: two aligned tuples.
+
+    Links are sorted within a class and the classes by their links, so equal
+    class structures give equal keys for _link_histogram.
+    """
+    by_value: dict[float, list[EdgeSubset]] = defaultdict(list)
+    for X, v in K.k_map.items():
+        by_value[v].append(X)
+    classes = sorted((tuple(sorted(links)), v) for v, links in by_value.items())
+    return tuple(c for c, _ in classes), tuple(v for _, v in classes)
+
+
+@lru_cache(maxsize=8)
+def _link_histogram(n: int, classes: LinkClasses) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts): the distinct per-class link counts over the 2^C(n,2) configurations.
+
+    rows[c, j] is the number of links of classes[c] inside each of the counts[j]
+    configurations of column j.  One subset-sum pass per class, in the smallest
+    unsigned dtype that holds the largest class; the cache is bounded, because
+    an interaction without repeated values has one class per link.
+    """
+    idx = edge_index(n)
+    dtype = np.min_scalar_type(max(map(len, classes)))
+    tables = []
+    for links in classes:
+        table = np.zeros(1 << len(idx), dtype=dtype)
+        table[[sum(1 << idx[e] for e in X) for X in links]] = 1
+        tables.append(_subset_sums(table))
+    return _distinct_columns(tables)
+
+
+def _column_energies(rows: np.ndarray, values: Sequence[float]) -> list[float]:
+    """sum_c rows[c, j] * values[c] for every column j, correctly rounded.
+
+    Over the largest denominator of the values, a power of two, every energy
+    has an exact integer numerator: an object-dtype product of Python ints,
+    taken in blocks of columns so the object arrays stay small.  The int / int
+    division rounds it once.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    nums = np.array([a * (den // d) for a, d in ratios], dtype=object)
+    cols = rows.T
+    return [e / den for lo in range(0, len(cols), 4096)
+            for e in (cols[lo:lo + 4096].astype(object) @ nums).tolist()]
 
 
 def partition_normalized(K: Interaction, force: bool = False) -> float:
     """log W for W = 2^-C(n,2) sum over configurations of exp(sum K(X) sigma_X).
 
-    The energies E are subset sums of K by bitmask.  log1p(mean expm1(E)) keeps full
-    relative precision while mean exp(E) >= 1/2 and exp(E) is finite, else log-sum-exp.
+    A configuration's energy depends only on how many links of each value class
+    it contains, so the sum runs over the distinct count columns of the memoized
+    _link_histogram, each energy correctly rounded and weighted by its count.
+    log1p(mean expm1(E)) keeps full relative precision while mean exp(E) >= 1/2
+    and exp(E) is finite, else log-sum-exp.
     """
     check_guard(K.n, force)
-    energies = _energies(K)
-    hi = float(np.max(energies))
-    if hi < 700.0 and (mean := float(np.mean(np.expm1(energies)))) >= -0.5:
-        return math.log1p(mean)
-    return hi + math.log(float(np.sum(np.exp(energies - hi)))) - math.log(len(energies))
+    classes, values = _link_classes(K)
+    if not classes:
+        return 0.0
+    sites = K.n * (K.n - 1) // 2
+    rows, counts = _link_histogram(K.n, classes)
+    energies, weights = _column_energies(rows, values), counts.tolist()
+    hi = max(energies)
+    if hi < 700.0:
+        mean = math.fsum(c * math.expm1(e) for c, e in zip(weights, energies)) / (1 << sites)
+        if mean >= -0.5:
+            return math.log1p(mean)
+    shifted = math.fsum(c * math.exp(e - hi) for c, e in zip(weights, energies))
+    return hi + math.log(shifted) - math.log(1 << sites)
 
 
 def phi_n(K: Interaction, force: bool = False) -> float:

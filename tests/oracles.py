@@ -5,12 +5,13 @@ literal route: the literal spin sum behind a polymer activity, per-support
 hypergraph sums, signed connected-graph (Ursell) coefficients, cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
 the majorant coefficients by their compositions recursion, the energy of
-every configuration by one masking pass per interaction link, the interaction
-accumulated in Fractions, and psi_n and the motif expectations summed graph by
-graph over one log-weight per graph.  Two check
-quantities the library never needs: the absolute cluster mass pinned to one
-polymer, which the Kotecky-Preiss condition bounds, and W resummed over every
-family of disjoint polymers, which must equal the exact partition function.
+every configuration by one masking pass per interaction link and by one
+float subset-sum transform, the interaction accumulated in Fractions, and
+psi_n and the motif expectations summed graph by graph over one log-weight
+per graph.  Two check quantities the library never needs: the absolute
+cluster mass pinned to one polymer, which the Kotecky-Preiss condition bounds,
+and W resummed over every family of disjoint polymers, which must equal the
+exact partition function.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ergm_cluster.expansion import (
     _log_series,
     _polymer_sums,
 )
-from ergm_cluster.ensemble import motif_hom_table
+from ergm_cluster.ensemble import _subset_sums, motif_hom_table
 from ergm_cluster.graphs import GuardExceeded, Motif, check_alignment, check_guard, edge_index
 from ergm_cluster.lattice import EdgeSubset, Interaction, freeze_sites, support_families
 
@@ -357,6 +358,19 @@ def energies_by_link(K: Interaction) -> np.ndarray:
             xmask |= 1 << idx[e]
         energies[(masks & xmask) == xmask] += K.k_map[X]
     return energies
+
+
+def energies_by_subset_sums(K: Interaction) -> np.ndarray:
+    """The same energies from one float subset-sum transform over the bitmasks.
+
+    Each K(X) is written at the bitmask of X; this was the library's
+    per-configuration route to log W before it grouped links by value.
+    """
+    idx = edge_index(K.n)
+    energies = np.zeros(1 << len(idx), dtype=np.float64)
+    for X, k in K.k_map.items():
+        energies[sum(1 << idx[e] for e in X)] += k
+    return _subset_sums(energies)
 
 
 def interaction_by_fractions(motifs: Sequence[Motif], betas: Sequence[float],

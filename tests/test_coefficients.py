@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,18 @@ class TestCoefficientTail:
         table = abar_recursion(2, 0.01, 1.5, n_max=5)
         with pytest.raises(ValueError):
             coefficient_tail(table, -1)
+
+    def test_huge_p_overflows_before_the_exact_powers(self):
+        # p^p fits a float up to p = 143; at p = 10^6 the exact integers p^p
+        # and (p-1)^(p-1) would take seconds to build before the overflow.
+        assert math.isfinite(coefficient_tail(abar_recursion(143, 1e-300, 1.0001, 5), 1))
+        with pytest.raises(OverflowError):
+            coefficient_tail(abar_recursion(144, 1e-300, 1.0001, 5), 1)
+        table = abar_recursion(1000000, 1e-12, 1.000001, 5)
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            coefficient_tail(table, 1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTableGuards:

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -24,16 +26,23 @@ from ergm_cluster import (
 )
 from ergm_cluster import ensemble, lattice
 from ergm_cluster.ensemble import (
-    _energies,
+    _column_energies,
+    _link_classes,
+    _link_histogram,
     _statistic_histogram,
     csv_header,
     csv_row,
     motif_hom_table,
 )
 from ergm_cluster.graphs import all_edge_sites, edge_index
-from ergm_cluster.lattice import hamiltonian
+from ergm_cluster.lattice import hamiltonian, interaction_dump, interaction_from_dump
 
-from oracles import energies_by_link, expectations_by_graph, psi_by_graph
+from oracles import (
+    energies_by_link,
+    energies_by_subset_sums,
+    expectations_by_graph,
+    psi_by_graph,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -270,7 +279,42 @@ def _sum_bound(K):
     return (len(all_edge_sites(K.n)) + len(K.k_map)) * math.ulp(total)
 
 
+def _class_counts(K, classes):
+    """Links of each class inside every configuration, by one masking pass per link."""
+    idx = edge_index(K.n)
+    masks = np.arange(1 << len(idx), dtype=np.int64)
+    bits = [[sum(1 << idx[e] for e in X) for X in c] for c in classes]
+    return [sum(((masks & x) == x).astype(np.int64) for x in c) for c in bits]
+
+
+def _configuration_energies(K):
+    """The library's column energy of every configuration, by bitmask."""
+    classes, values = _link_classes(K)
+    sites = len(all_edge_sites(K.n))
+    if not classes:
+        return np.zeros(1 << sites)
+    rows, _ = _link_histogram(K.n, classes)
+    column = dict(zip(map(tuple, rows.T.tolist()), _column_energies(rows, values)))
+    counts = [t.tolist() for t in _class_counts(K, classes)]
+    return np.array([column[key] for key in zip(*counts)])
+
+
 class TestEnergies:
+    @pytest.mark.parametrize("names", ENERGY_FAMILIES, ids="+".join)
+    def test_column_energies_are_correctly_rounded(self, names):
+        rng = random.Random(23)
+        motifs = _family(*names)
+        for n in range(2, 7):
+            for scale in (1e-300, 1e-4, 1.0, 1e3):
+                betas = [rng.uniform(-2.0, 2.0) * scale for _ in motifs]
+                classes, values = _link_classes(build_interaction(motifs, betas, n))
+                if not classes:  # the diamond has no link at n = 2
+                    continue
+                rows, _ = _link_histogram(n, classes)
+                for col, got in zip(rows.T.tolist(), _column_energies(rows, values)):
+                    want = sum(Fraction(v) * k for v, k in zip(values, col))
+                    assert got == float(want), (n, betas, col)
+
     @pytest.mark.parametrize("names", ENERGY_FAMILIES, ids="+".join)
     def test_subset_sums_match_masking_loop(self, names):
         rng = random.Random(17)
@@ -279,16 +323,18 @@ class TestEnergies:
             for _ in range(3):
                 betas = [rng.uniform(-2.0, 2.0) * 10 ** rng.randint(-4, 0) for _ in motifs]
                 K = build_interaction(motifs, betas, n)
-                got, want = _energies(K), energies_by_link(K)
+                got, want = _configuration_energies(K), energies_by_link(K)
                 assert len(got) == 1 << len(all_edge_sites(n))
                 assert np.max(np.abs(got - want)) <= _sum_bound(K), (n, betas)
+                per_mask = energies_by_subset_sums(K)
+                assert np.max(np.abs(per_mask - want)) <= _sum_bound(K), (n, betas)
 
     @pytest.mark.parametrize("names", ENERGY_FAMILIES, ids="+".join)
     def test_energy_is_minus_hamiltonian(self, names):
         motifs = _family(*names)
         for n in range(1, 5):
             K = build_interaction(motifs, [0.3, -0.2][:len(motifs)], n)
-            got = _energies(K)
+            got = _configuration_energies(K)
             for mask in range(len(got)):
                 want = -hamiltonian(K, graph_from_mask(n, mask))
                 assert abs(got[mask] - want) <= _sum_bound(K), mask
@@ -302,6 +348,7 @@ class TestEnergies:
 
         monkeypatch.setattr(lattice, "build_interaction", refuse)
         monkeypatch.setattr(lattice, "support_families", refuse)
+        monkeypatch.setattr(ensemble, "_link_histogram", refuse)
         # Rebuild the memoized tables under the patch, so the check is not
         # answered from a cache filled before it.
         _statistic_histogram.cache_clear()
@@ -414,3 +461,65 @@ class TestLogWPrecision:
         # sum.  1e-300: log W = 6e-300, which the shifted sum would lose.
         K = build_interaction([edge], [beta], 4)
         assert partition_normalized(K) == float(_mp_log_w(K))
+
+
+def _relative_error(K):
+    want = _mp_log_w(K)
+    return abs(float((partition_normalized(K) - want) / want))
+
+
+def _with_values(K, value_of):
+    """K rebuilt through its dump, with value_of(index, value) at each link."""
+    terms = interaction_dump(K)
+    for i, term in enumerate(terms):
+        term["value"] = value_of(i, term["value"])
+    return interaction_from_dump(K.n, K.p_max, terms)
+
+
+class TestLinkClasses:
+    def test_zero_beta_drops_a_class(self, edge, triangle):
+        for n in (3, 4, 5):
+            K = build_interaction([edge, triangle], [0.0, 0.3], n)
+            classes, _ = _link_classes(K)
+            assert len(classes) == 1 and len(classes[0]) == len(K) == math.comb(n, 3)
+            assert _relative_error(K) <= 1e-14
+            got, want = _configuration_energies(K), energies_by_link(K)
+            assert np.max(np.abs(got - want)) <= _sum_bound(K)
+            assert len(_link_classes(build_interaction([edge, triangle], [1e-3, 0.3], n))[0]) == 2
+
+    def test_equal_values_merge_classes(self, edge, triangle):
+        for n in (3, 4, 5):
+            K = build_interaction([edge, triangle], [0.2, -0.1], n)
+            edge_value = K.k_map[((0, 1),)]
+            merged = _with_values(K, lambda i, v: edge_value)
+            classes, values = _link_classes(merged)
+            assert values == (edge_value,) and classes[0] == tuple(sorted(K.k_map))
+            assert _relative_error(merged) <= 1e-14
+            got, want = _configuration_energies(merged), energies_by_link(merged)
+            assert np.max(np.abs(got - want)) <= _sum_bound(merged)
+
+    def test_no_repeated_value(self, two_star, triangle):
+        # One class per link: no compression, and the histogram cache stays
+        # bounded while the class structures change.
+        for n in (3, 4):
+            for seed in range(12):
+                K = build_interaction([two_star, triangle], [0.04, -0.03 * seed], n)
+                distinct = _with_values(K, lambda i, v: v * (1 + (i + seed) * 2.0 ** -20))
+                assert len(set(distinct.k_map.values())) == len(distinct)
+                classes, _ = _link_classes(distinct)
+                assert len(classes) == len(distinct)
+                assert _relative_error(distinct) <= 1e-14
+        info = _link_histogram.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_warm_call_allocates_no_configuration_table(self, edge, triangle):
+        K = build_interaction([edge, triangle], [0.3, -0.2], 6)
+        want = partition_normalized(K)  # fills the histogram cache
+        tracemalloc.start()
+        try:
+            assert partition_normalized(K) == want
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A 2^15-entry float64 table alone would be 256 KB.
+        assert peak < 64 * 1024

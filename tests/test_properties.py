@@ -5,7 +5,8 @@ with two or more edges, at n = 3 or 4, with couplings whose absolute sum stays
 inside half the certified region budget for the family's (p, m).  Each hom
 table example is a random motif on at most 5 vertices with at least one edge,
 at n <= 5; each histogram example is one to three such motifs on at most 4
-vertices, at n <= 5.  The examples are derandomized, so every run checks the
+vertices, at n <= 5, and each link-histogram example adds couplings that may
+be zero or equal.  The examples are derandomized, so every run checks the
 same ones.
 """
 
@@ -29,8 +30,14 @@ from ergm_cluster import (
     region_bound,
     truncated_log_partition,
 )
-from ergm_cluster.ensemble import _statistic_histogram, motif_hom_table
+from ergm_cluster.ensemble import (
+    _link_classes,
+    _link_histogram,
+    _statistic_histogram,
+    motif_hom_table,
+)
 from ergm_cluster.expansion import _LinkSystem
+from ergm_cluster.graphs import edge_index
 
 from oracles import exact_log_series
 
@@ -113,4 +120,28 @@ def test_histogram_partitions_the_graphs(family, n):
     for row, table in zip(rows.tolist(), tables):
         assert sum(c * h for c, h in zip(counts.tolist(), row)) == int(table.sum())
     want = Counter(zip(*(t.tolist() for t in tables)))
+    assert dict(zip(map(tuple, rows.T.tolist()), counts.tolist())) == want
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(motifs(max_m=4), min_size=1, max_size=3), st.integers(1, 5), st.data())
+def test_link_histogram_partitions_the_configurations(family, n, data):
+    # Zero and repeated couplings drop and merge value classes.
+    betas = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, -0.25]),
+                                         st.floats(-1.0, 1.0)),
+                               min_size=len(family), max_size=len(family)))
+    K = build_interaction(family, betas, n)
+    classes, values = _link_classes(K)
+    assert sorted(X for c in classes for X in c) == sorted(K.k_map)
+    assert [{K.k_map[X] for X in c} for c in classes] == [{v} for v in values]
+    assert len(set(values)) == len(values)
+    if not classes:
+        return
+    rows, counts = _link_histogram(n, classes)
+    sites = n * (n - 1) // 2
+    assert int(counts.sum()) == 1 << sites
+    idx = edge_index(n)
+    masks = [[sum(1 << idx[e] for e in X) for X in c] for c in classes]
+    want = Counter(tuple(sum(x & config == x for x in c) for c in masks)
+                   for config in range(1 << sites))
     assert dict(zip(map(tuple, rows.T.tolist()), counts.tolist())) == want
