@@ -46,9 +46,6 @@ from .graphs import (
     Motif,
     SimpleGraph,
     all_edge_sites,
-    complete_graph,
-    empty_graph,
-    enumerate_graphs,
     graph_from_json,
     graph_from_mask,
     hom_count,
@@ -56,7 +53,6 @@ from .graphs import (
     load_motif,
     make_graph,
     motif_from_json,
-    weighted_density,
 )
 from .lattice import (
     Interaction,
@@ -64,10 +60,8 @@ from .lattice import (
     build_interaction,
     exact_density,
     exact_hom_count,
-    hamiltonian,
     interaction_dump,
     interaction_from_dump,
-    pinned_abs_sum,
     pinned_density,
     representation_check,
     support_families,
@@ -92,12 +86,9 @@ __all__ = [
     "banach_norm",
     "build_interaction",
     "coefficient_tail",
-    "complete_graph",
     "derivative_check",
-    "empty_graph",
     "ensemble_result",
     "enumerate_connected_hypergraphs",
-    "enumerate_graphs",
     "exact_density",
     "exact_hom_count",
     "expansion_report",
@@ -106,7 +97,6 @@ __all__ = [
     "generating_function_check",
     "graph_from_json",
     "graph_from_mask",
-    "hamiltonian",
     "hom_count",
     "hom_density",
     "interaction_dump",
@@ -119,7 +109,6 @@ __all__ = [
     "optimal_M",
     "partition_normalized",
     "phi_n",
-    "pinned_abs_sum",
     "pinned_density",
     "polymer_table",
     "psi_n",
@@ -130,5 +119,4 @@ __all__ = [
     "results_csv",
     "support_families",
     "truncated_log_partition",
-    "weighted_density",
 ]

@@ -110,15 +110,19 @@ def _ensemble_sums(motifs: Sequence[Motif], betas: Sequence[float],
     """psi_n and E[t(H_i, G)] from the statistic histogram.
 
     A column's log-weight n^2 T(G) is the same float for all its graphs, so
-    its count multiplies its shifted weight once.
+    its count multiplies its shifted weight once.  A largest weight that is
+    not finite raises OverflowError, as partition_normalized does.
     """
     check_alignment(motifs, betas)
     rows, counts = _statistic_histogram(tuple(motifs), n)
     weights = np.zeros(len(counts), dtype=np.float64)
     n2 = float(n * n)
-    for H, b, row in zip(motifs, betas, rows):
-        weights += (n2 * float(b) / n ** H.m) * row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for H, b, row in zip(motifs, betas, rows):
+            weights += (n2 * float(b) / n ** H.m) * row
     hi = float(np.max(weights))
+    if not math.isfinite(hi):
+        raise OverflowError(f"a statistic column's weight n^2 T(G) is {hi} at n={n}")
     p = np.exp(weights - hi) * counts
     z = math.fsum(p)
     expectations = [math.fsum(row * p) / z / n ** H.m for H, row in zip(motifs, rows)]

@@ -6,7 +6,11 @@ supports.  Grouping connected hypergraphs by their support N gives polymers
 with activity w_N; disjoint collections of polymers resum the partition
 function exactly.  One walk over the connected link sets accumulates, per
 support mask, the activities up to the series depth and the bounds up to the
-certificate's head depth; the series and the certificate both read it.
+certificate's head depth; the series and the certificate both read it.  The
+walk carries each set's support mask and its running products of expm1(K)
+and expm1(|K|) down the recursion, and a set one link short of the depth
+hands its extension bitmask to a flat loop, so the last level, most of the
+sets, costs no recursive call and no generator step per set.
 Scaling every activity by lambda, the per-size cluster sum S_k is
 [lambda^k] log Xi(lambda), where Xi sums over families of pairwise disjoint
 polymers (the Mayer expansion read as a formal power series), so the cluster
@@ -23,6 +27,7 @@ order.  Results are bit-reproducible across runs.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, Mapping, Sequence
@@ -92,41 +97,73 @@ class _LinkSystem:
         return tuple(out)
 
 
-def _connected_item_sets(adj: Sequence[int], max_size: int,
-                         max_count: int = DEFAULT_MAX_COUNT) -> Iterator[tuple[int, ...]]:
-    """Every connected subset of at most max_size items, exactly once.
+# One walk step: (sub, support, w, v, leaves); see _connected_batches.
+Batch = tuple[tuple[int, ...], int, float, float, int]
+
+
+def _connected_batches(adj: Sequence[int], max_size: int, masks: Sequence[int],
+                       ew: Sequence[float], ev: Sequence[float],
+                       max_count: int = DEFAULT_MAX_COUNT) -> Iterator[Batch]:
+    """Every connected subset of at most max_size items, exactly once, in batches.
 
     Items are graph nodes with adjacency bitmasks.  Depth-first extension
-    rooted at each item v in turn, growing only through indices above v and
+    rooted at each item r in turn, growing only through indices above r and
     only into nodes not already reachable, which is what makes each subset
     appear a single time.  Deterministic lowest-bit-first order.
+
+    Each set sub shorter than max_size, and each single item when max_size is
+    1, comes as one batch (sub, support, w, v, leaves): support ORs the items'
+    masks, w and v are the left-to-right products of ew and ev over sub,
+    carried down the recursion.  A set one item short of max_size hands over
+    its extension bitmask as leaves: every bit x of it, lowest first, is the
+    next set sub + (x,) in the order, with no batch of its own.  leaves is 0
+    on the other batches.  GuardExceeded is
+    raised as soon as the sets counted so far exceed max_count.
     """
     if max_size <= 0:
         return
     budget = max_count
+    last = max_size - 1
 
-    def rec(sub: tuple[int, ...], ext: int, covered: int, above: int) -> Iterator[tuple[int, ...]]:
+    def rec(sub: tuple[int, ...], ext: int, covered: int, above: int,
+            support: int, w: float, v: float) -> Iterator[Batch]:
         nonlocal budget
-        budget -= 1
+        full = len(sub) >= last
+        leaves = ext if full else 0
+        budget -= 1 + leaves.bit_count()
         if budget < 0:
             raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
                                 hint="lower --max-links or --head-links; --force does "
                                      "not lift this budget")
-        yield sub
-        if len(sub) == max_size:
+        yield sub, support, w, v, leaves
+        if full:
             return
         e = ext
         while e:
             wbit = e & -e
             e ^= wbit
-            w = wbit.bit_length() - 1
-            grow = adj[w] & ~covered & above
-            yield from rec(sub + (w,), e | grow, covered | grow | wbit, above)
+            x = wbit.bit_length() - 1
+            grow = adj[x] & ~covered & above
+            yield from rec(sub + (x,), e | grow, covered | grow | wbit, above,
+                           support | masks[x], w * ew[x], v * ev[x])
 
-    for v in range(len(adj)):
-        above = -1 << (v + 1)
-        vbit = 1 << v
-        yield from rec((v,), adj[v] & above, vbit | adj[v], above)
+    for r in range(len(adj)):
+        above = -1 << (r + 1)
+        # at max_size 1 a root is already full and has no leaves
+        ext = adj[r] & above if last else 0
+        yield from rec((r,), ext, (1 << r) | adj[r], above, masks[r], ew[r], ev[r])
+
+
+def _connected_item_sets(adj: Sequence[int], max_size: int,
+                         max_count: int = DEFAULT_MAX_COUNT) -> Iterator[tuple[int, ...]]:
+    """The sets of _connected_batches one by one, as tuples of item indices."""
+    zeros, ones = [0] * len(adj), [1.0] * len(adj)
+    for sub, _, _, _, leaves in _connected_batches(adj, max_size, zeros, ones, ones, max_count):
+        yield sub
+        while leaves:
+            bit = leaves & -leaves
+            leaves ^= bit
+            yield sub + (bit.bit_length() - 1,)
 
 
 def enumerate_connected_hypergraphs(K: Interaction,
@@ -156,23 +193,33 @@ def _polymer_sums(sys: _LinkSystem, max_links: int,
     """Activities of the polymers built from at most max_links links and bounds
     of those built from at most head_links, keyed by support mask in sorted
     mask order, from one walk over the connected link sets.
+
+    Each set adds its product of expm1(K) to its support's activity and its
+    product of expm1(|K|) to its bound, in walk order; the leaves of a batch
+    are summed in a flat loop, and only at the walk's depth can they fall
+    outside one of the two cuts.
     """
     ew = [math.expm1(v) for v in sys.values]
     ev = [math.expm1(abs(v)) for v in sys.values]
-    acc_w: dict[int, float] = {}
-    acc_v: dict[int, float] = {}
-    for idxs in _connected_item_sets(sys.adj, max(max_links, head_links)):
-        support = 0
-        w = 1.0
-        v = 1.0
-        for i in idxs:
-            support |= sys.masks[i]
-            w *= ew[i]
-            v *= ev[i]
-        if len(idxs) <= max_links:
-            acc_w[support] = acc_w.get(support, 0.0) + w
-        if len(idxs) <= head_links:
-            acc_v[support] = acc_v.get(support, 0.0) + v
+    masks = sys.masks
+    depth = max(max_links, head_links)
+    leaf_w, leaf_v = depth <= max_links, depth <= head_links
+    acc_w: defaultdict[int, float] = defaultdict(float)
+    acc_v: defaultdict[int, float] = defaultdict(float)
+    for sub, support, w, v, leaves in _connected_batches(sys.adj, depth, masks, ew, ev):
+        if len(sub) <= max_links:
+            acc_w[support] += w
+        if len(sub) <= head_links:
+            acc_v[support] += v
+        while leaves:
+            bit = leaves & -leaves
+            leaves ^= bit
+            x = bit.bit_length() - 1
+            leaf = support | masks[x]
+            if leaf_w:
+                acc_w[leaf] += w * ew[x]
+            if leaf_v:
+                acc_v[leaf] += v * ev[x]
     # The activity carries the 2^-|N| spin normalization; the bound, by its
     # definition, does not (it dominates |w_N| all the more).
     activities = {mask: acc_w[mask] / (1 << mask.bit_count()) for mask in sorted(acc_w)}
@@ -265,7 +312,8 @@ class KPCertificate:
     per_site_sums maps each edge site to its certified upper bound: the
     enumerated head over hypergraphs with at most tail_order links plus the
     analytic coefficient tail.  verdict is True when every entry is at most
-    log M and the tail converges.
+    log M and the tail converges.  margin and worst_site say how close the
+    check came to failing and where.
     """
 
     M: float
@@ -283,6 +331,17 @@ class KPCertificate:
     @property
     def max_site_sum(self) -> float:
         return max(self.per_site_sums.values(), default=0.0)
+
+    @property
+    def margin(self) -> float:
+        """log M - max_site_sum: how far the worst site stays inside the condition."""
+        return self.log_m - self.max_site_sum
+
+    @property
+    def worst_site(self) -> tuple[int, int] | None:
+        """The first site, in site order, whose sum is max_site_sum; None without sites."""
+        top = self.max_site_sum
+        return next((site for site, v in self.per_site_sums.items() if v == top), None)
 
 
 def _check_certify_args(M: float, head_links: int) -> None:
@@ -446,6 +505,8 @@ def report_jsonable(report: ExpansionReport) -> dict:
             "M": cert.M,
             "max_site_sum": _num(cert.max_site_sum),
             "logM": cert.log_m,
+            "margin": _num(cert.margin),
+            "worst_site": None if cert.worst_site is None else list(cert.worst_site),
             "verdict": cert.verdict,
             "tail_order": cert.tail_order,
             "divergent": not math.isfinite(cert.tail),

@@ -1,8 +1,8 @@
 """Labeled simple graphs, motif patterns, and exact homomorphism counting.
 
 Vertices are integers 0..n-1.  An edge site is a pair (i, j) with i < j; the
-site set over n vertices is ordered lexicographically, and exhaustive graph
-enumeration walks edge-subset bitmasks in increasing order with bit k standing
+site set over n vertices is ordered lexicographically, and the exhaustive
+tables index edge-subset bitmasks in increasing order with bit k standing
 for the k-th site.  That order is part of the contract: two runs of any
 enumeration in this package produce identical sequences.
 
@@ -19,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-# Graph enumeration, hom tables, log W and the series sweep all tabulate the
+# The hom tables, log W and the series sweep all tabulate the
 # 2^C(n,2) edge-site masks; 2^15 masks at n = 6 is where they start to crawl.
 ENSEMBLE_GUARD = 6
 
@@ -115,30 +115,12 @@ def make_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
     return SimpleGraph(n, frozenset(seen))
 
 
-def empty_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, frozenset())
-
-
-def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, frozenset(all_edge_sites(n)))
-
-
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:
     """Decode an edge-subset bitmask (canonical site order) into a graph."""
     sites = all_edge_sites(n)
     if mask < 0 or mask >= (1 << len(sites)):
         raise ValueError(f"mask {mask} out of range for n={n}")
     return SimpleGraph(n, frozenset(sites[k] for k in range(len(sites)) if mask >> k & 1))
-
-
-def enumerate_graphs(n: int, force: bool = False) -> Iterator[SimpleGraph]:
-    """All 2^C(n,2) labeled graphs on n vertices, in increasing bitmask order.
-
-    Guarded at n <= ENSEMBLE_GUARD unless force is given; the guard fires at
-    the call, before the first graph is asked for.
-    """
-    check_guard(n, force, least=0)
-    return (graph_from_mask(n, mask) for mask in range(1 << len(all_edge_sites(n))))
 
 
 @dataclass(frozen=True)
@@ -314,16 +296,3 @@ def hom_density(H: Motif, G: SimpleGraph) -> Fraction:
     if G.n == 0:
         raise ValueError("homomorphism density needs at least one vertex")
     return Fraction(hom_count(H, G), G.n ** H.m)
-
-
-def weighted_density(motifs: Sequence[Motif], betas: Sequence[float], G: SimpleGraph) -> float:
-    """Sum of beta_i * t(H_i, G), accumulated exactly and rounded once.
-
-    Floats are binary rationals, so folding each beta in as a Fraction keeps
-    the whole sum exact; the only rounding is the final conversion.
-    """
-    check_alignment(motifs, betas)
-    total = Fraction(0)
-    for H, b in zip(motifs, betas):
-        total += Fraction(b) * hom_density(H, G)
-    return float(total)

@@ -230,12 +230,6 @@ def build_interaction(motifs: Sequence[Motif], betas: Sequence[float], n: int) -
     return Interaction(n=n, k_map=k_map, p_max=max(H.p for H in motifs))
 
 
-def pinned_abs_sum(K: Interaction, e: Sequence[int]) -> float:
-    """Sum of |K(X)| over stored subsets X containing the site e."""
-    site = canonical_edge(e[0], e[1], K.n)
-    return sum(abs(v) for X, v in sorted(K.k_map.items()) if site in X)
-
-
 def banach_norm(K: Interaction) -> float:
     """sup over edge sites e of sum_{X contains e} |K(X)|; 0 when K is empty.
 
@@ -250,22 +244,6 @@ def banach_norm(K: Interaction) -> float:
     if not per_site:
         return 0.0
     return max(per_site[e] for e in sorted(per_site))
-
-
-def hamiltonian(K: Interaction, G: SimpleGraph) -> float:
-    """H(sigma_G) = -sum over stored X inside E(G) of K(X).
-
-    sigma_G is the edge-indicator configuration of G, so the product of
-    occupation numbers over X is 1 exactly when X is a subset of E(G).
-    Equals -n^2 * weighted_density for the motif family that built K.
-    """
-    if G.n != K.n:
-        raise ValueError(f"graph on {G.n} vertices against interaction on {K.n}")
-    total = 0.0
-    for X, v in sorted(K.k_map.items()):
-        if all(e in G.edges for e in X):
-            total += v
-    return -total
 
 
 def interaction_dump(K: Interaction) -> list[dict]:

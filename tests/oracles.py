@@ -1,8 +1,10 @@
 """Reference implementations that only the tests use.
 
 Most compute a quantity the library also computes, by a slower and more
-literal route: the literal spin sum behind a polymer activity, per-support
-hypergraph sums, signed connected-graph (Ursell) coefficients, cluster sums as
+literal route: the connected sets one recursive step each and the polymer sums
+recomputed from every set, the literal spin sum behind a polymer activity,
+per-support hypergraph sums, signed connected-graph (Ursell) coefficients,
+cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
 the majorant coefficients by their compositions recursion, the energy of
 every configuration by one masking pass per interaction link and by one
@@ -11,7 +13,10 @@ psi_n and the motif expectations summed graph by graph over one log-weight
 per graph.  Two check quantities the library never needs: the absolute
 cluster mass pinned to one polymer, which the Kotecky-Preiss condition bounds,
 and W resummed over every family of disjoint polymers, which must equal the
-exact partition function.
+exact partition function.  The last few are small graph helpers the
+library never calls: empty and complete graphs, every graph on n vertices
+(under the library's size guard), the weighted density sum_i beta_i t(H_i, G),
+one site's absolute interaction sum, and the Hamiltonian of one graph.
 """
 
 from __future__ import annotations
@@ -35,7 +40,18 @@ from ergm_cluster.expansion import (
     _polymer_sums,
 )
 from ergm_cluster.ensemble import _subset_sums, motif_hom_table
-from ergm_cluster.graphs import GuardExceeded, Motif, check_alignment, check_guard, edge_index
+from ergm_cluster.graphs import (
+    GuardExceeded,
+    Motif,
+    SimpleGraph,
+    all_edge_sites,
+    canonical_edge,
+    check_alignment,
+    check_guard,
+    edge_index,
+    graph_from_mask,
+    hom_density,
+)
 from ergm_cluster.lattice import EdgeSubset, Interaction, freeze_sites, support_families
 
 URSELL_GUARD = 8
@@ -137,6 +153,62 @@ def activity_bound(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
         if support == nmask:
             total += prod
     return total
+
+
+def connected_sets_one_by_one(adj: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]:
+    """Every connected subset of at most max_size items, one generator step each.
+
+    The same depth-first extension as the library walk, but every set, the
+    last level included, is its own recursive call: the order reference for
+    the batched walk.
+    """
+
+    def rec(sub: tuple[int, ...], ext: int, covered: int,
+            above: int) -> Iterator[tuple[int, ...]]:
+        yield sub
+        if len(sub) == max_size:
+            return
+        e = ext
+        while e:
+            wbit = e & -e
+            e ^= wbit
+            w = wbit.bit_length() - 1
+            grow = adj[w] & ~covered & above
+            yield from rec(sub + (w,), e | grow, covered | grow | wbit, above)
+
+    if max_size <= 0:
+        return
+    for v in range(len(adj)):
+        above = -1 << (v + 1)
+        yield from rec((v,), adj[v] & above, (1 << v) | adj[v], above)
+
+
+def polymer_sums_by_set(sys: _LinkSystem, max_links: int,
+                        head_links: int) -> tuple[dict[int, float], dict[int, float]]:
+    """The library's polymer sums, recomputed from every connected set's tuple.
+
+    Each set's support and its products of expm1(K) and expm1(|K|) are formed
+    from scratch, left to right, and added per support with dict.get; the
+    walk's sets come one by one through _connected_item_sets.
+    """
+    ew = [math.expm1(v) for v in sys.values]
+    ev = [math.expm1(abs(v)) for v in sys.values]
+    acc_w: dict[int, float] = {}
+    acc_v: dict[int, float] = {}
+    for idxs in _connected_item_sets(sys.adj, max(max_links, head_links)):
+        support = 0
+        w = 1.0
+        v = 1.0
+        for i in idxs:
+            support |= sys.masks[i]
+            w *= ew[i]
+            v *= ev[i]
+        if len(idxs) <= max_links:
+            acc_w[support] = acc_w.get(support, 0.0) + w
+        if len(idxs) <= head_links:
+            acc_v[support] = acc_v.get(support, 0.0) + v
+    activities = {mask: acc_w[mask] / (1 << mask.bit_count()) for mask in sorted(acc_w)}
+    return activities, {mask: acc_v[mask] for mask in sorted(acc_v)}
 
 
 def _spanning_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
@@ -478,3 +550,56 @@ def cluster_partition_sum(K: Interaction) -> float:
     table = _family_sweep(site_count, list(activities), list(activities.values()),
                           site_count)
     return float(np.sum(table))
+
+
+def empty_graph(n: int) -> SimpleGraph:
+    return SimpleGraph(n, frozenset())
+
+
+def complete_graph(n: int) -> SimpleGraph:
+    return SimpleGraph(n, frozenset(all_edge_sites(n)))
+
+
+def enumerate_graphs(n: int, force: bool = False) -> Iterator[SimpleGraph]:
+    """All 2^C(n,2) labeled graphs on n vertices, in increasing bitmask order.
+
+    Guarded at n <= ENSEMBLE_GUARD unless force is given; the guard fires at
+    the call, before the first graph is asked for.
+    """
+    check_guard(n, force, least=0)
+    return (graph_from_mask(n, mask) for mask in range(1 << len(all_edge_sites(n))))
+
+
+def weighted_density(motifs: Sequence[Motif], betas: Sequence[float], G: SimpleGraph) -> float:
+    """Sum of beta_i * t(H_i, G), accumulated exactly and rounded once.
+
+    Floats are binary rationals, so folding each beta in as a Fraction keeps
+    the whole sum exact; the only rounding is the final conversion.
+    """
+    check_alignment(motifs, betas)
+    total = Fraction(0)
+    for H, b in zip(motifs, betas):
+        total += Fraction(b) * hom_density(H, G)
+    return float(total)
+
+
+def pinned_abs_sum(K: Interaction, e: Sequence[int]) -> float:
+    """Sum of |K(X)| over stored subsets X containing the site e."""
+    site = canonical_edge(e[0], e[1], K.n)
+    return sum(abs(v) for X, v in sorted(K.k_map.items()) if site in X)
+
+
+def hamiltonian(K: Interaction, G: SimpleGraph) -> float:
+    """H(sigma_G) = -sum over stored X inside E(G) of K(X).
+
+    sigma_G is the edge-indicator configuration of G, so the product of
+    occupation numbers over X is 1 exactly when X is a subset of E(G).
+    Equals -n^2 * weighted_density for the motif family that built K.
+    """
+    if G.n != K.n:
+        raise ValueError(f"graph on {G.n} vertices against interaction on {K.n}")
+    total = 0.0
+    for X, v in sorted(K.k_map.items()):
+        if all(e in G.edges for e in X):
+            total += v
+    return -total

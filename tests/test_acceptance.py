@@ -29,9 +29,9 @@ from ergm_cluster import (
     representation_check,
 )
 from ergm_cluster.coefficients import gamma_closed_form
-from ergm_cluster.graphs import all_edge_sites, enumerate_graphs
+from ergm_cluster.graphs import all_edge_sites
 
-from oracles import cluster_partition_sum
+from oracles import cluster_partition_sum, enumerate_graphs
 
 MOTIF_KEYS = ("edge", "two-star", "triangle")
 

@@ -211,6 +211,24 @@ class TestExpand:
         assert main(self.ARGS + ["--head-links", head, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["kp"]["tail_order"] == int(head)
 
+    @pytest.mark.parametrize("beta, passes", [("0.001", True), ("1.0", False)])
+    def test_margin_and_worst_site_in_artifact(self, tmp_path, beta, passes):
+        out = tmp_path / "report.json"
+        argv = ["expand", "--motifs", "two-star", "--betas", beta, "--n", "4",
+                "--max-links", "3", "--out", str(out)]
+        assert main(argv) == 0
+        kp = json.loads(out.read_text())["kp"]
+        cert = expansion_report([BUILTIN_MOTIFS["two-star"]], [float(beta)], 4,
+                                max_links=3).certificate
+        assert kp["verdict"] is passes
+        assert kp["worst_site"] == list(cert.worst_site)
+        if passes:
+            assert kp["margin"] == cert.margin == cert.log_m - cert.max_site_sum > 0
+        else:
+            # the norm cap makes every site sum inf: no finite margin to write
+            assert cert.margin == -math.inf and kp["margin"] is None
+            assert kp["worst_site"] == [0, 1]
+
     def test_csv_artifact(self, tmp_path):
         out = tmp_path / "orders.csv"
         rc = main(self.ARGS + ["--out", str(out), "--format", "csv"])
@@ -333,9 +351,9 @@ class TestFailureModes:
         assert exc.value.code == 2
 
     def test_budget_hint_names_the_real_remedy(self, monkeypatch, capsys):
-        walk = expansion._connected_item_sets
-        monkeypatch.setattr(expansion, "_connected_item_sets",
-                            lambda adj, size: walk(adj, size, max_count=10))
+        walk = expansion._connected_batches
+        monkeypatch.setattr(expansion, "_connected_batches",
+                            lambda adj, size, *items: walk(adj, size, *items, max_count=10))
         for force in ([], ["--force"]):
             start = time.perf_counter()
             rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4",
@@ -370,6 +388,7 @@ class TestFailureModes:
         ["exact", "--motifs", "edge", "--betas", "inf", "--n", "4"],
         ["exact", "--motifs", "edge", "--betas", "nan", "--n", "4"],
         ["expand", "--motifs", "two-star", "--betas", "1e308", "--n", "4"],
+        ["exact", "--motifs", "edge", "triangle", "--betas", "5e307", "0.1", "--n", "4"],
         ["coeffs", "--p", "2", "--norm", "nan", "--n-max", "12"],
         ["region", "--p", "2", "--m", "3", "--M", "inf"],
     ])

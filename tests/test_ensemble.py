@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -35,12 +36,13 @@ from ergm_cluster.ensemble import (
     motif_hom_table,
 )
 from ergm_cluster.graphs import all_edge_sites, edge_index
-from ergm_cluster.lattice import hamiltonian, interaction_dump, interaction_from_dump
+from ergm_cluster.lattice import interaction_dump, interaction_from_dump
 
 from oracles import (
     energies_by_link,
     energies_by_subset_sums,
     expectations_by_graph,
+    hamiltonian,
     psi_by_graph,
 )
 
@@ -137,6 +139,23 @@ class TestExpectations:
     def test_large_positive_beta_saturates(self, edge):
         (val,) = expectation_densities([edge], [5.0], 4)
         assert val == pytest.approx(12 / 16, abs=1e-3)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("betas", [[5e307, 0.1], [-5e307, 1e308], [1.7e308, 0.0]])
+    @pytest.mark.parametrize("run", [psi_n, expectation_densities, ensemble_result])
+    def test_non_finite_weight_raises(self, edge, triangle, betas, run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                run([edge, triangle], betas, 4)
+
+    def test_minus_inf_weights_are_empty_columns(self, edge):
+        # each term is finite; their sum is -inf on every graph but the empty one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psi_n([edge, edge], [-1e307, -1e307], 4) == 0.0
+            assert expectation_densities([edge, edge], [-1e307, -1e307], 4) == [0.0, 0.0]
 
 
 class TestDerivative:

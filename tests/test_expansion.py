@@ -24,15 +24,17 @@ from ergm_cluster import (
 from ergm_cluster import expansion
 from ergm_cluster.expansion import (
     _cluster_sums,
+    _connected_batches,
     _connected_item_sets,
     _LinkSystem,
 )
 from ergm_cluster.graphs import check_guard
-from ergm_cluster.lattice import freeze_sites
+from ergm_cluster.lattice import Interaction, freeze_sites
 
 import oracles
 from oracles import _pinned_abs_sums, _spin_sum, activity_bound, cluster_partition_sum, \
-    exact_log_series, pinned_cluster_abs_sum, polymer_activity, ursell_coefficient
+    connected_sets_one_by_one, exact_log_series, pinned_cluster_abs_sum, polymer_activity, \
+    ursell_coefficient
 
 HALF_BUDGET = region_bound(2, 3, optimal_M(2)) / 2
 
@@ -68,6 +70,20 @@ def oracle_connected_sets(adj, max_size):
     return found
 
 
+def random_adjacencies(seed, count, max_items):
+    """Random symmetric adjacency bitmasks on 1..max_items items."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_items)
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        yield adj
+
+
 class TestConnectedSets:
     def test_matches_brute_force(self):
         rng = random.Random(3)
@@ -96,6 +112,45 @@ class TestConnectedSets:
         with pytest.raises(GuardExceeded):
             list(_connected_item_sets(adj, 4, max_count=3))
 
+    def test_order_matches_the_one_by_one_recursion(self):
+        for adj in random_adjacencies(seed=11, count=30, max_items=9):
+            for max_size in range(len(adj) + 2):
+                want = list(connected_sets_one_by_one(adj, max_size))
+                assert list(_connected_item_sets(adj, max_size)) == want
+
+    def test_guard_fires_exactly_past_the_count(self):
+        for adj in random_adjacencies(seed=13, count=20, max_items=8):
+            items = ([0] * len(adj), [1.0] * len(adj), [1.0] * len(adj))
+            for max_size in range(1, len(adj) + 1):
+                count = len(list(connected_sets_one_by_one(adj, max_size)))
+                assert len(list(_connected_item_sets(adj, max_size, count))) == count
+                assert sum(1 + leaves.bit_count() for *_, leaves
+                           in _connected_batches(adj, max_size, *items, count)) == count
+                with pytest.raises(GuardExceeded) as exc:
+                    list(_connected_item_sets(adj, max_size, count - 1))
+                assert str(exc.value) == f"connected-set enumeration exceeded {count - 1} sets"
+                assert exc.value.hint == ("lower --max-links or --head-links; "
+                                          "--force does not lift this budget")
+                with pytest.raises(GuardExceeded):
+                    list(_connected_batches(adj, max_size, *items, count - 1))
+
+    def test_batches_carry_supports_and_products(self):
+        rng = random.Random(17)
+        for adj in random_adjacencies(seed=19, count=10, max_items=8):
+            masks = [rng.getrandbits(12) for _ in adj]
+            ew = [rng.uniform(-2.0, 2.0) for _ in adj]
+            ev = [abs(x) for x in ew]
+            for max_size in range(1, 5):
+                for sub, support, w, v, leaves in _connected_batches(adj, max_size, masks,
+                                                                     ew, ev):
+                    assert leaves == 0 or len(sub) == max_size - 1
+                    want_support, want_w, want_v = 0, 1.0, 1.0
+                    for i in sub:
+                        want_support |= masks[i]
+                        want_w *= ew[i]
+                        want_v *= ev[i]
+                    assert (support, w, v) == (want_support, want_w, want_v)
+
 
 class TestHypergraphEnumeration:
     def test_edge_model_has_isolated_links(self, edge):
@@ -108,6 +163,20 @@ class TestHypergraphEnumeration:
     def test_zero_links(self, two_star):
         K = build_interaction([two_star], [0.1], 4)
         assert list(enumerate_connected_hypergraphs(K, 0)) == []
+
+    @pytest.mark.parametrize("names, n, max_links, count", [
+        (("two-star", "triangle"), 5, 4, 53130),
+        (("two-star",), 4, 3, None),
+        (("edge", "two-star", "triangle"), 4, 4, None),
+    ])
+    def test_sequence_kept(self, names, n, max_links, count):
+        K = build_interaction([BUILTIN_MOTIFS[x] for x in names], [0.001] * len(names), n)
+        sys = _LinkSystem(K)
+        got = list(enumerate_connected_hypergraphs(K, max_links))
+        want = [tuple(sys.links[i] for i in idxs)
+                for idxs in connected_sets_one_by_one(sys.adj, max_links)]
+        assert got == want
+        assert count is None or len(got) == count
 
     def test_negative_links_rejected(self, two_star):
         K = build_interaction([two_star], [0.1], 4)
@@ -450,6 +519,39 @@ class TestCertificate:
         assert math.isinf(cert.tail)
         assert "divergent" in cert.reason
 
+    def test_margin_and_worst_site_of_a_pass(self, two_star):
+        K = build_interaction([two_star], [HALF_BUDGET], 4)
+        cert = kp_certify(K, optimal_M(2))
+        assert cert.margin == cert.log_m - cert.max_site_sum > 0
+        sums = list(cert.per_site_sums.values())
+        first = sums.index(max(sums))
+        assert cert.worst_site == list(cert.per_site_sums)[first]
+
+    def test_margin_and_worst_site_of_a_fail(self, triangle):
+        M = optimal_M(3)
+        beta = 4 * region_bound(3, 3, M)
+        cert = kp_certify(build_interaction([triangle], [beta], 8), M, head_links=2)
+        assert not cert.verdict and math.isfinite(cert.tail)
+        assert cert.margin == cert.log_m - cert.max_site_sum < 0
+        assert cert.per_site_sums[cert.worst_site] == cert.max_site_sum
+        # a divergent tail puts inf on every site: the first one is the worst
+        cert = kp_certify(build_interaction([triangle], [beta], 10), M, head_links=2)
+        assert cert.margin == -math.inf
+        assert cert.worst_site == (0, 1)
+
+    def test_worst_site_is_the_first_to_reach_the_max(self):
+        # one link on site (1, 2) alone: every other site carries the tail only
+        K = Interaction(n=3, k_map={((1, 2),): 0.01}, p_max=1)
+        cert = kp_certify(K, 2.0, head_links=1)
+        assert cert.worst_site == (1, 2)
+        assert cert.margin == math.log(2.0) - (math.expm1(0.01) * 2.0 + cert.tail)
+        K = Interaction(n=3, k_map={((0, 2),): 0.01, ((1, 2),): 0.01}, p_max=1)
+        assert kp_certify(K, 2.0, head_links=1).worst_site == (0, 2)
+        assert kp_certify(build_interaction([BUILTIN_MOTIFS["edge"]], [0.0], 3),
+                          2.0).worst_site == (0, 1)
+        assert kp_certify(build_interaction([BUILTIN_MOTIFS["edge"]], [0.1], 1),
+                          2.0).worst_site is None
+
     def test_site_sums_grow_with_coupling(self, two_star):
         M = optimal_M(2)
         sums = [kp_certify(build_interaction([two_star], [t * HALF_BUDGET], 4),
@@ -505,8 +607,8 @@ class TestReport:
         doc = report_jsonable(expansion_report([two_star], [HALF_BUDGET], 3))
         assert set(doc) == {"n", "motifs", "betas", "norm", "log_w_exact",
                             "orders", "kp", "region"}
-        assert set(doc["kp"]) == {"M", "max_site_sum", "logM", "verdict",
-                                  "tail_order", "divergent", "reason"}
+        assert set(doc["kp"]) == {"M", "max_site_sum", "logM", "margin", "worst_site",
+                                  "verdict", "tail_order", "divergent", "reason"}
         assert set(doc["region"]) == {"p", "m", "M", "beta_budget"}
         for row in doc["orders"]:
             assert set(row) == {"order", "partial_sum", "gap_to_exact", "tail_bound"}
@@ -552,13 +654,13 @@ class TestReport:
     @pytest.mark.parametrize("head", [None, 2, 5])
     def test_one_walk_per_report(self, two_star, triangle, head, monkeypatch):
         calls = []
-        walk = expansion._connected_item_sets
+        walk = expansion._connected_batches
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(expansion, "_connected_item_sets", counted)
+        monkeypatch.setattr(expansion, "_connected_batches", counted)
         expansion_report([two_star, triangle], [0.0009, -0.0007], 4, order=3,
                          max_links=3, head_links=head)
         assert calls == [3 if head is None else max(3, head)]

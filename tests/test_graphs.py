@@ -9,10 +9,7 @@ from ergm_cluster import (
     GuardExceeded,
     Motif,
     build_interaction,
-    complete_graph,
-    empty_graph,
     ensemble_result,
-    enumerate_graphs,
     expansion_report,
     expectation_densities,
     graph_from_json,
@@ -26,10 +23,11 @@ from ergm_cluster import (
     phi_n,
     psi_n,
     truncated_log_partition,
-    weighted_density,
 )
 from ergm_cluster.ensemble import motif_hom_table
 from ergm_cluster.graphs import all_edge_sites, canonical_edge, check_alignment, edge_index
+
+from oracles import complete_graph, empty_graph, enumerate_graphs, weighted_density
 
 
 class TestSitesAndGraphs:
@@ -86,8 +84,8 @@ class TestSitesAndGraphs:
 
 EDGE = BUILTIN_MOTIFS["edge"]
 
-# Every exhaustive entry point, run on the edge model at vertex count n;
-# truncated_log_partition takes no force.
+# Every exhaustive entry point, and the oracles' graph enumeration, run on the
+# edge model at vertex count n; truncated_log_partition takes no force.
 SWEEPS = {
     "enumerate_graphs": lambda n, **kw: next(enumerate_graphs(n, **kw)),
     "psi_n": lambda n, **kw: psi_n([EDGE], [0.1], n, **kw),

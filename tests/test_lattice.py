@@ -11,24 +11,26 @@ from ergm_cluster import (
     Motif,
     banach_norm,
     build_interaction,
-    complete_graph,
-    empty_graph,
     exact_density,
     exact_hom_count,
     graph_from_mask,
-    hamiltonian,
     hom_density,
     interaction_dump,
     interaction_from_dump,
-    pinned_abs_sum,
     pinned_density,
     representation_check,
     support_families,
-    weighted_density,
 )
 from ergm_cluster.lattice import freeze_sites
 
-from oracles import interaction_by_fractions
+from oracles import (
+    complete_graph,
+    empty_graph,
+    hamiltonian,
+    interaction_by_fractions,
+    pinned_abs_sum,
+    weighted_density,
+)
 
 DATA = Path(__file__).parent / "data"
 

@@ -6,8 +6,10 @@ inside half the certified region budget for the family's (p, m).  Each hom
 table example is a random motif on at most 5 vertices with at least one edge,
 at n <= 5; each histogram example is one to three such motifs on at most 4
 vertices, at n <= 5, and each link-histogram example adds couplings that may
-be zero or equal.  The examples are derandomized, so every run checks the
-same ones.
+be zero or equal.  Each polymer-sum example draws such a family with random
+couplings and two walk depths in 0..4, and is kept when its walk has at most
+WALK_CAP connected sets, which bounds its running time.  The examples are
+derandomized, so every run checks the same ones.
 """
 
 import math
@@ -15,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergm_cluster import (
@@ -36,13 +38,14 @@ from ergm_cluster.ensemble import (
     _statistic_histogram,
     motif_hom_table,
 )
-from ergm_cluster.expansion import _LinkSystem
-from ergm_cluster.graphs import edge_index
+from ergm_cluster.expansion import _connected_item_sets, _LinkSystem, _polymer_sums
+from ergm_cluster.graphs import GuardExceeded, edge_index
 
-from oracles import exact_log_series
+from oracles import exact_log_series, polymer_sums_by_set
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
+WALK_CAP = 100_000
 
 
 @st.composite
@@ -145,3 +148,22 @@ def test_link_histogram_partitions_the_configurations(family, n, data):
     want = Counter(tuple(sum(x & config == x for x in c) for c in masks)
                    for config in range(1 << sites))
     assert dict(zip(map(tuple, rows.T.tolist()), counts.tolist())) == want
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(st.lists(motifs(max_m=4), min_size=1, max_size=3), st.integers(3, 5),
+       st.integers(0, 4), st.integers(0, 4), st.data())
+def test_batched_polymer_sums_match_the_per_set_loop(family, n, max_links, head_links, data):
+    betas = data.draw(st.lists(st.floats(-1.0, 1.0).filter(bool), min_size=len(family),
+                               max_size=len(family)))
+    sys = _LinkSystem(build_interaction(family, betas, n))
+    try:
+        for _ in _connected_item_sets(sys.adj, max(max_links, head_links), WALK_CAP):
+            pass
+    except GuardExceeded:
+        assume(False)
+    got = _polymer_sums(sys, max_links, head_links)
+    want = polymer_sums_by_set(sys, max_links, head_links)
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        assert [x.hex() for x in g.values()] == [x.hex() for x in w.values()]
