@@ -7,15 +7,17 @@ with activity w_N; disjoint collections of polymers resum the partition
 function exactly.  One walk over the connected link sets accumulates, per
 support mask, the activities up to the series depth and the bounds up to the
 certificate's head depth; the series and the certificate both read it.  The
-walk carries each set's support mask and its running products of expm1(K)
-and expm1(|K|) down the recursion, and a set one link short of the depth
-hands its extension bitmask to a flat loop, so the last level, most of the
-sets, costs no recursive call and no generator step per set.
+walk (subsets._connected_walk) builds the sets level by level, all roots
+together, in numpy chunks that carry each set's support mask and its running
+products of expm1(K) and expm1(|K|); the chunks come in depth-first order,
+so every sum is added in the same order, and comes out bit for bit the same,
+as a per-set loop would give.
 Scaling every activity by lambda, the per-size cluster sum S_k is
 [lambda^k] log Xi(lambda), where Xi sums over families of pairwise disjoint
-polymers (the Mayer expansion read as a formal power series), so the cluster
-sums come from one subset-mask sweep over the site masks with a lambda axis,
-followed by the log-series recursion.  The per-site Kotecky-Preiss condition
+polymers (the Mayer expansion read as a formal power series).  One sweep
+(subsets._family_totals) fills the families that tile each site mask, block
+by block of the masks' highest site, with every polymer of that highest site
+in one vectorized step; the log-series recursion follows.  The per-site Kotecky-Preiss condition
 sum_{N containing e} |w_N|-bound * M^|N| <= log M is certified by the
 polymer bounds up to a link-count head plus the analytic coefficient tail.
 
@@ -27,7 +29,6 @@ order.  Results are bit-reproducible across runs.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, Mapping, Sequence
@@ -42,12 +43,13 @@ from .coefficients import (
     region_bound,
 )
 from .ensemble import partition_normalized
-from .graphs import GuardExceeded, Motif, all_edge_sites, check_alignment, check_guard, edge_index
+from .graphs import Motif, all_edge_sites, check_alignment, check_guard, edge_index
 from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
+from .subsets import CHUNK, DEFAULT_MAX_COUNT, _connected_walk, _family_totals, _words
 
-# Enumeration stops with GuardExceeded after this many connected sets.
-DEFAULT_MAX_COUNT = 5_000_000
 ORDER_GUARD = 8
+# Polymer sums are tabulated by site mask up to this many sites (n = 7).
+DENSE_SITES = 21
 # Majorant coefficients tabulated exactly before the geometric tail takes over.
 TABLE_ORDER = 30
 
@@ -97,73 +99,75 @@ class _LinkSystem:
         return tuple(out)
 
 
-# One walk step: (sub, support, w, v, leaves); see _connected_batches.
-Batch = tuple[tuple[int, ...], int, float, float, int]
+def _size_column(n: int) -> tuple[np.ndarray, Callable, object]:
+    return np.ones(n, dtype=np.int64), np.add, 0
 
 
-def _connected_batches(adj: Sequence[int], max_size: int, masks: Sequence[int],
-                       ew: Sequence[float], ev: Sequence[float],
-                       max_count: int = DEFAULT_MAX_COUNT) -> Iterator[Batch]:
-    """Every connected subset of at most max_size items, exactly once, in batches.
-
-    Items are graph nodes with adjacency bitmasks.  Depth-first extension
-    rooted at each item r in turn, growing only through indices above r and
-    only into nodes not already reachable, which is what makes each subset
-    appear a single time.  Deterministic lowest-bit-first order.
-
-    Each set sub shorter than max_size, and each single item when max_size is
-    1, comes as one batch (sub, support, w, v, leaves): support ORs the items'
-    masks, w and v are the left-to-right products of ew and ev over sub,
-    carried down the recursion.  A set one item short of max_size hands over
-    its extension bitmask as leaves: every bit x of it, lowest first, is the
-    next set sub + (x,) in the order, with no batch of its own.  leaves is 0
-    on the other batches.  GuardExceeded is
-    raised as soon as the sets counted so far exceed max_count.
-    """
-    if max_size <= 0:
-        return
-    budget = max_count
-    last = max_size - 1
-
-    def rec(sub: tuple[int, ...], ext: int, covered: int, above: int,
-            support: int, w: float, v: float) -> Iterator[Batch]:
-        nonlocal budget
-        full = len(sub) >= last
-        leaves = ext if full else 0
-        budget -= 1 + leaves.bit_count()
-        if budget < 0:
-            raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
-                                hint="lower --max-links or --head-links; --force does "
-                                     "not lift this budget")
-        yield sub, support, w, v, leaves
-        if full:
-            return
-        e = ext
-        while e:
-            wbit = e & -e
-            e ^= wbit
-            x = wbit.bit_length() - 1
-            grow = adj[x] & ~covered & above
-            yield from rec(sub + (x,), e | grow, covered | grow | wbit, above,
-                           support | masks[x], w * ew[x], v * ev[x])
-
-    for r in range(len(adj)):
-        above = -1 << (r + 1)
-        # at max_size 1 a root is already full and has no leaves
-        ext = adj[r] & above if last else 0
-        yield from rec((r,), ext, (1 << r) | adj[r], above, masks[r], ew[r], ev[r])
+def _last_item(prefix: np.ndarray, item: np.ndarray) -> np.ndarray:
+    return np.where(item > 0, item, prefix)
 
 
 def _connected_item_sets(adj: Sequence[int], max_size: int,
                          max_count: int = DEFAULT_MAX_COUNT) -> Iterator[tuple[int, ...]]:
-    """The sets of _connected_batches one by one, as tuples of item indices."""
-    zeros, ones = [0] * len(adj), [1.0] * len(adj)
-    for sub, _, _, _, leaves in _connected_batches(adj, max_size, zeros, ones, ones, max_count):
-        yield sub
-        while leaves:
-            bit = leaves & -leaves
-            leaves ^= bit
-            yield sub + (bit.bit_length() - 1,)
+    """The sets of _connected_walk one by one, as tuples of item indices.
+
+    In depth-first order a set of k items is the last set of k - 1 items
+    before it plus its own last item."""
+    prefix: list[int] = []
+    columns = [_size_column(len(adj)), (np.arange(len(adj)), _last_item, 0)]
+    for sizes, last in _connected_walk(adj, max_size, columns, max_count):
+        for size, item in zip(sizes.tolist(), last.tolist()):
+            del prefix[size - 1:]
+            prefix.append(item)
+            yield tuple(prefix)
+
+
+def _polymer_sums(sys: _LinkSystem, max_links: int,
+                  head_links: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(masks, activities, masks, bounds): the polymers built from at most
+    max_links links with their activities, and those built from at most
+    head_links with their bounds, each in sorted mask order, from one walk
+    over the connected link sets.
+
+    Each set adds its product of expm1(K) to its support's activity and its
+    product of expm1(|K|) to its bound, in walk order: np.add.at adds in
+    index order and 0.0 + w == w, so every sum is bit for bit the one a
+    per-set loop gives.  Masks are int64 while the sites fit, Python ints
+    beyond.
+    """
+    depth = max(max_links, head_links)
+    site_count = len(sys.sites)
+    dtype = np.int64 if site_count < 64 else object
+    columns = [(np.array(sys.masks, dtype=dtype), np.bitwise_or, 0),
+               (np.array([math.expm1(v) for v in sys.values]), np.multiply, 1.0),
+               (np.array([math.expm1(abs(v)) for v in sys.values]), np.multiply, 1.0)]
+    if min(max_links, head_links) < depth:
+        columns.append(_size_column(len(sys.links)))
+    # Sums sit at their mask in a table while the sweep can tabulate the
+    # 2^C(n,2) masks (n <= 7, with force past 6), in dicts beyond.
+    dense = site_count <= DENSE_SITES
+    sums = np.zeros((2, 1 << site_count)) if dense else ({}, {})
+    seen = np.zeros((2, 1 << site_count), dtype=bool) if dense else None
+    for support, w, v, *sizes in _connected_walk(sys.adj, depth, columns):
+        for row, cut, x in ((0, max_links, w), (1, head_links, v)):
+            pick = slice(None) if cut >= depth else sizes[0] <= cut
+            if dense:
+                np.add.at(sums[row], support[pick], x[pick])
+                seen[row, support[pick]] = True
+            else:
+                acc = sums[row]
+                for mask, term in zip(support[pick].tolist(), x[pick].tolist()):
+                    acc[mask] = acc.get(mask, 0.0) + term
+    if dense:
+        masks = [np.flatnonzero(seen[row]) for row in (0, 1)]
+        totals = [sums[row, masks[row]] for row in (0, 1)]
+    else:
+        masks = [np.array(sorted(acc), dtype=dtype) for acc in sums]
+        totals = [np.array([acc[m] for m in sorted(acc)]) for acc in sums]
+    # The activity carries the 2^-|N| spin normalization; the bound, by its
+    # definition, does not (it dominates |w_N| all the more).
+    counts = np.array([m.bit_count() for m in masks[0].tolist()], dtype=np.int64)
+    return masks[0], np.ldexp(totals[0], -counts), masks[1], totals[1]
 
 
 def enumerate_connected_hypergraphs(K: Interaction,
@@ -188,44 +192,6 @@ class Polymer:
     bound: float
 
 
-def _polymer_sums(sys: _LinkSystem, max_links: int,
-                  head_links: int) -> tuple[dict[int, float], dict[int, float]]:
-    """Activities of the polymers built from at most max_links links and bounds
-    of those built from at most head_links, keyed by support mask in sorted
-    mask order, from one walk over the connected link sets.
-
-    Each set adds its product of expm1(K) to its support's activity and its
-    product of expm1(|K|) to its bound, in walk order; the leaves of a batch
-    are summed in a flat loop, and only at the walk's depth can they fall
-    outside one of the two cuts.
-    """
-    ew = [math.expm1(v) for v in sys.values]
-    ev = [math.expm1(abs(v)) for v in sys.values]
-    masks = sys.masks
-    depth = max(max_links, head_links)
-    leaf_w, leaf_v = depth <= max_links, depth <= head_links
-    acc_w: defaultdict[int, float] = defaultdict(float)
-    acc_v: defaultdict[int, float] = defaultdict(float)
-    for sub, support, w, v, leaves in _connected_batches(sys.adj, depth, masks, ew, ev):
-        if len(sub) <= max_links:
-            acc_w[support] += w
-        if len(sub) <= head_links:
-            acc_v[support] += v
-        while leaves:
-            bit = leaves & -leaves
-            leaves ^= bit
-            x = bit.bit_length() - 1
-            leaf = support | masks[x]
-            if leaf_w:
-                acc_w[leaf] += w * ew[x]
-            if leaf_v:
-                acc_v[leaf] += v * ev[x]
-    # The activity carries the 2^-|N| spin normalization; the bound, by its
-    # definition, does not (it dominates |w_N| all the more).
-    activities = {mask: acc_w[mask] / (1 << mask.bit_count()) for mask in sorted(acc_w)}
-    return activities, {mask: acc_v[mask] for mask in sorted(acc_v)}
-
-
 def polymer_table(K: Interaction, max_links: int) -> list[Polymer]:
     """All polymers realizable with at most max_links links, canonically sorted.
 
@@ -235,31 +201,14 @@ def polymer_table(K: Interaction, max_links: int) -> list[Polymer]:
     (bitwise identical to the literal spin sum, which a test pins down).
     """
     sys = _LinkSystem(K)
-    activities, bounds = _polymer_sums(sys, max_links, max_links)
-    return [Polymer(sys.sites_of_mask(mask), w, bounds[mask])
-            for mask, w in activities.items()]
+    masks, activities, _, bounds = _polymer_sums(sys, max_links, max_links)
+    return [Polymer(sys.sites_of_mask(mask), w, v)
+            for mask, w, v in zip(masks.tolist(), activities.tolist(), bounds.tolist())]
 
 
 def _check_order(order: int) -> None:
     if not 1 <= order <= ORDER_GUARD:
         raise ValueError(f"order must lie in 1..{ORDER_GUARD}")
-
-
-def _family_sweep(site_count: int, masks: Sequence[int], weights: Sequence[float],
-                  order: int) -> np.ndarray:
-    """table[S, k]: sum over families of k pairwise-disjoint polymers whose
-    supports tile the site mask S exactly, of the product of their weights.
-
-    Polymers enter one at a time in the given order; families of more than
-    `order` polymers are dropped, which truncates Xi(lambda) at lambda^order.
-    """
-    table = np.zeros((1 << site_count, order + 1), dtype=np.float64)
-    table[0, 0] = 1.0
-    rows = np.arange(1 << site_count, dtype=np.int64)
-    for sup, w in zip(masks, weights):
-        free = rows[(rows & sup) == 0]
-        table[free | sup, 1:] += table[free, :-1] * w
-    return table
 
 
 def _log_series(xi: Sequence[float]) -> list[float]:
@@ -283,13 +232,12 @@ def _cluster_sums(site_count: int, masks: Sequence[int], weights: Sequence[float
     Run on -|w| and negated, the same sweep gives the absolute sums: the
     connected-graph coefficient of a k-polymer cluster has sign (-1)^(k-1).
     """
-    table = _family_sweep(site_count, masks, weights, order)
-    return _log_series(table.sum(axis=0).tolist())
+    return _log_series(_family_totals(site_count, masks, weights, order))
 
 
-def _partials(site_count: int, activities: Mapping[int, float], order: int) -> list[float]:
-    sums = _cluster_sums(site_count, list(activities), list(activities.values()), order)
-    return list(accumulate(sums))
+def _partials(site_count: int, masks: np.ndarray, activities: np.ndarray,
+              order: int) -> list[float]:
+    return list(accumulate(_cluster_sums(site_count, masks, activities, order)))
 
 
 def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> list[float]:
@@ -301,8 +249,8 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
     _check_order(order)
     check_guard(K.n)
     sys = _LinkSystem(K)
-    activities, _ = _polymer_sums(sys, max_links, 0)
-    return _partials(len(sys.sites), activities, order)
+    masks, activities, _, _ = _polymer_sums(sys, max_links, 0)
+    return _partials(len(sys.sites), masks, activities, order)
 
 
 @dataclass(frozen=True)
@@ -351,16 +299,24 @@ def _check_certify_args(M: float, head_links: int) -> None:
         raise ValueError("head_links cannot be negative")
 
 
-def _certify(sites: Sequence[tuple[int, int]], bounds: Mapping[int, float], M: float,
-             head_links: int, norm: float, p: int) -> KPCertificate:
-    """kp_certify from the bounds of the polymers of at most head_links links."""
-    heads = [0.0] * len(sites)
-    for mask, bound in bounds.items():
-        term = bound * M ** mask.bit_count()
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            heads[bit.bit_length() - 1] += term
+def _certify(sites: Sequence[tuple[int, int]], masks: np.ndarray, bounds: np.ndarray,
+             M: float, head_links: int, norm: float, p: int) -> KPCertificate:
+    """kp_certify from the bounds of the polymers of at most head_links links.
+
+    Each polymer puts bound * M^|N| on every site of N, in polymer order, so
+    each site's head is the same float sum a loop over the polymers gives."""
+    heads = np.zeros(len(sites))
+    if len(masks):
+        sizes = [mask.bit_count() for mask in masks.tolist()]
+        terms = bounds * np.array([M ** k for k in range(max(sizes) + 1)])[sizes]
+        words = masks[:, None] if masks.dtype == np.int64 else \
+            _words(masks.tolist(), (len(sites) + 63) // 64)
+        rows = CHUNK // 8
+        for lo in range(0, len(masks), rows):
+            bits = np.unpackbits(words[lo:lo + rows].view(np.uint8), axis=1, bitorder="little")
+            polymer, site = np.divmod(np.flatnonzero(bits), bits.shape[1])
+            np.add.at(heads, site, terms[lo + polymer])
+    heads = heads.tolist()
     reason = ""
     if norm == 0.0:
         tail = 0.0
@@ -395,8 +351,8 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4) -> KPCertificate:
     """
     _check_certify_args(M, head_links)
     sys = _LinkSystem(K)
-    _, bounds = _polymer_sums(sys, 0, head_links)
-    return _certify(sys.sites, bounds, M, head_links, banach_norm(K), K.p_max)
+    _, _, masks, bounds = _polymer_sums(sys, 0, head_links)
+    return _certify(sys.sites, masks, bounds, M, head_links, banach_norm(K), K.p_max)
 
 
 @dataclass(frozen=True)
@@ -449,9 +405,9 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     # One walk over the connected link sets serves the series and the
     # certificate head, whatever the two depths.
     sys = _LinkSystem(K)
-    activities, bounds = _polymer_sums(sys, max_links, head)
-    cert = _certify(sys.sites, bounds, M, head, norm, p)
-    partials = _partials(site_count, activities, order)
+    masks, activities, heads, bounds = _polymer_sums(sys, max_links, head)
+    cert = _certify(sys.sites, heads, bounds, M, head, norm, p)
+    partials = _partials(site_count, masks, activities, order)
     exact = partition_normalized(K, force=force)
     tail_fn: Callable[[int], float] | None = None
     if p >= 2 and norm > 0:

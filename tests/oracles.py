@@ -1,9 +1,11 @@
 """Reference implementations that only the tests use.
 
 Most compute a quantity the library also computes, by a slower and more
-literal route: the connected sets one recursive step each and the polymer sums
+literal route: the connected sets one recursive step each, the recursive walk
+that carries supports and products down in batches, and the polymer sums
 recomputed from every set, the literal spin sum behind a polymer activity,
 per-support hypergraph sums, signed connected-graph (Ursell) coefficients,
+the polymer-gas sums by one pass over all 2^C(n,2) site masks per polymer,
 cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
 the majorant coefficients by their compositions recursion, the energy of
@@ -34,7 +36,6 @@ from ergm_cluster.expansion import (
     Polymer,
     _check_order,
     _connected_item_sets,
-    _family_sweep,
     _LinkSystem,
     _log_series,
     _polymer_sums,
@@ -183,6 +184,64 @@ def connected_sets_one_by_one(adj: Sequence[int], max_size: int) -> Iterator[tup
         yield from rec((v,), adj[v] & above, (1 << v) | adj[v], above)
 
 
+# One step of the recursive walk: (sub, support, w, v, leaves); see
+# _connected_batches.
+Batch = tuple[tuple[int, ...], int, float, float, int]
+
+
+def _connected_batches(adj: Sequence[int], max_size: int, masks: Sequence[int],
+                       ew: Sequence[float], ev: Sequence[float],
+                       max_count: int = DEFAULT_MAX_COUNT) -> Iterator[Batch]:
+    """Every connected subset of at most max_size items, exactly once, in batches.
+
+    Items are graph nodes with adjacency bitmasks.  Depth-first extension
+    rooted at each item r in turn, growing only through indices above r and
+    only into nodes not already reachable, which is what makes each subset
+    appear a single time.  Deterministic lowest-bit-first order.
+
+    Each set sub shorter than max_size, and each single item when max_size is
+    1, comes as one batch (sub, support, w, v, leaves): support ORs the items'
+    masks, w and v are the left-to-right products of ew and ev over sub,
+    carried down the recursion.  A set one item short of max_size hands over
+    its extension bitmask as leaves: every bit x of it, lowest first, is the
+    next set sub + (x,) in the order, with no batch of its own.  leaves is 0
+    on the other batches.  GuardExceeded is
+    raised as soon as the sets counted so far exceed max_count.
+    """
+    if max_size <= 0:
+        return
+    budget = max_count
+    last = max_size - 1
+
+    def rec(sub: tuple[int, ...], ext: int, covered: int, above: int,
+            support: int, w: float, v: float) -> Iterator[Batch]:
+        nonlocal budget
+        full = len(sub) >= last
+        leaves = ext if full else 0
+        budget -= 1 + leaves.bit_count()
+        if budget < 0:
+            raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
+                                hint="lower --max-links or --head-links; --force does "
+                                     "not lift this budget")
+        yield sub, support, w, v, leaves
+        if full:
+            return
+        e = ext
+        while e:
+            wbit = e & -e
+            e ^= wbit
+            x = wbit.bit_length() - 1
+            grow = adj[x] & ~covered & above
+            yield from rec(sub + (x,), e | grow, covered | grow | wbit, above,
+                           support | masks[x], w * ew[x], v * ev[x])
+
+    for r in range(len(adj)):
+        above = -1 << (r + 1)
+        # at max_size 1 a root is already full and has no leaves
+        ext = adj[r] & above if last else 0
+        yield from rec((r,), ext, (1 << r) | adj[r], above, masks[r], ew[r], ev[r])
+
+
 def polymer_sums_by_set(sys: _LinkSystem, max_links: int,
                         head_links: int) -> tuple[dict[int, float], dict[int, float]]:
     """The library's polymer sums, recomputed from every connected set's tuple.
@@ -209,6 +268,31 @@ def polymer_sums_by_set(sys: _LinkSystem, max_links: int,
             acc_v[support] = acc_v.get(support, 0.0) + v
     activities = {mask: acc_w[mask] / (1 << mask.bit_count()) for mask in sorted(acc_w)}
     return activities, {mask: acc_v[mask] for mask in sorted(acc_v)}
+
+
+def polymer_sum_dicts(sys: _LinkSystem, max_links: int,
+                      head_links: int) -> tuple[dict[int, float], dict[int, float]]:
+    """The library's polymer sums as two dicts, mask to activity and mask to bound."""
+    masks, activities, heads, bounds = _polymer_sums(sys, max_links, head_links)
+    return (dict(zip(masks.tolist(), activities.tolist())),
+            dict(zip(heads.tolist(), bounds.tolist())))
+
+
+def _family_sweep(site_count: int, masks: Sequence[int], weights: Sequence[float],
+                  order: int) -> np.ndarray:
+    """table[S, k]: sum over families of k pairwise-disjoint polymers whose
+    supports tile the site mask S exactly, of the product of their weights.
+
+    Polymers enter one at a time in the given order; families of more than
+    `order` polymers are dropped, which truncates Xi(lambda) at lambda^order.
+    """
+    table = np.zeros((1 << site_count, order + 1), dtype=np.float64)
+    table[0, 0] = 1.0
+    rows = np.arange(1 << site_count, dtype=np.int64)
+    for sup, w in zip(masks, weights):
+        free = rows[(rows & sup) == 0]
+        table[free | sup, 1:] += table[free, :-1] * w
+    return table
 
 
 def _spanning_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
@@ -525,13 +609,12 @@ def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: in
     check_guard(K.n)
     sys = _LinkSystem(K)
     X = freeze_sites(N, K.n)
-    activities, _ = _polymer_sums(sys, max_links, 0)
-    masks = list(activities)
-    if sys._site_mask(X) not in activities:
+    masks, activities, _, _ = _polymer_sums(sys, max_links, 0)
+    masks = masks.tolist()
+    if sys._site_mask(X) not in masks:
         raise ValueError(f"{X} is not a realizable polymer support here")
     pin = masks.index(sys._site_mask(X))
-    return sum(_pinned_abs_sums(len(sys.sites), masks, list(activities.values()),
-                                order, pin))
+    return sum(_pinned_abs_sums(len(sys.sites), masks, activities.tolist(), order, pin))
 
 
 def cluster_partition_sum(K: Interaction) -> float:
@@ -546,9 +629,8 @@ def cluster_partition_sum(K: Interaction) -> float:
     check_guard(K.n)
     sys = _LinkSystem(K)
     site_count = len(sys.sites)
-    activities, _ = _polymer_sums(sys, len(sys.links), 0)
-    table = _family_sweep(site_count, list(activities), list(activities.values()),
-                          site_count)
+    masks, activities, _, _ = _polymer_sums(sys, len(sys.links), 0)
+    table = _family_sweep(site_count, masks.tolist(), activities.tolist(), site_count)
     return float(np.sum(table))
 
 

@@ -351,9 +351,9 @@ class TestFailureModes:
         assert exc.value.code == 2
 
     def test_budget_hint_names_the_real_remedy(self, monkeypatch, capsys):
-        walk = expansion._connected_batches
-        monkeypatch.setattr(expansion, "_connected_batches",
-                            lambda adj, size, *items: walk(adj, size, *items, max_count=10))
+        walk = expansion._connected_walk
+        monkeypatch.setattr(expansion, "_connected_walk",
+                            lambda adj, size, *columns: walk(adj, size, *columns, max_count=10))
         for force in ([], ["--force"]):
             start = time.perf_counter()
             rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4",
@@ -412,6 +412,9 @@ class TestFailureModes:
         (["coeffs", "--p", "3000000", "--norm", "1e-9"], 2),
         (["region", "--p", "10000000", "--m", "3"], 2),
         (["coeffs", "--p", "20000", "--norm", "0"], 0),
+        # more than 5 000 000 connected sets, counted before the fifth level exists
+        (["expand", "--motifs", "two-star", "triangle", "--betas", "0.0005", "0.0004",
+          "--n", "6", "--order", "2", "--max-links", "5"], 3),
     ])
     def test_huge_sizes_refused_up_front(self, argv, code, capsys):
         start = time.perf_counter()

@@ -1,9 +1,11 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations
 
+import numpy as np
 import pytest
 
 from ergm_cluster import (
@@ -24,17 +26,19 @@ from ergm_cluster import (
 from ergm_cluster import expansion
 from ergm_cluster.expansion import (
     _cluster_sums,
-    _connected_batches,
     _connected_item_sets,
+    _connected_walk,
+    _last_item,
     _LinkSystem,
+    _size_column,
 )
 from ergm_cluster.graphs import check_guard
 from ergm_cluster.lattice import Interaction, freeze_sites
 
 import oracles
-from oracles import _pinned_abs_sums, _spin_sum, activity_bound, cluster_partition_sum, \
-    connected_sets_one_by_one, exact_log_series, pinned_cluster_abs_sum, polymer_activity, \
-    ursell_coefficient
+from oracles import _connected_batches, _pinned_abs_sums, _spin_sum, activity_bound, \
+    cluster_partition_sum, connected_sets_one_by_one, exact_log_series, pinned_cluster_abs_sum, \
+    polymer_activity, ursell_coefficient
 
 HALF_BUDGET = region_bound(2, 3, optimal_M(2)) / 2
 
@@ -120,36 +124,55 @@ class TestConnectedSets:
 
     def test_guard_fires_exactly_past_the_count(self):
         for adj in random_adjacencies(seed=13, count=20, max_items=8):
-            items = ([0] * len(adj), [1.0] * len(adj), [1.0] * len(adj))
             for max_size in range(1, len(adj) + 1):
                 count = len(list(connected_sets_one_by_one(adj, max_size)))
                 assert len(list(_connected_item_sets(adj, max_size, count))) == count
-                assert sum(1 + leaves.bit_count() for *_, leaves
-                           in _connected_batches(adj, max_size, *items, count)) == count
+                sizes = [_size_column(len(adj))]
+                assert sum(len(chunk[0]) for chunk in
+                           _connected_walk(adj, max_size, sizes, count)) == count
                 with pytest.raises(GuardExceeded) as exc:
                     list(_connected_item_sets(adj, max_size, count - 1))
                 assert str(exc.value) == f"connected-set enumeration exceeded {count - 1} sets"
                 assert exc.value.hint == ("lower --max-links or --head-links; "
                                           "--force does not lift this budget")
                 with pytest.raises(GuardExceeded):
-                    list(_connected_batches(adj, max_size, *items, count - 1))
+                    next(_connected_walk(adj, max_size, sizes, count - 1))
 
     def test_batches_carry_supports_and_products(self):
+        # the level walk's columns against the recursive walk that carries
+        # supports and products down, set by set and bit for bit
         rng = random.Random(17)
         for adj in random_adjacencies(seed=19, count=10, max_items=8):
             masks = [rng.getrandbits(12) for _ in adj]
             ew = [rng.uniform(-2.0, 2.0) for _ in adj]
             ev = [abs(x) for x in ew]
+            columns = [_size_column(len(adj)), (np.arange(len(adj)), _last_item, 0),
+                       (np.array(masks), np.bitwise_or, 0),
+                       (np.array(ew), np.multiply, 1.0), (np.array(ev), np.multiply, 1.0)]
             for max_size in range(1, 5):
+                want = []
                 for sub, support, w, v, leaves in _connected_batches(adj, max_size, masks,
                                                                      ew, ev):
-                    assert leaves == 0 or len(sub) == max_size - 1
-                    want_support, want_w, want_v = 0, 1.0, 1.0
-                    for i in sub:
-                        want_support |= masks[i]
-                        want_w *= ew[i]
-                        want_v *= ev[i]
-                    assert (support, w, v) == (want_support, want_w, want_v)
+                    want.append((len(sub), sub[-1], support, w, v))
+                    for x in range(len(adj)):
+                        if leaves >> x & 1:
+                            want.append((len(sub) + 1, x, support | masks[x],
+                                         w * ew[x], v * ev[x]))
+                got = [row for chunk in _connected_walk(adj, max_size, columns)
+                       for row in zip(*(col.tolist() for col in chunk))]
+                assert [(size, x, support, w.hex(), v.hex())
+                        for size, x, support, w, v in got] == \
+                    [(size, x, support, w.hex(), v.hex())
+                     for size, x, support, w, v in want]
+
+    def test_guard_counts_before_the_deepest_level(self, two_star, triangle):
+        # 95 links at n = 6: the fifth level alone holds more than the budget
+        # of 5 000 000 sets, and the count refuses without building it
+        sys = _LinkSystem(build_interaction([two_star, triangle], [0.0005, 0.0004], 6))
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            next(_connected_walk(sys.adj, 5))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestHypergraphEnumeration:
@@ -237,6 +260,15 @@ class TestActivities:
             literal = _spin_sum([sys.values[i] for i in idxs],
                                 [sys.masks[i] for i in idxs], support)
             assert literal == prod / (1 << support.bit_count())
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_sums_past_the_mask_table_match_the_per_set_loop(self, two_star, triangle, n):
+        # 28 sites keep int64 masks in dicts; 66 sites need Python-int masks
+        sys = _LinkSystem(build_interaction([two_star, triangle], [0.0005, -0.0004], n))
+        for got, want in zip(oracles.polymer_sum_dicts(sys, 2, 1),
+                             oracles.polymer_sums_by_set(sys, 2, 1)):
+            assert list(got) == list(want)
+            assert [x.hex() for x in got.values()] == [x.hex() for x in want.values()]
 
     def test_spin_sum_site_guard(self):
         with pytest.raises(GuardExceeded):
@@ -449,6 +481,21 @@ class TestSweepGuard:
             pinned_cluster_abs_sum(K, [(0, 1)], 1, max_links=1)
 
 
+class TestFamilySweep:
+    def test_forced_edge_model_at_n7(self, edge):
+        # 21 one-site polymers over 2^21 site masks, past the size guard
+        K = build_interaction([edge], [0.1], 7)
+        sys = _LinkSystem(K)
+        masks, ws = sys.masks, [math.expm1(v) / 2 for v in sys.values]
+        got = _cluster_sums(len(sys.sites), masks, ws, 2)
+        assert_close(got, exact_log_series(masks, ws, 2), 1e-13)
+        # the per-mask sweep adds 2^21 column entries one by one: float-oracle tolerance
+        table = oracles._family_sweep(len(sys.sites), masks, ws, 2)
+        assert_close(got, oracles._log_series(table.sum(axis=0).tolist()), 1e-11)
+        rep = expansion_report([edge], [0.1], 7, order=2, max_links=2, force=True)
+        assert [row.partial_sum for row in rep.orders] == list(accumulate(got))
+
+
 class TestResummation:
     def test_matches_transfer_sum(self, edge, two_star, triangle):
         for motifs, betas, n in (([edge], [0.4], 4),
@@ -581,6 +628,18 @@ class TestCertificate:
         for site, got in cert.per_site_sums.items():
             assert got - cert.tail == pytest.approx(want[site], rel=1e-13)
 
+    @pytest.mark.parametrize("n", [4, 8, 17])
+    def test_head_is_the_per_polymer_loop(self, triangle, n):
+        # 6, 28 and 136 sites: one word, one word, three words of site bits
+        M = optimal_M(3)
+        K = build_interaction([triangle], [0.0005], n)
+        cert = kp_certify(K, M, head_links=2)
+        heads = dict.fromkeys(cert.per_site_sums, 0.0)
+        for p in polymer_table(K, 2):
+            for site in p.support:
+                heads[site] += p.bound * M ** len(p.support)
+        assert {site: head + cert.tail for site, head in heads.items()} == cert.per_site_sums
+
     def test_validation(self, edge):
         K = build_interaction([edge], [0.1], 3)
         with pytest.raises(ValueError):
@@ -654,16 +713,31 @@ class TestReport:
     @pytest.mark.parametrize("head", [None, 2, 5])
     def test_one_walk_per_report(self, two_star, triangle, head, monkeypatch):
         calls = []
-        walk = expansion._connected_batches
+        walk = expansion._connected_walk
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(expansion, "_connected_batches", counted)
+        monkeypatch.setattr(expansion, "_connected_walk", counted)
         expansion_report([two_star, triangle], [0.0009, -0.0007], 4, order=3,
                          max_links=3, head_links=head)
         assert calls == [3 if head is None else max(3, head)]
+
+    def test_memory_of_a_warm_report(self, two_star, triangle):
+        # two-star and triangle at n = 5, order 2, four links: 53 130 sets and
+        # 957 polymers.  The per-set walk with dict sums and the per-polymer
+        # sweep over every site mask peaked at 269 KB on this input; chunked
+        # steps keep every temporary below that.
+        args = ([two_star, triangle], [0.0005, -0.0004], 5)
+        expansion_report(*args, order=2, max_links=4)
+        tracemalloc.start()
+        try:
+            expansion_report(*args, order=2, max_links=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 269 * 1024
 
     def test_deterministic(self, two_star, triangle):
         a = report_jsonable(expansion_report([two_star, triangle], [0.001, 0.0005], 3))

@@ -8,8 +8,10 @@ at n <= 5; each histogram example is one to three such motifs on at most 4
 vertices, at n <= 5, and each link-histogram example adds couplings that may
 be zero or equal.  Each polymer-sum example draws such a family with random
 couplings and two walk depths in 0..4, and is kept when its walk has at most
-WALK_CAP connected sets, which bounds its running time.  The examples are
-derandomized, so every run checks the same ones.
+WALK_CAP connected sets, which bounds its running time.  Each polymer-gas
+example is up to ten distinct nonempty site masks on at most six sites, in
+any order, with weights of either sign in [-1, 1], and an order in 1..4.  The
+examples are derandomized, so every run checks the same ones.
 """
 
 import math
@@ -38,10 +40,10 @@ from ergm_cluster.ensemble import (
     _statistic_histogram,
     motif_hom_table,
 )
-from ergm_cluster.expansion import _connected_item_sets, _LinkSystem, _polymer_sums
+from ergm_cluster.expansion import _cluster_sums, _connected_item_sets, _LinkSystem, _log_series
 from ergm_cluster.graphs import GuardExceeded, edge_index
 
-from oracles import exact_log_series, polymer_sums_by_set
+from oracles import _family_sweep, exact_log_series, polymer_sum_dicts, polymer_sums_by_set
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -95,6 +97,30 @@ def test_every_order_inside_its_tail_bound(family):
     rounding = 16 * math.ulp(1.0) * n * (n - 1) / 2 * math.log(2.0)
     for row in rep.orders:
         assert row.gap_to_exact <= row.tail_bound + rounding, row
+
+
+@st.composite
+def polymer_gases(draw):
+    sites = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(1, (1 << sites) - 1), min_size=1, max_size=10,
+                          unique=True))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(masks), max_size=len(masks)))
+    return sites, masks, weights, draw(st.integers(1, 4))
+
+
+@PROPERTY_SETTINGS
+@given(polymer_gases())
+def test_family_sweep_matches_rationals_and_the_per_mask_sweep(gas):
+    # Both signs of weight, polymers in any order.  The float error of a
+    # cluster sum scales with the absolute cluster mass behind it.
+    sites, masks, weights, order = gas
+    got = _cluster_sums(sites, masks, weights, order)
+    want = exact_log_series(masks, weights, order)
+    mass = [-s for s in exact_log_series(masks, [-abs(w) for w in weights], order)]
+    per_mask = _log_series(_family_sweep(sites, masks, weights, order).sum(axis=0).tolist())
+    for g, w, p, a in zip(got, want, per_mask, mass):
+        assert abs(Fraction(g) - w) <= Fraction(1e-13) * a
+        assert abs(Fraction(g) - Fraction(p)) <= Fraction(1e-11) * a
 
 
 @st.composite
@@ -162,7 +188,7 @@ def test_batched_polymer_sums_match_the_per_set_loop(family, n, max_links, head_
             pass
     except GuardExceeded:
         assume(False)
-    got = _polymer_sums(sys, max_links, head_links)
+    got = polymer_sum_dicts(sys, max_links, head_links)
     want = polymer_sums_by_set(sys, max_links, head_links)
     for g, w in zip(got, want):
         assert list(g) == list(w)
