@@ -201,8 +201,9 @@ def _family_totals(site_count: int, masks: Sequence[int], weights: Sequence[floa
     below 2^b, so all polymers with highest site b enter in one step: for
     each, R runs over the subsets of the sites below b outside P, and
     w_P t[k-1, R] is added at P + R.  Polymers with the same number of such
-    subsets go together as a (polymer, R) grid, in chunks that stay within a
-    sixteenth of the table.  Xi_k is the (pairwise) sum of t[k].
+    subsets go together as a (polymer, R) grid, in chunks of CHUNK pairs or,
+    for larger tables, of at most a 32nd of the table's entries.  Xi_k is the
+    (pairwise) sum of t[k].
     """
     t = np.zeros((order + 1, 1 << site_count))
     t[0, 0] = 1.0
