@@ -19,7 +19,6 @@ from .coefficients import (
 )
 from .ensemble import (
     EnsembleResult,
-    derivative_check,
     ensemble_result,
     expectation_densities,
     motif_hom_table,
@@ -86,7 +85,6 @@ __all__ = [
     "banach_norm",
     "build_interaction",
     "coefficient_tail",
-    "derivative_check",
     "ensemble_result",
     "enumerate_connected_hypergraphs",
     "exact_density",

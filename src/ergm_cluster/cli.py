@@ -189,18 +189,21 @@ def cmd_density(ns: argparse.Namespace) -> int:
         n = G.n if G is not None else (int(n_opt) if n_opt is not None else None)
         if n is None:
             raise ValueError("--sites needs --graph or --n to fix the vertex count")
-        pairs = json.loads(sites) if isinstance(sites, str) else sites
-        X = freeze_sites([tuple(int(v) for v in e) for e in pairs], n)
-        num = exact_hom_count(H, X, n)
-        kind = "exact"
+    elif G is None:
+        raise ValueError("--graph is required without --sites")
     else:
-        if G is None:
-            raise ValueError("--graph is required without --sites")
         n = G.n
         if n_opt is not None and int(n_opt) != n:
             raise ValueError(f"--n {n_opt} disagrees with the graph file (n={n})")
-        num = hom_count(H, G)
-        kind = "hom"
+    # A density divides by n^m, which is 0 at n = 0.
+    if n < 1:
+        raise ValueError(f"need n >= 1 vertices, got n={n}")
+    if sites is not None:
+        pairs = json.loads(sites) if isinstance(sites, str) else sites
+        X = freeze_sites([tuple(int(v) for v in e) for e in pairs], n)
+        num, kind = exact_hom_count(H, X, n), "exact"
+    else:
+        num, kind = hom_count(H, G), "hom"
     den = n ** H.m
     print(f"{num}/{den}")
     doc = {"motif": H.name, "kind": kind, "n": n,

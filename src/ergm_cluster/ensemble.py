@@ -2,8 +2,7 @@
 
 Everything here sums over all 2^C(n,2) graphs: the exact normalized partition
 function of an interaction, the finite-size free energies psi_n and phi_n,
-model expectations of motif densities, and a central-difference check that
-d psi / d beta_i matches the expectation of t(H_i, G).
+and model expectations of motif densities.
 
 Both routes sum over histograms, not graphs.  psi_n and the expectations go
 through raw homomorphism counts, reduced once per (motifs, n) to the distinct
@@ -222,26 +221,6 @@ def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float], n: in
     """Model expectations E[t(H_i, G)] under the exponential family weights."""
     check_guard(n, force)
     return _ensemble_sums(motifs, betas, n)[1]
-
-
-def derivative_check(motifs: Sequence[Motif], betas: Sequence[float], n: int,
-                     i: int, h: float = 1e-4, force: bool = False) -> tuple[float, float]:
-    """Central difference of psi_n in beta_i against the motif expectation.
-
-    Returns (finite_difference, expectation); the two agree to O(h^2) because
-    d psi_n / d beta_i = E[t(H_i, G)] at every finite n.
-    """
-    check_alignment(motifs, betas)
-    if not 0 <= i < len(betas):
-        raise ValueError(f"coordinate {i} out of range")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    up = list(betas)
-    dn = list(betas)
-    up[i] += h
-    dn[i] -= h
-    fd = (psi_n(motifs, up, n, force) - psi_n(motifs, dn, n, force)) / (2 * h)
-    return fd, expectation_densities(motifs, betas, n, force)[i]
 
 
 @dataclass(frozen=True)

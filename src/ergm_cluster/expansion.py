@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -64,25 +66,14 @@ class _LinkSystem:
         self.links: tuple[EdgeSubset, ...] = tuple(sorted(K.k_map))
         self.values = tuple(float(K.k_map[X]) for X in self.links)
         self.masks = tuple(self._site_mask(X) for X in self.links)
-        # Link overlap graph: adjacency bitmasks over link indices.
-        by_site: dict[int, int] = {}
-        for i, mask in enumerate(self.masks):
-            m = mask
-            while m:
-                bit = m & -m
-                m ^= bit
-                by_site[bit] = by_site.get(bit, 0) | (1 << i)
-        adj = [0] * len(self.links)
-        for members in by_site.values():
-            mm = members
-            while mm:
-                bit = mm & -mm
-                mm ^= bit
-                i = bit.bit_length() - 1
-                adj[i] |= members
-        for i in range(len(adj)):
-            adj[i] &= ~(1 << i)
-        self.adj = adj
+        # Link overlap graph: adjacency bitmasks over link indices, each link
+        # the union of the links on its sites, itself left out.
+        by_site = dict.fromkeys(self.sites, 0)
+        for i, X in enumerate(self.links):
+            for e in X:
+                by_site[e] |= 1 << i
+        self.adj = [reduce(or_, (by_site[e] for e in X)) & ~(1 << i)
+                    for i, X in enumerate(self.links)]
 
     def _site_mask(self, X: EdgeSubset) -> int:
         m = 0
@@ -176,8 +167,7 @@ def enumerate_connected_hypergraphs(K: Interaction,
 
     max_links = 0 yields nothing.
     """
-    if max_links < 0:
-        raise ValueError("max_links cannot be negative")
+    _check_max_links(max_links)
     sys = _LinkSystem(K)
     for idxs in _connected_item_sets(sys.adj, max_links):
         yield tuple(sys.links[i] for i in idxs)
@@ -204,6 +194,11 @@ def polymer_table(K: Interaction, max_links: int) -> list[Polymer]:
     masks, activities, _, bounds = _polymer_sums(sys, max_links, max_links)
     return [Polymer(sys.sites_of_mask(mask), w, v)
             for mask, w, v in zip(masks.tolist(), activities.tolist(), bounds.tolist())]
+
+
+def _check_max_links(max_links: int) -> None:
+    if max_links < 0:
+        raise ValueError("max_links cannot be negative")
 
 
 def _check_order(order: int) -> None:
@@ -247,6 +242,7 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
     entry n0-1 of the result is the expansion truncated at cluster size n0.
     """
     _check_order(order)
+    _check_max_links(max_links)
     check_guard(K.n)
     sys = _LinkSystem(K)
     masks, activities, _, _ = _polymer_sums(sys, max_links, 0)
@@ -392,6 +388,7 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     """
     check_alignment(motifs, betas)
     _check_order(order)
+    _check_max_links(max_links)
     check_guard(n, force)
     site_count = n * (n - 1) // 2
     p = max(H.p for H in motifs)

@@ -6,7 +6,11 @@ tables index edge-subset bitmasks in increasing order with bit k standing
 for the k-th site.  That order is part of the contract: two runs of any
 enumeration in this package produce identical sequences.
 
-Homomorphism counts are plain integers from backtracking, densities are exact
+One backtracking walk over the vertex maps of a motif into a host graph,
+_maps, serves every count here and in the lattice module: hom_count counts
+the maps into G, and _edge_images groups them by edge image, over K_n for
+lattice.support_families and over the subset itself for
+lattice.exact_hom_count.  Counts are plain integers, densities exact
 rationals; floats only appear once a beta vector is folded in.
 """
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # The hom tables, log W and the series sweep all tabulate the
 # 2^C(n,2) edge-site masks; 2^15 masks at n = 6 is where they start to crawl.
@@ -248,32 +252,32 @@ def _traversal_order(H: Motif) -> tuple[list[list[int]], int]:
     return earlier, isolated
 
 
-def hom_count(H: Motif, G: SimpleGraph) -> int:
-    """Number of maps V(H) -> V(G) sending every motif edge to an edge of G.
+def _maps(H: Motif, adj: Sequence[int], start: int,
+          leaf: Callable[[list[int], int], None]) -> int:
+    """The one backtracking walk over the vertex maps of a motif into a host.
 
-    Plain backtracking over vertex images; at each step the candidate set is
-    the intersection of the G-neighborhoods of the images of already-placed
-    motif neighbors.  Isolated motif vertices contribute a free factor n each.
+    The host is given by neighbour bitmasks adj[v] (a list or a dict); every
+    component root ranges over the vertex mask start, and every later vertex
+    over the common host neighbours of its placed motif neighbours.  The
+    non-isolated motif vertices are placed in _traversal_order; for each
+    placement of all but the last, leaf(images, cand) receives the images
+    (images[i] is the host vertex of the i-th placed motif vertex) and the
+    nonzero candidate mask of the last one.  Returns the isolated motif
+    vertex count; each such vertex multiplies every count by the host size.
     """
-    n = G.n
-    if n == 0:
-        return 0
     earlier, isolated = _traversal_order(H)
-    gadj = G.adjacency()
-    full = (1 << n) - 1
-    images = [0] * len(earlier)
-    count = 0
+    last = len(earlier) - 1
+    images = [0] * last
 
     def place(i: int) -> None:
-        nonlocal count
-        if i == len(earlier):
-            count += 1
-            return
-        cand = full
+        cand = start
         for j in earlier[i]:
-            cand &= gadj[images[j]]
+            cand &= adj[images[j]]
             if not cand:
                 return
+        if i == last:
+            leaf(images, cand)
+            return
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -281,7 +285,58 @@ def hom_count(H: Motif, G: SimpleGraph) -> int:
             place(i + 1)
 
     place(0)
-    return count * n ** isolated
+    return isolated
+
+
+def _edge_images(H: Motif, adj: Sequence[int],
+                 start: int) -> tuple[dict[tuple[tuple[int, int], ...], int], int]:
+    """The maps of _maps(H, adj, start) counted by their edge image, plus the
+    isolated motif vertex count.
+
+    Images are keyed by canonical site tuples over the host vertices
+    0..len(adj)-1, in sorted order.  Each leaf builds the site mask of its
+    placed vertices once and adds only the last vertex's sites per candidate.
+    """
+    earlier, _ = _traversal_order(H)
+    last = len(earlier) - 1
+    sites, index = all_edge_sites(len(adj)), edge_index(len(adj))
+    site_bit = [[1 << index[(a, b) if a < b else (b, a)] if a != b else 0
+                 for b in range(len(adj))] for a in range(len(adj))]
+    placed = [(k, j) for k in range(last) for j in earlier[k]]
+    counts: dict[int, int] = {}
+
+    def leaf(images: list[int], cand: int) -> None:
+        image = 0
+        for k, j in placed:
+            image |= site_bit[images[k]][images[j]]
+        rows = [site_bit[images[j]] for j in earlier[last]]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            w = bit.bit_length() - 1
+            key = image
+            for row in rows:
+                key |= row[w]
+            counts[key] = counts.get(key, 0) + 1
+
+    isolated = _maps(H, adj, start, leaf)
+    return {tuple(sites[k] for k in _bits(mask)): c for mask, c in counts.items()}, isolated
+
+
+def hom_count(H: Motif, G: SimpleGraph) -> int:
+    """Number of maps V(H) -> V(G) sending every motif edge to an edge of G.
+
+    The maps of _maps into G's adjacency, the last vertex's candidates counted
+    by popcount; isolated motif vertices contribute a free factor n each.
+    """
+    count = 0
+
+    def leaf(images: list[int], cand: int) -> None:
+        nonlocal count
+        count += cand.bit_count()
+
+    isolated = _maps(H, G.adjacency(), (1 << G.n) - 1, leaf)
+    return count * G.n ** isolated
 
 
 def _bits(mask: int) -> Iterator[int]:

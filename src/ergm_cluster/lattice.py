@@ -4,7 +4,10 @@ A motif H contributes to an edge subset X through maps whose edge image lands
 inside X and covers all of it; d(H, X) is that count over n^m.  Summing d over
 the subsets of E(G) recovers the homomorphism density t(H, G), which is what
 lets a motif family act as a lattice gas on the C(n,2) edge sites with a
-finite-body interaction K(X) = n^2 * sum_i beta_i d(H_i, X).
+finite-body interaction K(X) = n^2 * sum_i beta_i d(H_i, X).  The counts
+c(H, X) = n^m d(H, X) come from the one vertex-map walk of graphs._maps,
+grouped by edge image: over K_n for every X at once (support_families), over
+X's own support for one X (exact_hom_count).
 
 All structural densities are exact rationals; K values are floats with a
 single documented rounding point in build_interaction.
@@ -27,7 +30,7 @@ from .graphs import (
     check_alignment,
     edge_index,
     hom_density,
-    _traversal_order,
+    _edge_images,
 )
 
 EdgeSubset = tuple[tuple[int, int], ...]
@@ -42,66 +45,29 @@ def freeze_sites(sites: Iterable[Sequence[int]], n: int) -> EdgeSubset:
     return tuple(sorted(out))
 
 
-def _support_vertices(X: EdgeSubset) -> tuple[int, ...]:
-    verts: set[int] = set()
-    for u, v in X:
-        verts.add(u)
-        verts.add(v)
-    return tuple(sorted(verts))
-
-
 def exact_hom_count(H: Motif, X: EdgeSubset, n: int) -> int:
     """Number of maps V(H) -> V_n whose edge image lies inside X and covers X.
 
     Non-isolated motif vertices can only land on support vertices of X (their
-    incident edges must map into X), so backtracking runs over the support;
-    isolated vertices contribute a free factor n each.  Short-circuits to 0
-    when |X| exceeds the motif edge count: p edges cannot cover more sites.
+    incident edges must map into X), so the maps are grouped by edge image
+    over the host X on its support, relabeled 0..k-1 in order, which keeps
+    every pair and the sort order canonical; isolated vertices contribute a
+    free factor n each.  X goes through freeze_sites, so a pair outside V_n or
+    a self-loop raises ValueError.  Short-circuits to 0 when |X| exceeds the
+    motif edge count: p edges cannot cover more sites.
     """
-    X = tuple(sorted(X))
+    X = freeze_sites(X, n)
     if not X or len(X) > H.p:
         return 0
-    verts = _support_vertices(X)
-    if verts[-1] >= n:
-        raise ValueError(f"subset {X} does not fit inside n={n}")
-    site_bit = {e: 1 << k for k, e in enumerate(X)}
-    # Adjacency restricted to X, plus the bit of the site each pair realizes.
-    xadj: dict[int, int] = {v: 0 for v in verts}
-    for u, v in X:
-        xadj[u] |= 1 << v
-        xadj[v] |= 1 << u
-    earlier, isolated = _traversal_order(H)
-    support_mask = 0
-    for v in verts:
-        support_mask |= 1 << v
-    full_cover = (1 << len(X)) - 1
-    images = [0] * len(earlier)
-    count = 0
-
-    def place(i: int, covered: int) -> None:
-        nonlocal count
-        if i == len(earlier):
-            if covered == full_cover:
-                count += 1
-            return
-        cand = support_mask
-        for j in earlier[i]:
-            cand &= xadj[images[j]]
-            if not cand:
-                return
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            add = 0
-            for j in earlier[i]:
-                a, b = images[j], w
-                add |= site_bit[(a, b) if a < b else (b, a)]
-            images[i] = w
-            place(i + 1, covered | add)
-
-    place(0, 0)
-    return count * n ** isolated
+    verts = sorted({v for e in X for v in e})
+    label = {v: i for i, v in enumerate(verts)}
+    Y = tuple((label[u], label[v]) for u, v in X)
+    adj = [0] * len(verts)
+    for u, v in Y:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    counts, isolated = _edge_images(H, adj, (1 << len(verts)) - 1)
+    return counts.get(Y, 0) * n ** isolated
 
 
 def exact_density(H: Motif, X: EdgeSubset, n: int) -> Fraction:
@@ -122,32 +88,8 @@ def support_families(H: Motif, n: int) -> dict[EdgeSubset, Fraction]:
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    earlier, isolated = _traversal_order(H)
     full = (1 << n) - 1
-    images = [0] * len(earlier)
-    counts: dict[EdgeSubset, int] = defaultdict(int)
-
-    def place(i: int) -> None:
-        if i == len(earlier):
-            image = set()
-            for k, js in enumerate(earlier):
-                for j in js:
-                    a, b = images[k], images[j]
-                    image.add((a, b) if a < b else (b, a))
-            counts[tuple(sorted(image))] += 1
-            return
-        cand = full
-        for j in earlier[i]:
-            cand &= full ^ (1 << images[j])  # no motif edge may collapse to a loop
-            if not cand:
-                return
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            images[i] = bit.bit_length() - 1
-            place(i + 1)
-
-    place(0)
+    counts, isolated = _edge_images(H, [full ^ (1 << v) for v in range(n)], full)
     denom = n ** H.m
     scale = n ** isolated
     return {X: Fraction(c * scale, denom) for X, c in sorted(counts.items())}

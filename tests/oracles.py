@@ -12,10 +12,12 @@ the majorant coefficients by their compositions recursion, the energy of
 every configuration by one masking pass per interaction link and by one
 float subset-sum transform, the interaction accumulated in Fractions, and
 psi_n and the motif expectations summed graph by graph over one log-weight
-per graph.  Two check quantities the library never needs: the absolute
-cluster mass pinned to one polymer, which the Kotecky-Preiss condition bounds,
-and W resummed over every family of disjoint polymers, which must equal the
-exact partition function.  The last few are small graph helpers the
+per graph, and the exact-image counts c(H, X) by inverting the hom table.
+Three check quantities the library never needs: the absolute cluster mass
+pinned to one polymer, which the Kotecky-Preiss condition bounds, W resummed
+over every family of disjoint polymers, which must equal the exact partition
+function, and the central difference of psi_n in one coupling, which must
+match the motif expectation.  The last few are small graph helpers the
 library never calls: empty and complete graphs, every graph on n vertices
 (under the library's size guard), the weighted density sum_i beta_i t(H_i, G),
 one site's absolute interaction sum, and the Hamiltonian of one graph.
@@ -40,7 +42,7 @@ from ergm_cluster.expansion import (
     _log_series,
     _polymer_sums,
 )
-from ergm_cluster.ensemble import _subset_sums, motif_hom_table
+from ergm_cluster.ensemble import _subset_sums, expectation_densities, motif_hom_table, psi_n
 from ergm_cluster.graphs import (
     GuardExceeded,
     Motif,
@@ -570,6 +572,39 @@ def expectations_by_graph(motifs: Sequence[Motif], betas: Sequence[float],
     probs = np.exp(weights - np.max(weights))
     probs /= np.sum(probs)
     return [float(np.sum(motif_hom_table(H, n) * probs)) / n ** H.m for H in motifs]
+
+
+def derivative_check(motifs: Sequence[Motif], betas: Sequence[float], n: int,
+                     i: int, h: float = 1e-4, force: bool = False) -> tuple[float, float]:
+    """Central difference of psi_n in beta_i against the motif expectation.
+
+    Returns (finite_difference, expectation); the two agree to O(h^2) because
+    d psi_n / d beta_i = E[t(H_i, G)] at every finite n.
+    """
+    check_alignment(motifs, betas)
+    if not 0 <= i < len(betas):
+        raise ValueError(f"coordinate {i} out of range")
+    if h <= 0:
+        raise ValueError("step must be positive")
+    up = list(betas)
+    dn = list(betas)
+    up[i] += h
+    dn[i] -= h
+    fd = (psi_n(motifs, up, n, force) - psi_n(motifs, dn, n, force)) / (2 * h)
+    return fd, expectation_densities(motifs, betas, n, force)[i]
+
+
+def image_counts_by_subset_differences(H: Motif, n: int) -> dict[EdgeSubset, int]:
+    """c(H, X), the number of vertex maps whose edge image is exactly X, for
+    every X with c != 0: hom(H, G) sums c(H, X) over X inside E(G), so the
+    subset-difference (Moebius) transform of motif_hom_table inverts it."""
+    table = motif_hom_table(H, n).copy()
+    for s in range(len(table).bit_length() - 1):
+        t = table.reshape(-1, 2, 1 << s)
+        t[:, 1] -= t[:, 0]
+    sites = all_edge_sites(n)
+    return {tuple(sites[k] for k in range(len(sites)) if mask >> k & 1): c
+            for mask, c in enumerate(table.tolist()) if c}
 
 
 def _pinned_abs_sums(site_count: int, masks: Sequence[int], weights: Sequence[float],

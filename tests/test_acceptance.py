@@ -15,7 +15,6 @@ from ergm_cluster import (
     abar_recursion,
     build_interaction,
     coefficient_tail,
-    derivative_check,
     exact_density,
     expansion_report,
     generating_function_check,
@@ -31,7 +30,7 @@ from ergm_cluster import (
 from ergm_cluster.coefficients import gamma_closed_form
 from ergm_cluster.graphs import all_edge_sites
 
-from oracles import cluster_partition_sum, enumerate_graphs
+from oracles import cluster_partition_sum, derivative_check, enumerate_graphs
 
 MOTIF_KEYS = ("edge", "two-star", "triangle")
 

@@ -398,6 +398,31 @@ class TestFailureModes:
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "invalid-config"
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--motif", "two-star", "--graph", "g.json"],
+        ["density", "--motif", "two-star", "--n", "0", "--sites", "[]"],
+        ["density", "--motif", "two-star", "--n", "-1", "--sites", "[]"],
+    ])
+    def test_density_needs_a_vertex(self, argv, tmp_path, monkeypatch, capsys):
+        # t(H, G) divides by n^m, which is 0 at n = 0.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(json.dumps({"n": 0, "edges": []}))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "invalid-config"
+
+    @pytest.mark.parametrize("links", [["--max-links", "-1"],
+                                       ["--max-links", "-1", "--head-links", "2"]])
+    def test_negative_max_links_refused(self, links, capsys):
+        rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4", *links])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["kind"] == "invalid-config"
+        assert err["error"] == "max_links cannot be negative"
+
     def test_exact_needs_two_vertices(self, capsys):
         # phi_n divides log W by C(n,2), which is 0 at n = 1.
         assert main(["exact", "--motifs", "edge", "--betas", "0.1", "--n", "1"]) == 2

@@ -15,7 +15,6 @@ from ergm_cluster import (
     GuardExceeded,
     Motif,
     build_interaction,
-    derivative_check,
     ensemble_result,
     expectation_densities,
     partition_normalized,
@@ -39,6 +38,7 @@ from ergm_cluster.graphs import all_edge_sites, edge_index
 from ergm_cluster.lattice import interaction_dump, interaction_from_dump
 
 from oracles import (
+    derivative_check,
     energies_by_link,
     energies_by_subset_sums,
     expectations_by_graph,

@@ -739,6 +739,21 @@ class TestReport:
             tracemalloc.stop()
         assert peak <= 269 * 1024
 
+    def test_negative_max_links_refused_before_any_work(self, two_star, monkeypatch):
+        K = build_interaction([two_star], [0.001], 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before max_links was checked")
+
+        monkeypatch.setattr(expansion, "build_interaction", refuse)
+        monkeypatch.setattr(expansion, "_LinkSystem", refuse)
+        for head in (None, 2):
+            with pytest.raises(ValueError, match="max_links cannot be negative"):
+                expansion_report([two_star], [0.001], 4, order=2, max_links=-1,
+                                 head_links=head)
+        with pytest.raises(ValueError, match="max_links cannot be negative"):
+            truncated_log_partition(K, 2, max_links=-1)
+
     def test_deterministic(self, two_star, triangle):
         a = report_jsonable(expansion_report([two_star, triangle], [0.001, 0.0005], 3))
         b = report_jsonable(expansion_report([two_star, triangle], [0.001, 0.0005], 3))

@@ -64,6 +64,12 @@ class TestExactDensity:
         with pytest.raises(ValueError):
             exact_hom_count(two_star, ((0, 5),), 4)
 
+    def test_subset_pairs_are_canonicalized(self, two_star):
+        assert exact_hom_count(two_star, ((1, 0),), 4) == exact_hom_count(two_star, ((0, 1),), 4)
+        assert exact_hom_count(two_star, ((2, 1), (0, 1)), 4) == 2
+        with pytest.raises(ValueError):
+            exact_hom_count(two_star, ((1, 1),), 4)
+
     def test_triangle_needs_full_triangle(self, triangle):
         assert exact_density(triangle, freeze_sites([AB], 4), 4) == 0
         assert exact_density(triangle, freeze_sites([AB, BC], 4), 4) == 0

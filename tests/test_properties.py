@@ -3,10 +3,11 @@
 Each expansion example is a family of built-in motifs, at least one of them
 with two or more edges, at n = 3 or 4, with couplings whose absolute sum stays
 inside half the certified region budget for the family's (p, m).  Each hom
-table example is a random motif on at most 5 vertices with at least one edge,
-at n <= 5; each histogram example is one to three such motifs on at most 4
-vertices, at n <= 5, and each link-histogram example adds couplings that may
-be zero or equal.  Each polymer-sum example draws such a family with random
+table example, and each example of the one vertex-map walk, is a random motif
+on at most 5 vertices with at least one edge, isolated vertices and several
+components allowed, at n <= 5; each histogram example is one to three such
+motifs on at most 4 vertices, at n <= 5, and each link-histogram example adds
+couplings that may be zero or equal.  Each polymer-sum example draws such a family with random
 couplings and two walk depths in 0..4, and is kept when its walk has at most
 WALK_CAP connected sets, which bounds its running time.  Each polymer-gas
 example is up to ten distinct nonempty site masks on at most six sites, in
@@ -19,19 +20,21 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergm_cluster import (
     BUILTIN_MOTIFS,
     Motif,
     build_interaction,
+    exact_hom_count,
     expansion_report,
     graph_from_mask,
     hom_count,
     optimal_M,
     polymer_table,
     region_bound,
+    support_families,
     truncated_log_partition,
 )
 from ergm_cluster.ensemble import (
@@ -41,9 +44,10 @@ from ergm_cluster.ensemble import (
     motif_hom_table,
 )
 from ergm_cluster.expansion import _cluster_sums, _connected_item_sets, _LinkSystem, _log_series
-from ergm_cluster.graphs import GuardExceeded, edge_index
+from ergm_cluster.graphs import GuardExceeded, all_edge_sites, edge_index
 
-from oracles import _family_sweep, exact_log_series, polymer_sum_dicts, polymer_sums_by_set
+from oracles import _family_sweep, exact_log_series, image_counts_by_subset_differences, \
+    polymer_sum_dicts, polymer_sums_by_set
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -138,6 +142,26 @@ def test_hom_table_matches_backtracking(H, n):
     assert len(table) == 1 << n * (n - 1) // 2
     for mask, count in enumerate(table.tolist()):
         assert count == hom_count(H, graph_from_mask(n, mask)), mask
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@example(Motif("two-components", 5, frozenset({(0, 2), (3, 4)})), 4, [0b110001, 1023])
+@given(motifs(), st.integers(1, 5), st.lists(st.integers(1, (1 << 10) - 1), max_size=4))
+def test_one_map_walk_inverts_the_hom_table(H, n, drawn):
+    # c(H, X) = n^m d(H, X) from support_families and from exact_hom_count,
+    # against the subset differences of the numpy hom table; drawn masks
+    # outside the family must count 0.
+    want = image_counts_by_subset_differences(H, n)
+    fam = support_families(H, n)
+    assert list(fam) == sorted(want)
+    assert {X: d * n ** H.m for X, d in fam.items()} == want
+    for X, count in want.items():
+        assert exact_hom_count(H, X, n) == count
+    sites = all_edge_sites(n)
+    for mask in drawn:
+        X = tuple(sites[k] for k in range(len(sites)) if mask >> k & 1)
+        if X and X not in want:
+            assert exact_hom_count(H, X, n) == 0, X
 
 
 @PROPERTY_SETTINGS
