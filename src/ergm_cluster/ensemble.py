@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Motif, _traversal_order, check_alignment, check_guard, edge_index
-from .lattice import EdgeSubset, Interaction
+from .lattice import EdgeSubset, Interaction, build_interaction
 
 
 def _subset_sums(table: np.ndarray) -> np.ndarray:
@@ -84,12 +84,55 @@ def _distinct_columns(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     """(rows, counts): the distinct columns of the stacked tables, in lexsort order.
 
     rows[i, c] is tables[i][x] for each of the counts[c] masks x of column c;
-    read-only, because the memoized histograms share them.
+    read-only, because the memoized histograms share them.  The tables fold,
+    last one most significant, into one int64 mixed-radix key per mask, so
+    ascending keys are lexsort order, and np.bincount counts the keys.  A fold
+    that would take the key past twice the table length re-ranks the key
+    densely first; if even the dense key cannot take the next table, that
+    table and then the key are ranked by sorting, as a last resort.
     """
-    order = np.lexsort(tables)
-    cols = np.stack([t[order] for t in tables])
-    starts = np.flatnonzero(np.r_[True, np.any(cols[:, 1:] != cols[:, :-1], axis=0)])
-    rows, counts = cols[:, starts], np.diff(starts, append=cols.shape[1])
+    size = len(tables[0])
+    key, span = np.zeros(size, dtype=np.int64), 1
+    # Per fold (i, lo, values, radix); per re-rank the old keys that occur, after
+    # a sort as the sorted keys, else as a packed bitmap over the old key range,
+    # because with one class per link nearly every fold follows a re-rank.
+    steps: list = []
+    for i in reversed(range(len(tables))):
+        t = tables[i]
+        lo = int(t.min())
+        radix = int(t.max()) - lo + 1
+        if span * radix > 2 * size:
+            seen = np.bincount(key, minlength=span) != 0
+            key = (np.cumsum(seen) - 1)[key]
+            steps.append(np.packbits(seen))
+            span = int(np.count_nonzero(seen))
+        if span * radix <= 2 * size:
+            key *= radix
+            key += t
+            key -= lo
+            steps.append((i, lo, None, radix))
+            span *= radix
+        else:
+            values, digits = np.unique(t, return_inverse=True)
+            key *= len(values)
+            key += digits
+            keys, key = np.unique(key, return_inverse=True)
+            steps += [(i, 0, values, len(values)), keys]
+            span = len(keys)
+    counts = np.bincount(key, minlength=span)
+    codes = np.flatnonzero(counts)
+    counts = counts[codes]
+    # Column-major, so _column_energies reads rows.T contiguously.
+    rows = np.empty((len(codes), len(tables)), dtype=np.result_type(*tables)).T
+    for step in reversed(steps):
+        if isinstance(step, tuple):
+            i, lo, values, radix = step
+            codes, digits = np.divmod(codes, radix)
+            rows[i] = digits + lo if values is None else values[digits]
+        elif step.dtype == np.uint8:
+            codes = np.flatnonzero(np.unpackbits(step))[codes]
+        else:
+            codes = step[codes]
     rows.flags.writeable = counts.flags.writeable = False
     return rows, counts
 
@@ -244,8 +287,6 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
 
     One pass over the statistic histogram serves psi_n and the expectations.
     """
-    from .lattice import build_interaction
-
     check_guard(n, force, least=2)
     K = build_interaction(motifs, betas, n)
     log_w = partition_normalized(K, force=force)

@@ -8,7 +8,8 @@ per-support hypergraph sums, signed connected-graph (Ursell) coefficients,
 the polymer-gas sums by one pass over all 2^C(n,2) site masks per polymer,
 cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
-the majorant coefficients by their compositions recursion, the energy of
+the majorant coefficients by their compositions recursion, the distinct
+columns of stacked tables by one lexsort, the energy of
 every configuration by one masking pass per interaction link and by one
 float subset-sum transform, the interaction accumulated in Fractions, and
 psi_n and the motif expectations summed graph by graph over one log-weight
@@ -498,6 +499,20 @@ def gamma_by_compositions(p: int, n_max: int) -> tuple[Fraction, ...]:
                 total += prod
         g.append(total)
     return tuple(g)
+
+
+def distinct_columns_by_sort(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts): the distinct columns of the stacked tables, in lexsort order.
+
+    rows[i, c] is tables[i][x] for each of the counts[c] masks x of column c;
+    read-only, because the memoized histograms share them.
+    """
+    order = np.lexsort(tables)
+    cols = np.stack([t[order] for t in tables])
+    starts = np.flatnonzero(np.r_[True, np.any(cols[:, 1:] != cols[:, :-1], axis=0)])
+    rows, counts = cols[:, starts], np.diff(starts, append=cols.shape[1])
+    rows.flags.writeable = counts.flags.writeable = False
+    return rows, counts
 
 
 def energies_by_link(K: Interaction) -> np.ndarray:

@@ -39,6 +39,7 @@ from ergm_cluster.lattice import interaction_dump, interaction_from_dump
 
 from oracles import (
     derivative_check,
+    distinct_columns_by_sort,
     energies_by_link,
     energies_by_subset_sums,
     expectations_by_graph,
@@ -423,6 +424,27 @@ class TestHistogram:
         assert columns <= 156 and int(counts.sum()) == 32768
         assert not rows.flags.writeable and not counts.flags.writeable
         assert rows.dtype == counts.dtype == np.int64
+
+    @pytest.mark.parametrize("names", HISTOGRAM_FAMILIES, ids="+".join)
+    def test_columns_match_the_lexsort_oracle(self, names):
+        # At n = 6 the five-motif family's key range outgrows any fold.
+        for n in range(1, 7):
+            rows, counts = _statistic_histogram(tuple(_family(*names)), n)
+            want_rows, want_counts = distinct_columns_by_sort(
+                [motif_hom_table(H, n) for H in _family(*names)])
+            assert rows.dtype == want_rows.dtype and counts.dtype == want_counts.dtype
+            assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+
+    def test_one_class_per_link_matches_the_lexsort_oracle(self, two_star, triangle):
+        # 95 links of distinct values: far more classes than one key can hold.
+        K = build_interaction([two_star, triangle], [0.04, -0.03], 6)
+        distinct = _with_values(K, lambda i, v: v * (1 + (i + 1) * 2.0 ** -20))
+        classes, _ = _link_classes(distinct)
+        assert len(classes) == len(distinct) == 95
+        rows, counts = _link_histogram(6, classes)
+        want_rows, want_counts = distinct_columns_by_sort(_class_counts(distinct, classes))
+        assert rows.dtype == np.uint8 and counts.dtype == want_counts.dtype
+        assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
 
     @pytest.mark.parametrize("names", HISTOGRAM_FAMILIES, ids="+".join)
     def test_matches_per_graph_oracle(self, names):

@@ -7,12 +7,15 @@ table example, and each example of the one vertex-map walk, is a random motif
 on at most 5 vertices with at least one edge, isolated vertices and several
 components allowed, at n <= 5; each histogram example is one to three such
 motifs on at most 4 vertices, at n <= 5, and each link-histogram example adds
-couplings that may be zero or equal.  Each polymer-sum example draws such a family with random
-couplings and two walk depths in 0..4, and is kept when its walk has at most
-WALK_CAP connected sets, which bounds its running time.  Each polymer-gas
-example is up to ten distinct nonempty site masks on at most six sites, in
-any order, with weights of either sign in [-1, 1], and an order in 1..4.  The
-examples are derandomized, so every run checks the same ones.
+couplings that may be zero or equal.  Each distinct-columns example is one to
+five tables of 1 to 40 entries, all uint8 or all int64, each with its own value
+range, from a single value to the whole int64 range.  Each polymer-sum
+example draws such a family with random couplings and two walk depths in
+0..4, and is kept when its walk has at most WALK_CAP connected sets, which
+bounds its running time.  Each polymer-gas example is up to ten distinct
+nonempty site masks on at most six sites, in any order, with weights of
+either sign in [-1, 1], and an order in 1..4.  The examples are
+derandomized, so every run checks the same ones.
 """
 
 import math
@@ -20,6 +23,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +42,7 @@ from ergm_cluster import (
     truncated_log_partition,
 )
 from ergm_cluster.ensemble import (
+    _distinct_columns,
     _link_classes,
     _link_histogram,
     _statistic_histogram,
@@ -46,8 +51,8 @@ from ergm_cluster.ensemble import (
 from ergm_cluster.expansion import _cluster_sums, _connected_item_sets, _LinkSystem, _log_series
 from ergm_cluster.graphs import GuardExceeded, all_edge_sites, edge_index
 
-from oracles import _family_sweep, exact_log_series, image_counts_by_subset_differences, \
-    polymer_sum_dicts, polymer_sums_by_set
+from oracles import _family_sweep, distinct_columns_by_sort, exact_log_series, \
+    image_counts_by_subset_differences, polymer_sum_dicts, polymer_sums_by_set
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -198,6 +203,42 @@ def test_link_histogram_partitions_the_configurations(family, n, data):
     want = Counter(tuple(sum(x & config == x for x in c) for c in masks)
                    for config in range(1 << sites))
     assert dict(zip(map(tuple, rows.T.tolist()), counts.tolist())) == want
+
+
+INT64 = (-1 << 63, (1 << 63) - 1)
+
+
+@st.composite
+def stacked_tables(draw):
+    """One to five equal-length tables of one dtype; each draws its own value range."""
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    size = draw(st.integers(1, 40))
+    tables = []
+    for _ in range(draw(st.integers(1, 5))):
+        width = draw(st.sampled_from([1, 2, 3, 7, 50, 256] if dtype is np.uint8
+                                     else [1, 2, 5, 100, 1 << 40, None]))
+        lo = 0 if dtype is np.uint8 else draw(st.integers(-1000, 1000))
+        values = st.integers(*INT64) if width is None else st.integers(lo, lo + width - 1)
+        tables.append(np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                               dtype=dtype))
+    return tables
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(stacked_tables())
+# Only folds; a re-rank by counting before the third fold; a table too wide
+# for any fold, ranked by sorting (and re-ranked by counting at once).
+@example([np.array([0, 1, 1], dtype=np.uint8)])
+@example([np.array(t, dtype=np.uint8) for t in ([0, 1], [0, 1], [1, 0])])
+@example([np.array(t, dtype=np.int64) for t in ([5, -3], [-(1 << 63), (1 << 63) - 1])])
+def test_distinct_columns_match_the_lexsort_oracle(tables):
+    got, want = _distinct_columns(tables), distinct_columns_by_sort(tables)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == \
+            (b.flags.c_contiguous, b.flags.f_contiguous)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)
