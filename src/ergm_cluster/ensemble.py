@@ -14,7 +14,8 @@ reduced once per class structure.  The two pipelines share no intermediate,
 which is what makes the identity psi_n = (C(n,2) log 2 + log W) / n^2 a real
 cross-check.  The hom tables never touch the interaction: they are built from
 the edge images of vertex maps, not from lattice.support_families or
-build_interaction; log W reads only K.
+build_interaction; log W reads only the lattice side: K, or the beta-free link
+table and K's value on each of its classes.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .graphs import Motif, _traversal_order, check_alignment, check_guard, edge_index
-from .lattice import EdgeSubset, Interaction, build_interaction
+from .lattice import EdgeSubset, Interaction, _class_couplings
 
 
 def _subset_sums(table: np.ndarray) -> np.ndarray:
@@ -165,9 +166,12 @@ def _ensemble_sums(motifs: Sequence[Motif], betas: Sequence[float],
     hi = float(np.max(weights))
     if not math.isfinite(hi):
         raise OverflowError(f"a statistic column's weight n^2 T(G) is {hi} at n={n}")
-    p = np.exp(weights - hi) * counts
-    z = math.fsum(p)
-    expectations = [math.fsum(row * p) / z / n ** H.m for H, row in zip(motifs, rows)]
+    weights -= hi
+    p = np.exp(weights, out=weights)
+    p *= counts
+    z = math.fsum(p.tolist())
+    expectations = [math.fsum((row * p).tolist()) / z / n ** H.m
+                    for H, row in zip(motifs, rows)]
     return (hi + math.log(z)) / (n * n), expectations
 
 
@@ -181,14 +185,21 @@ LinkClasses = tuple[tuple[EdgeSubset, ...], ...]
 
 
 def _link_classes(K: Interaction) -> tuple[LinkClasses, tuple[float, ...]]:
-    """K's links grouped by value, and the values: two aligned tuples.
+    """K's links grouped by value, and the values: two aligned tuples."""
+    return _merge_by_value(((X,), v) for X, v in K.k_map.items())
+
+
+def _merge_by_value(groups: Iterable[tuple[Sequence[EdgeSubset], float]]
+                    ) -> tuple[LinkClasses, tuple[float, ...]]:
+    """Groups of links with a nonzero value each, merged into one class per value.
 
     Links are sorted within a class and the classes by their links, so equal
-    class structures give equal keys for _link_histogram.
+    class structures give equal keys for _link_histogram, whether the groups
+    are K's single links or the classes of the link table.
     """
     by_value: dict[float, list[EdgeSubset]] = defaultdict(list)
-    for X, v in K.k_map.items():
-        by_value[v].append(X)
+    for links, v in groups:
+        by_value[v] += links
     classes = sorted((tuple(sorted(links)), v) for v, links in by_value.items())
     return tuple(c for c, _ in classes), tuple(v for _, v in classes)
 
@@ -238,11 +249,15 @@ def partition_normalized(K: Interaction, force: bool = False) -> float:
     and exp(E) is finite, else log-sum-exp.
     """
     check_guard(K.n, force)
-    classes, values = _link_classes(K)
+    return _log_w(K.n, *_link_classes(K))
+
+
+def _log_w(n: int, classes: LinkClasses, values: Sequence[float]) -> float:
+    """log W from K's value classes on K_n, for partition_normalized and ensemble_result."""
     if not classes:
         return 0.0
-    sites = K.n * (K.n - 1) // 2
-    rows, counts = _link_histogram(K.n, classes)
+    sites = n * (n - 1) // 2
+    rows, counts = _link_histogram(n, classes)
     energies, weights = _column_energies(rows, values), counts.tolist()
     hi = max(energies)
     if hi < 700.0:
@@ -285,11 +300,15 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                     force: bool = False) -> EnsembleResult:
     """Run both exact pipelines for one parameter point.
 
-    One pass over the statistic histogram serves psi_n and the expectations.
+    log W reads K's value on each class of the memoized link table, without
+    building K link by link: the classes with equal values merge and the zero
+    ones drop, which is the class structure _link_classes finds in
+    build_interaction's K.  One pass over the statistic histogram serves psi_n
+    and the expectations.
     """
     check_guard(n, force, least=2)
-    K = build_interaction(motifs, betas, n)
-    log_w = partition_normalized(K, force=force)
+    table, values = _class_couplings(motifs, betas, n)
+    log_w = _log_w(n, *_merge_by_value((c, v) for c, v in zip(table.classes, values) if v))
     psi, expectations = _ensemble_sums(motifs, betas, n)
     return EnsembleResult(
         n=n,

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import (
     Motif,
@@ -153,22 +153,70 @@ class Interaction:
         return len(self.k_map)
 
 
-def build_interaction(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> Interaction:
-    """K(X) = n^2 * sum_i beta_i d(H_i, X), assembled exactly and rounded once.
+class _LinkTable(NamedTuple):
+    """The beta-free part of K for one (motifs, n): its links, grouped into classes.
 
-    Over the common denominator of the betas (exact binary rationals) and the
-    n^m_i, every K(X) has an integer numerator, so cancellations are exact; the
-    one rounding is the correctly rounded int/int division per stored subset.
+    links is the sorted union of the motifs' support families and link_class[j]
+    the index in classes of the class of links[j].  A class holds the links
+    that share one integer count vector (n^m_i d(H_i, X))_i, which is
+    vectors[c] for classes[c]; each class is sorted, and the classes by their
+    links.
+    """
+
+    links: tuple[EdgeSubset, ...]
+    link_class: tuple[int, ...]
+    classes: tuple[tuple[EdgeSubset, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _link_table(motifs: tuple[Motif, ...], n: int) -> _LinkTable:
+    """The link table of (motifs, n), memoized: every K on it is one value per class."""
+    families = [support_families(H, n) for H in motifs]
+    links = sorted(set().union(*families))
+    by_vector: dict[tuple[int, ...], list[EdgeSubset]] = defaultdict(list)
+    for X in links:
+        by_vector[tuple(int(f.get(X, 0) * n ** H.m) for H, f in zip(motifs, families))].append(X)
+    classes = sorted((tuple(c), v) for v, c in by_vector.items())
+    index = {X: i for i, (c, _) in enumerate(classes) for X in c}
+    return _LinkTable(links=tuple(links), link_class=tuple(index[X] for X in links),
+                      classes=tuple(c for c, _ in classes),
+                      vectors=tuple(v for _, v in classes))
+
+
+def _class_couplings(motifs: Sequence[Motif], betas: Sequence[float],
+                     n: int) -> tuple[_LinkTable, list[float]]:
+    """(table, values): the link table of (motifs, n) and K's value on each class.
+
+    K(X) = n^2 * sum_i beta_i c_i / n^m_i, with (c_i)_i the count vector of
+    X's class and each beta taken through float() and then exactly as a
+    binary rational.  Over the common denominator of the betas and the n^m_i
+    every class has an integer numerator, so cancellations are exact; the one
+    rounding is the correctly rounded int/int division per class.  A zero
+    numerator gives 0.0; a nonzero one that rounds to zero raises ValueError,
+    as storing it in an Interaction would.
     """
     check_alignment(motifs, betas)
-    terms = [(fb, H) for H, b in zip(motifs, betas) if (fb := Fraction(b)) != 0]
-    denom = math.lcm(1, *(fb.denominator * n ** H.m for fb, H in terms))
-    acc: dict[EdgeSubset, int] = defaultdict(int)
-    for fb, H in terms:
-        scale = fb.numerator * (denom // fb.denominator)
-        for X, d in support_families(H, n).items():
-            acc[X] += scale * d.numerator // d.denominator
-    k_map = {X: n * n * v / denom for X, v in sorted(acc.items()) if v != 0}
+    table = _link_table(tuple(motifs), n)
+    fbs = [Fraction(float(b)) for b in betas]
+    denom = math.lcm(1, *(fb.denominator * n ** H.m for fb, H in zip(fbs, motifs)))
+    scales = [fb.numerator * denom // (fb.denominator * n ** H.m) for fb, H in zip(fbs, motifs)]
+    nums = [sum(s * c for s, c in zip(scales, vec)) for vec in table.vectors]
+    values = [n * n * v / denom for v in nums]
+    lost = [c[0] for c, v, k in zip(table.classes, nums, values) if v and not k]
+    if lost:
+        raise ValueError(f"exact zero stored at {min(lost)}")
+    return table, values
+
+
+def build_interaction(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> Interaction:
+    """K(X) = n^2 * sum_i beta_i d(H_i, X), assembled exactly and rounded once per class.
+
+    Links with equal count vectors share one value, computed by
+    _class_couplings; exact zeros are dropped.
+    """
+    table, values = _class_couplings(motifs, betas, n)
+    k_map = {X: values[c] for X, c in zip(table.links, table.link_class) if values[c]}
     return Interaction(n=n, k_map=k_map, p_max=max(H.p for H in motifs))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from ergm_cluster import (
     GuardExceeded,
+    Interaction,
     Motif,
     build_interaction,
     ensemble_result,
@@ -234,6 +235,25 @@ class TestResultPlumbing:
             assert res.psi == psi_n(motifs, betas, n)
             assert list(res.expectations) == expectation_densities(motifs, betas, n)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.float32, np.float64, bool, int])
+    def test_beta_types_act_as_their_floats(self, edge, triangle, kind):
+        # A numpy integer beta once entered the exact K as itself and wrapped
+        # around in its products: np.int64(1) gave K = -2.0 on every link at
+        # n = 4, and np.int32(3) raised OverflowError.
+        def hexes(res):
+            return [x.hex() for x in (res.log_w_normalized, res.psi, res.phi,
+                                      *res.betas, *res.expectations)]
+
+        for raw in ([kind(1), 0.05], [0.05, kind(3)]):
+            floats = [float(b) for b in raw]
+            for n in (2, 4, 6):
+                got = build_interaction([edge, triangle], raw, n).k_map
+                want = build_interaction([edge, triangle], floats, n).k_map
+                assert [(X, v.hex()) for X, v in got.items()] == \
+                    [(X, v.hex()) for X, v in want.items()]
+                assert hexes(ensemble_result([edge, triangle], raw, n)) == \
+                    hexes(ensemble_result([edge, triangle], floats, n))
+
     def test_hom_table_is_frozen(self, two_star):
         table = motif_hom_table(two_star, 4)
         assert not table.flags.writeable
@@ -368,6 +388,7 @@ class TestEnergies:
 
         monkeypatch.setattr(lattice, "build_interaction", refuse)
         monkeypatch.setattr(lattice, "support_families", refuse)
+        monkeypatch.setattr(lattice, "_link_table", refuse)
         monkeypatch.setattr(ensemble, "_link_histogram", refuse)
         # Rebuild the memoized tables under the patch, so the check is not
         # answered from a cache filled before it.
@@ -552,6 +573,35 @@ class TestLinkClasses:
                 assert _relative_error(distinct) <= 1e-14
         info = _link_histogram.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_result_log_w_is_partition_normalized_bitwise(self, edge, two_star, triangle):
+        # ensemble_result merges the link table's classes by value; K's own
+        # links, grouped by _link_classes, must give the same classes, values
+        # and log W.  Cases: K = 1.0 on all 35 links (one class), a zero beta,
+        # a class that cancels exactly, and K = 0.
+        assert len(_link_classes(build_interaction([edge, triangle], [0.5, 1.0], 6))[0]) == 1
+        cases = [([edge, triangle], [0.5, 1.0], 6), ([edge, triangle], [0.0, 0.3], 6),
+                 ([edge, triangle], [0.3, 0.0], 5), ([two_star, triangle], [0.04, -0.03], 5),
+                 ([edge, two_star], [0.25, -1.0], 4), ([edge, triangle], [0.0, 0.0], 4)]
+        for motifs, betas, n in cases:
+            K = build_interaction(motifs, betas, n)
+            got = ensemble_result(motifs, betas, n).log_w_normalized
+            assert got.hex() == partition_normalized(K).hex(), (betas, n)
+            # A hand-made K, its links in reverse order, reads the same
+            # histogram entry through _link_classes.
+            misses = _link_histogram.cache_info().misses
+            hand = Interaction(K.n, dict(reversed(K.k_map.items())), K.p_max)
+            assert partition_normalized(hand).hex() == got.hex()
+            assert _link_histogram.cache_info().misses == misses
+
+    def test_sweep_builds_each_table_once(self, edge, triangle):
+        rng = random.Random(31)
+        lattice._link_table.cache_clear()
+        _link_histogram.cache_clear()
+        for _ in range(320):
+            ensemble_result([edge, triangle], [rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)], 6)
+        assert lattice._link_table.cache_info().misses == 1
+        assert _link_histogram.cache_info().misses == 1
 
     def test_warm_call_allocates_no_configuration_table(self, edge, triangle):
         K = build_interaction([edge, triangle], [0.3, -0.2], 6)

@@ -7,12 +7,16 @@ table example, and each example of the one vertex-map walk, is a random motif
 on at most 5 vertices with at least one edge, isolated vertices and several
 components allowed, at n <= 5; each histogram example is one to three such
 motifs on at most 4 vertices, at n <= 5, and each link-histogram example adds
-couplings that may be zero or equal.  Each distinct-columns example is one to
-five tables of 1 to 40 entries, all uint8 or all int64, each with its own value
-range, from a single value to the whole int64 range.  Each polymer-sum
-example draws such a family with random couplings and two walk depths in
-0..4, and is kept when its walk has at most WALK_CAP connected sets, which
-bounds its running time.  Each polymer-gas example is up to ten distinct
+couplings that may be zero or equal.  Each interaction example is one to
+three motifs, repeats allowed, drawn from the built-in ones, the diamond, K4
+and random motifs on at most 4 vertices, at n <= 7, with couplings that may be
+0, -0.0 or the smallest subnormal, or of any magnitude from 1e-320 to 1e5; its
+log W is checked where the exact ensemble runs without force, n = 2..6.  Each
+distinct-columns example is one to five tables of 1 to 40 entries, all uint8
+or all int64, each with its own value range, from a single value to the whole
+int64 range.  Each polymer-sum example draws such a family with random
+couplings and two walk depths in 0..4, and is kept when its walk has at most
+WALK_CAP connected sets, which bounds its running time.  Each polymer-gas example is up to ten distinct
 nonempty site masks on at most six sites, in any order, with weights of
 either sign in [-1, 1], and an order in 1..4.  The examples are
 derandomized, so every run checks the same ones.
@@ -24,6 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +36,13 @@ from ergm_cluster import (
     BUILTIN_MOTIFS,
     Motif,
     build_interaction,
+    ensemble_result,
     exact_hom_count,
     expansion_report,
     graph_from_mask,
     hom_count,
     optimal_M,
+    partition_normalized,
     polymer_table,
     region_bound,
     support_families,
@@ -52,7 +59,8 @@ from ergm_cluster.expansion import _cluster_sums, _connected_item_sets, _LinkSys
 from ergm_cluster.graphs import GuardExceeded, all_edge_sites, edge_index
 
 from oracles import _family_sweep, distinct_columns_by_sort, exact_log_series, \
-    image_counts_by_subset_differences, polymer_sum_dicts, polymer_sums_by_set
+    image_counts_by_subset_differences, interaction_by_fractions, polymer_sum_dicts, \
+    polymer_sums_by_set
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -203,6 +211,47 @@ def test_link_histogram_partitions_the_configurations(family, n, data):
     want = Counter(tuple(sum(x & config == x for x in c) for c in masks)
                    for config in range(1 << sites))
     assert dict(zip(map(tuple, rows.T.tolist()), counts.tolist())) == want
+
+
+FOUR_VERTEX = [Motif("diamond", 4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)})),
+               Motif("K4", 4, frozenset((u, v) for u in range(4) for v in range(u + 1, 4)))]
+MAGNITUDES = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                       st.floats(-320.0, 5.0))
+COUPLINGS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.25]),
+                      MAGNITUDES, MAGNITUDES)
+
+
+def _interaction_or_error(build, family, betas, n):
+    try:
+        K = build(family, betas, n)
+    except ValueError as exc:  # a nonzero K(X) that rounds to 0.0
+        return type(exc)
+    return [(X, v.hex()) for X, v in K.k_map.items()]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@example([BUILTIN_MOTIFS["two-star"]] * 2, 4, [0.7, -0.7, 0.0])
+@example([BUILTIN_MOTIFS["edge"], BUILTIN_MOTIFS["triangle"]], 6, [0.5, 1.0, 0.0])
+@example([BUILTIN_MOTIFS["two-star"]], 5, [5e-324, 0.0, 0.0])
+@given(st.lists(st.one_of(st.sampled_from([BUILTIN_MOTIFS[x] for x in sorted(BUILTIN_MOTIFS)]
+                                          + FOUR_VERTEX),
+                          motifs(max_m=4)), min_size=1, max_size=3),
+       st.sampled_from(range(1, 8)), st.lists(COUPLINGS, min_size=3, max_size=3))
+def test_interaction_is_the_fraction_sum_rounded_once(family, n, betas):
+    # Same keys in the same order, the same float.hex, or the same refusal;
+    # where the exact ensemble runs without force, its log W from the link
+    # table's classes is partition_normalized of that K, bit for bit.
+    betas = betas[:len(family)]
+    got = _interaction_or_error(build_interaction, family, betas, n)
+    assert got == _interaction_or_error(interaction_by_fractions, family, betas, n)
+    if n < 2 or n > 6:
+        return
+    if got is ValueError:
+        with pytest.raises(ValueError):
+            ensemble_result(family, betas, n)
+        return
+    want = partition_normalized(build_interaction(family, betas, n))
+    assert ensemble_result(family, betas, n).log_w_normalized.hex() == want.hex()
 
 
 INT64 = (-1 << 63, (1 << 63) - 1)
