@@ -28,8 +28,8 @@ _EXPORTS = {
     ),
     "graphs": (
         "BUILTIN_MOTIFS", "ENSEMBLE_GUARD", "GuardExceeded", "Motif", "SimpleGraph",
-        "all_edge_sites", "graph_from_json", "graph_from_mask", "hom_count", "hom_density",
-        "load_motif", "make_graph", "motif_from_json",
+        "all_edge_sites", "graph_from_json", "hom_count", "hom_density", "load_motif",
+        "make_graph", "motif_from_json",
     ),
     "lattice": (
         "Interaction", "banach_norm", "build_interaction", "exact_density", "exact_hom_count",

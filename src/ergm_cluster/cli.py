@@ -10,7 +10,8 @@ null next to an explicit "divergent" flag.
 Exit codes: 0 success (including negative certificate verdicts, which are
 valid results), 2 invalid configuration (non-finite numbers and inputs whose
 arithmetic overflows included), 3 a guard refused the job: the n <= 6 size
-guard without --force (exact and expand only), or the connected-set budget.
+guard without --force, the n <= 7 ceiling with it (exact and expand only), or
+the connected-set budget.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Module level although only `exact` needs numpy: bench/run.py reads a child's
 # peak RSS only above its own, and a numpy-free start-up stays below it.
@@ -85,7 +86,7 @@ def write_artifact(path: str | Path, text: str) -> None:
         raise
 
 
-def _kv_csv(pairs: Sequence[tuple[str, object]]) -> str:
+def _kv_csv(pairs: Iterable[tuple[str, object]]) -> str:
     lines = ["key,value"]
     for k, v in pairs:
         if isinstance(v, bool):
@@ -100,31 +101,25 @@ def _kv_csv(pairs: Sequence[tuple[str, object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_config(ns: argparse.Namespace) -> dict:
-    if not getattr(ns, "config", None):
-        return {}
-    data = json.loads(Path(ns.config).read_text())
-    if not isinstance(data, dict):
+# The options with a built-in value; a flag beats the --config file, which beats these.
+DEFAULTS = {"format": "json", "order": 4, "max_links": 4, "n_max": 30}
+
+
+def _merge_config(ns: argparse.Namespace) -> None:
+    """Fill each option the flags left unset from the --config file, then from
+    DEFAULTS.  A null in the file leaves the option unset."""
+    cfg = json.loads(Path(ns.config).read_text()) if ns.config else {}
+    if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    return data
+    for key, value in [*cfg.items(), *DEFAULTS.items()]:
+        if key in vars(ns) and getattr(ns, key) is None:
+            setattr(ns, key, value)
 
 
-def _opt(ns: argparse.Namespace, cfg: dict, key: str, default=None):
-    val = getattr(ns, key, None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
-
-
-def _flag(ns: argparse.Namespace, cfg: dict, key: str) -> bool:
-    return bool(getattr(ns, key, False) or cfg.get(key, False))
-
-
-def _motifs(ns: argparse.Namespace, cfg: dict) -> list[Motif]:
-    specs = _opt(ns, cfg, "motifs")
-    if not specs:
+def _motifs(ns: argparse.Namespace) -> list[Motif]:
+    if not ns.motifs:
         raise ValueError("at least one motif is required")
-    return [load_motif(str(s)) for s in specs]
+    return [load_motif(str(s)) for s in ns.motifs]
 
 
 def _finite(key: str, val) -> float:
@@ -135,64 +130,56 @@ def _finite(key: str, val) -> float:
     return x
 
 
-def _betas(ns: argparse.Namespace, cfg: dict) -> list[float]:
-    vals = _opt(ns, cfg, "betas")
-    if vals is None:
+def _betas(ns: argparse.Namespace) -> list[float]:
+    if ns.betas is None:
         raise ValueError("parameter values are required")
-    return [_finite("betas", b) for b in vals]
+    return [_finite("betas", b) for b in ns.betas]
 
 
-def _need_int(ns: argparse.Namespace, cfg: dict, key: str) -> int:
-    val = _opt(ns, cfg, key)
+def _need_int(ns: argparse.Namespace, key: str) -> int:
+    val = getattr(ns, key)
     if val is None:
         raise ValueError(f"missing required option --{key.replace('_', '-')}")
     return int(val)
 
 
-def _graph(ns: argparse.Namespace, cfg: dict) -> SimpleGraph | None:
-    src = _opt(ns, cfg, "graph")
-    if src is None:
+def _graph(ns: argparse.Namespace) -> SimpleGraph | None:
+    if ns.graph is None:
         return None
-    return graph_from_json(Path(str(src)).read_text())
+    return graph_from_json(Path(str(ns.graph)).read_text())
 
 
-def _emit(ns: argparse.Namespace, cfg: dict, json_doc, csv_text: str) -> None:
-    out = _opt(ns, cfg, "out")
-    if out is None:
+def _emit(ns: argparse.Namespace, json_doc, csv_text: str) -> None:
+    if ns.out is None:
         return
-    fmt = _opt(ns, cfg, "format", "json")
-    if fmt == "json":
-        write_artifact(out, render_json(json_doc) + "\n")
-    elif fmt == "csv":
-        write_artifact(out, csv_text)
+    if ns.format == "json":
+        write_artifact(ns.out, render_json(json_doc) + "\n")
+    elif ns.format == "csv":
+        write_artifact(ns.out, csv_text)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {ns.format!r}")
 
 
 def cmd_density(ns: argparse.Namespace) -> int:
-    cfg = _load_config(ns)
-    spec = _opt(ns, cfg, "motif")
-    if spec is None:
+    if ns.motif is None:
         raise ValueError("--motif is required")
-    H = load_motif(str(spec))
-    G = _graph(ns, cfg)
-    n_opt = _opt(ns, cfg, "n")
-    sites = _opt(ns, cfg, "sites")
-    if sites is not None:
-        n = G.n if G is not None else (int(n_opt) if n_opt is not None else None)
+    H = load_motif(str(ns.motif))
+    G = _graph(ns)
+    if ns.sites is not None:
+        n = G.n if G is not None else (int(ns.n) if ns.n is not None else None)
         if n is None:
             raise ValueError("--sites needs --graph or --n to fix the vertex count")
     elif G is None:
         raise ValueError("--graph is required without --sites")
     else:
         n = G.n
-        if n_opt is not None and int(n_opt) != n:
-            raise ValueError(f"--n {n_opt} disagrees with the graph file (n={n})")
+        if ns.n is not None and int(ns.n) != n:
+            raise ValueError(f"--n {ns.n} disagrees with the graph file (n={n})")
     # A density divides by n^m, which is 0 at n = 0.
     if n < 1:
         raise ValueError(f"need n >= 1 vertices, got n={n}")
-    if sites is not None:
-        pairs = json.loads(sites) if isinstance(sites, str) else sites
+    if ns.sites is not None:
+        pairs = json.loads(ns.sites) if isinstance(ns.sites, str) else ns.sites
         X = freeze_sites([tuple(int(v) for v in e) for e in pairs], n)
         num, kind = exact_hom_count(H, X, n), "exact"
     else:
@@ -201,20 +188,15 @@ def cmd_density(ns: argparse.Namespace) -> int:
     print(f"{num}/{den}")
     doc = {"motif": H.name, "kind": kind, "n": n,
            "numerator": num, "denominator": den, "value": num / den}
-    csv_text = _kv_csv([("motif", H.name), ("kind", kind), ("n", n),
-                        ("numerator", num), ("denominator", den),
-                        ("value", num / den)])
-    _emit(ns, cfg, doc, csv_text)
+    _emit(ns, doc, _kv_csv(doc.items()))
     return 0
 
 
 def cmd_represent(ns: argparse.Namespace) -> int:
-    cfg = _load_config(ns)
-    spec = _opt(ns, cfg, "motif")
-    if spec is None:
+    if ns.motif is None:
         raise ValueError("--motif is required")
-    H = load_motif(str(spec))
-    G = _graph(ns, cfg)
+    H = load_motif(str(ns.motif))
+    G = _graph(ns)
     if G is None:
         raise ValueError("--graph is required")
     num = hom_count(H, G)
@@ -224,19 +206,15 @@ def cmd_represent(ns: argparse.Namespace) -> int:
     print(f"subset decomposition matches: {'yes' if holds else 'NO'}")
     doc = {"motif": H.name, "n": G.n, "numerator": num,
            "denominator": den, "holds": holds}
-    csv_text = _kv_csv([("motif", H.name), ("n", G.n), ("numerator", num),
-                        ("denominator", den), ("holds", holds)])
-    _emit(ns, cfg, doc, csv_text)
+    _emit(ns, doc, _kv_csv(doc.items()))
     return 0 if holds else 1
 
 
 def cmd_exact(ns: argparse.Namespace) -> int:
-    cfg = _load_config(ns)
-    motifs = _motifs(ns, cfg)
-    betas = _betas(ns, cfg)
-    n = _need_int(ns, cfg, "n")
-    force = _flag(ns, cfg, "force")
-    res = ensemble_result(motifs, betas, n, force=force)
+    motifs = _motifs(ns)
+    betas = _betas(ns)
+    n = _need_int(ns, "n")
+    res = ensemble_result(motifs, betas, n, force=bool(ns.force))
     print(f"psi_{n} = {_fmt(res.psi)}")
     print(f"phi_{n} = {_fmt(res.phi)}")
     for H, e in zip(motifs, res.expectations):
@@ -250,26 +228,22 @@ def cmd_exact(ns: argparse.Namespace) -> int:
         "log_w_normalized": res.log_w_normalized,
         "expectations": list(res.expectations),
     }
-    _emit(ns, cfg, doc, results_csv([res]))
+    _emit(ns, doc, results_csv([res]))
     return 0
 
 
 def cmd_expand(ns: argparse.Namespace) -> int:
     from .expansion import expansion_report, report_jsonable
 
-    cfg = _load_config(ns)
-    motifs = _motifs(ns, cfg)
-    betas = _betas(ns, cfg)
-    n = _need_int(ns, cfg, "n")
-    order = int(_opt(ns, cfg, "order", 4))
-    max_links = int(_opt(ns, cfg, "max_links", 4))
-    head_links = _opt(ns, cfg, "head_links")
-    head_links = None if head_links is None else int(head_links)
-    M = _opt(ns, cfg, "M")
-    M = None if M is None else _finite("M", M)
-    force = _flag(ns, cfg, "force")
+    motifs = _motifs(ns)
+    betas = _betas(ns)
+    n = _need_int(ns, "n")
+    order = int(ns.order)
+    max_links = int(ns.max_links)
+    head_links = None if ns.head_links is None else int(ns.head_links)
+    M = None if ns.M is None else _finite("M", ns.M)
     report = expansion_report(motifs, betas, n, order=order, max_links=max_links,
-                              M=M, head_links=head_links, force=force)
+                              M=M, head_links=head_links, force=bool(ns.force))
     doc = report_jsonable(report)
     for row in report.orders:
         tb = "n/a" if row.tail_bound is None or not math.isfinite(row.tail_bound) \
@@ -289,28 +263,24 @@ def cmd_expand(ns: argparse.Namespace) -> int:
         tb = "" if row.tail_bound is None or not math.isfinite(row.tail_bound) \
             else _fmt(row.tail_bound)
         lines.append(f"{row.order},{_fmt(row.partial_sum)},{_fmt(row.gap_to_exact)},{tb}")
-    _emit(ns, cfg, doc, "\n".join(lines) + "\n")
+    _emit(ns, doc, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_region(ns: argparse.Namespace) -> int:
     from .coefficients import optimal_M, region_bound
 
-    cfg = _load_config(ns)
-    p = _need_int(ns, cfg, "p")
-    m = _need_int(ns, cfg, "m")
-    M = _opt(ns, cfg, "M")
-    chose = M is None
-    M = optimal_M(p) if chose else _finite("M", M)
+    p = _need_int(ns, "p")
+    m = _need_int(ns, "m")
+    chose = ns.M is None
+    M = optimal_M(p) if chose else _finite("M", ns.M)
     budget = region_bound(p, m, M)
     label = "optimal M" if chose else "M"
     print(f"{label} = {_fmt(M)}")
     print(f"log M = {_fmt(math.log(M))}")
     print(f"beta budget = {_fmt(budget)}")
     doc = {"p": p, "m": m, "M": M, "logM": math.log(M), "beta_budget": budget}
-    csv_text = _kv_csv([("p", p), ("m", m), ("M", M),
-                        ("logM", math.log(M)), ("beta_budget", budget)])
-    _emit(ns, cfg, doc, csv_text)
+    _emit(ns, doc, _kv_csv(doc.items()))
     return 0
 
 
@@ -318,20 +288,17 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
     from .coefficients import (abar_recursion, coefficient_tail, generating_function_check,
                                optimal_M, radius_and_tail)
 
-    cfg = _load_config(ns)
-    p = _need_int(ns, cfg, "p")
-    norm = _opt(ns, cfg, "norm")
-    if norm is None:
+    p = _need_int(ns, "p")
+    if ns.norm is None:
         raise ValueError("--norm is required")
-    norm = _finite("norm", norm)
-    M = _opt(ns, cfg, "M")
-    if M is None:
+    norm = _finite("norm", ns.norm)
+    if ns.M is None:
         if p < 2:
             raise ValueError("--M is required when p = 1 (no interior optimum)")
         M = optimal_M(p)
     else:
-        M = _finite("M", M)
-    n_max = int(_opt(ns, cfg, "n_max", 30))
+        M = _finite("M", ns.M)
+    n_max = int(ns.n_max)
     table = abar_recursion(p, norm, M, n_max)
     # radius_and_tail overflows for large p; fail before the O(p n_max^2) check.
     radius = radius_and_tail(p, norm, M)[0] if p >= 2 else None
@@ -354,7 +321,7 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
     lines = ["n,gamma,abar"]
     for r in rows:
         lines.append(f"{r['n']},{r['gamma']},{_fmt(r['abar'])}")
-    _emit(ns, cfg, doc, "\n".join(lines) + "\n")
+    _emit(ns, doc, "\n".join(lines) + "\n")
     return 0
 
 
@@ -365,7 +332,7 @@ def _add_common(sub: argparse.ArgumentParser, force: bool = False) -> None:
     sub.add_argument("--config", help="JSON config file; flags override it")
     if force:
         sub.add_argument("--force", action="store_true", default=None,
-                         help="run past the n <= 6 size guard")
+                         help="run past the n <= 6 size guard, up to n = 7")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,6 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        _merge_config(ns)
         return ns.func(ns)
     except GuardExceeded as exc:
         sys.stderr.write(render_json({"error": str(exc), "kind": "guard",

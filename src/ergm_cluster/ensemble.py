@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Motif, _traversal_order, check_alignment, check_guard, edge_index
+from .graphs import Motif, _traversal_order, check_alignment, check_guard, edge_index, site_mask
 from .lattice import EdgeSubset, Interaction, _class_couplings
 
 
@@ -213,12 +213,11 @@ def _link_histogram(n: int, classes: LinkClasses) -> tuple[np.ndarray, np.ndarra
     unsigned dtype that holds the largest class; the cache is bounded, because
     an interaction without repeated values has one class per link.
     """
-    idx = edge_index(n)
     dtype = np.min_scalar_type(max(map(len, classes)))
     tables = []
     for links in classes:
-        table = np.zeros(1 << len(idx), dtype=dtype)
-        table[[sum(1 << idx[e] for e in X) for X in links]] = 1
+        table = np.zeros(1 << n * (n - 1) // 2, dtype=dtype)
+        table[[site_mask(n, X) for X in links]] = 1
         tables.append(_subset_sums(table))
     return _distinct_columns(tables)
 
@@ -252,8 +251,20 @@ def partition_normalized(K: Interaction, force: bool = False) -> float:
     return _log_w(K.n, *_link_classes(K))
 
 
+def _table_log_w(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> float:
+    """log W of build_interaction's K, read from K's value on each class of the
+    memoized link table without building K link by link.
+
+    The classes with equal values merge and the zero ones drop, which is the
+    class structure _link_classes finds in that K, so both reach the same
+    histogram entry and the same bits.
+    """
+    table, values = _class_couplings(motifs, betas, n)
+    return _log_w(n, *_merge_by_value((c, v) for c, v in zip(table.classes, values) if v))
+
+
 def _log_w(n: int, classes: LinkClasses, values: Sequence[float]) -> float:
-    """log W from K's value classes on K_n, for partition_normalized and ensemble_result."""
+    """log W from K's value classes on K_n, for partition_normalized and _table_log_w."""
     if not classes:
         return 0.0
     sites = n * (n - 1) // 2
@@ -300,15 +311,11 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                     force: bool = False) -> EnsembleResult:
     """Run both exact pipelines for one parameter point.
 
-    log W reads K's value on each class of the memoized link table, without
-    building K link by link: the classes with equal values merge and the zero
-    ones drop, which is the class structure _link_classes finds in
-    build_interaction's K.  One pass over the statistic histogram serves psi_n
-    and the expectations.
+    log W comes from _table_log_w, without building K.  One pass over the
+    statistic histogram serves psi_n and the expectations.
     """
     check_guard(n, force, least=2)
-    table, values = _class_couplings(motifs, betas, n)
-    log_w = _log_w(n, *_merge_by_value((c, v) for c, v in zip(table.classes, values) if v))
+    log_w = _table_log_w(motifs, betas, n)
     psi, expectations = _ensemble_sums(motifs, betas, n)
     return EnsembleResult(
         n=n,

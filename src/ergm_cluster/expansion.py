@@ -44,14 +44,13 @@ from .coefficients import (
     radius_and_tail,
     region_bound,
 )
-from .ensemble import partition_normalized
-from .graphs import Motif, all_edge_sites, check_alignment, check_guard, edge_index
+from .ensemble import _table_log_w
+from .graphs import (TABLE_SITES, Motif, all_edge_sites, check_alignment, check_guard,
+                     mask_sites, site_mask)
 from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
 from .subsets import CHUNK, DEFAULT_MAX_COUNT, _connected_walk, _family_totals, _words
 
 ORDER_GUARD = 8
-# Polymer sums are tabulated by site mask up to this many sites (n = 7).
-DENSE_SITES = 21
 # Majorant coefficients tabulated exactly before the geometric tail takes over.
 TABLE_ORDER = 30
 
@@ -62,10 +61,9 @@ class _LinkSystem:
     def __init__(self, K: Interaction):
         self.n = K.n
         self.sites = all_edge_sites(K.n)
-        self.index = edge_index(K.n)
         self.links: tuple[EdgeSubset, ...] = tuple(sorted(K.k_map))
         self.values = tuple(float(K.k_map[X]) for X in self.links)
-        self.masks = tuple(self._site_mask(X) for X in self.links)
+        self.masks = tuple(site_mask(K.n, X) for X in self.links)
         # Link overlap graph: adjacency bitmasks over link indices, each link
         # the union of the links on its sites, itself left out.
         by_site = dict.fromkeys(self.sites, 0)
@@ -74,20 +72,6 @@ class _LinkSystem:
                 by_site[e] |= 1 << i
         self.adj = [reduce(or_, (by_site[e] for e in X)) & ~(1 << i)
                     for i, X in enumerate(self.links)]
-
-    def _site_mask(self, X: EdgeSubset) -> int:
-        m = 0
-        for e in X:
-            m |= 1 << self.index[e]
-        return m
-
-    def sites_of_mask(self, mask: int) -> EdgeSubset:
-        out = []
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            out.append(self.sites[bit.bit_length() - 1])
-        return tuple(out)
 
 
 def _size_column(n: int) -> tuple[np.ndarray, Callable, object]:
@@ -134,9 +118,9 @@ def _polymer_sums(sys: _LinkSystem, max_links: int,
                (np.array([math.expm1(abs(v)) for v in sys.values]), np.multiply, 1.0)]
     if min(max_links, head_links) < depth:
         columns.append(_size_column(len(sys.links)))
-    # Sums sit at their mask in a table while the sweep can tabulate the
-    # 2^C(n,2) masks (n <= 7, with force past 6), in dicts beyond.
-    dense = site_count <= DENSE_SITES
+    # Sums sit at their mask in a table up to the sweeps' ceiling, in dicts
+    # beyond it, where only kp_certify and polymer_table reach.
+    dense = site_count <= TABLE_SITES
     sums = np.zeros((2, 1 << site_count)) if dense else ({}, {})
     seen = np.zeros((2, 1 << site_count), dtype=bool) if dense else None
     for support, w, v, *sizes in _connected_walk(sys.adj, depth, columns):
@@ -192,7 +176,7 @@ def polymer_table(K: Interaction, max_links: int) -> list[Polymer]:
     """
     sys = _LinkSystem(K)
     masks, activities, _, bounds = _polymer_sums(sys, max_links, max_links)
-    return [Polymer(sys.sites_of_mask(mask), w, v)
+    return [Polymer(mask_sites(sys.n, mask), w, v)
             for mask, w, v in zip(masks.tolist(), activities.tolist(), bounds.tolist())]
 
 
@@ -405,7 +389,7 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     masks, activities, heads, bounds = _polymer_sums(sys, max_links, head)
     cert = _certify(sys.sites, heads, bounds, M, head, norm, p)
     partials = _partials(site_count, masks, activities, order)
-    exact = partition_normalized(K, force=force)
+    exact = _table_log_w(motifs, betas, n)
     tail_fn: Callable[[int], float] | None = None
     if p >= 2 and norm > 0:
         _, tail_fn = radius_and_tail(p, norm, M)

@@ -26,12 +26,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 # The hom tables, log W and the series sweep all tabulate the
 # 2^C(n,2) edge-site masks; 2^15 masks at n = 6 is where they start to crawl.
 ENSEMBLE_GUARD = 6
+# The largest site-mask table any route builds, force or not: 2^21 entries at
+# n = 7.  At n = 8 one float64 table over the 2^28 masks would take 2 GB.
+TABLE_SITES = 21
 
 
 class GuardExceeded(RuntimeError):
     """A job refused before it starts.  force=True (CLI --force) lifts the size
-    guard n <= ENSEMBLE_GUARD but not the series' connected-set budget, whose
-    hint names the remedy instead: fewer links per hypergraph."""
+    guard n <= ENSEMBLE_GUARD up to the TABLE_SITES ceiling, but neither the
+    ceiling nor the series' connected-set budget, whose hints name what does
+    help instead."""
 
     def __init__(self, message: str, hint: str = "pass --force to override"):
         super().__init__(message)
@@ -39,9 +43,14 @@ class GuardExceeded(RuntimeError):
 
 
 def check_guard(n: int, force: bool = False, least: int = 1) -> None:
-    """Refuse a sweep over the 2^C(n,2) site masks past n = ENSEMBLE_GUARD."""
+    """Refuse a sweep over the 2^C(n,2) site masks past n = ENSEMBLE_GUARD, and
+    past TABLE_SITES sites even with force."""
     if n < least:
         raise ValueError(f"need n >= {least} vertices, got n={n}")
+    if n * (n - 1) // 2 > TABLE_SITES:
+        raise GuardExceeded(f"exhaustive sweep over the 2^C(n,2) site masks at n={n} "
+                            f"exceeds the ceiling of {TABLE_SITES} sites",
+                            hint="no option lifts the ceiling: use n <= 7")
     if n > ENSEMBLE_GUARD and not force:
         raise GuardExceeded(f"exhaustive sweep over the 2^C(n,2) site masks at n={n} "
                             f"exceeds guard n<={ENSEMBLE_GUARD}")
@@ -70,6 +79,31 @@ def edge_index(n: int) -> dict[tuple[int, int], int]:
     return {e: k for k, e in enumerate(all_edge_sites(n))}
 
 
+def site_mask(n: int, X: Iterable[tuple[int, int]]) -> int:
+    """The site mask of the canonical sites X over n vertices: bit k is site
+    all_edge_sites(n)[k].  mask_sites decodes it."""
+    index = edge_index(n)
+    mask = 0
+    for e in X:
+        mask |= 1 << index[e]
+    return mask
+
+
+def mask_sites(n: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """The sites of a site mask over n vertices, in sorted order."""
+    sites = all_edge_sites(n)
+    return tuple(sites[k] for k in _bits(mask))
+
+
+def adjacency(size: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Neighbour sets of the vertices 0..size-1 of a graph, as vertex bitmasks."""
+    adj = [0] * size
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """A labeled simple graph: vertex count n plus a set of canonical edges."""
@@ -88,22 +122,6 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def mask(self) -> int:
-        """Edge-subset bitmask of this graph in the canonical site order."""
-        idx = edge_index(self.n)
-        m = 0
-        for e in self.edges:
-            m |= 1 << idx[e]
-        return m
-
-    def adjacency(self) -> list[int]:
-        """Neighbor sets as per-vertex bitmasks over vertices."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
-
 
 def make_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
     """Build a SimpleGraph from raw vertex pairs.
@@ -117,14 +135,6 @@ def make_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
             raise ValueError(f"duplicate edge {e} after canonicalization")
         seen.add(e)
     return SimpleGraph(n, frozenset(seen))
-
-
-def graph_from_mask(n: int, mask: int) -> SimpleGraph:
-    """Decode an edge-subset bitmask (canonical site order) into a graph."""
-    sites = all_edge_sites(n)
-    if mask < 0 or mask >= (1 << len(sites)):
-        raise ValueError(f"mask {mask} out of range for n={n}")
-    return SimpleGraph(n, frozenset(sites[k] for k in range(len(sites)) if mask >> k & 1))
 
 
 @dataclass(frozen=True)
@@ -150,13 +160,6 @@ class Motif:
     @property
     def p(self) -> int:
         return len(self.edges)
-
-    def adjacency(self) -> list[int]:
-        adj = [0] * self.m
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
 
 
 BUILTIN_MOTIFS: dict[str, Motif] = {
@@ -227,7 +230,7 @@ def _traversal_order(H: Motif) -> tuple[list[list[int]], int]:
     lists the positions of the already-placed motif neighbors of the i-th
     placed vertex, so every motif edge appears in it exactly once.
     """
-    adj = H.adjacency()
+    adj = adjacency(H.m, H.edges)
     seen: set[int] = set()
     order: list[int] = []
     isolated = 0
@@ -299,7 +302,7 @@ def _edge_images(H: Motif, adj: Sequence[int],
     """
     earlier, _ = _traversal_order(H)
     last = len(earlier) - 1
-    sites, index = all_edge_sites(len(adj)), edge_index(len(adj))
+    index = edge_index(len(adj))
     site_bit = [[1 << index[(a, b) if a < b else (b, a)] if a != b else 0
                  for b in range(len(adj))] for a in range(len(adj))]
     placed = [(k, j) for k in range(last) for j in earlier[k]]
@@ -320,7 +323,7 @@ def _edge_images(H: Motif, adj: Sequence[int],
             counts[key] = counts.get(key, 0) + 1
 
     isolated = _maps(H, adj, start, leaf)
-    return {tuple(sites[k] for k in _bits(mask)): c for mask, c in counts.items()}, isolated
+    return {mask_sites(len(adj), mask): c for mask, c in counts.items()}, isolated
 
 
 def hom_count(H: Motif, G: SimpleGraph) -> int:
@@ -335,7 +338,7 @@ def hom_count(H: Motif, G: SimpleGraph) -> int:
         nonlocal count
         count += cand.bit_count()
 
-    isolated = _maps(H, G.adjacency(), (1 << G.n) - 1, leaf)
+    isolated = _maps(H, adjacency(G.n, G.edges), (1 << G.n) - 1, leaf)
     return count * G.n ** isolated
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .graphs import (
     Motif,
     SimpleGraph,
-    all_edge_sites,
+    adjacency,
     canonical_edge,
     check_alignment,
     edge_index,
@@ -62,11 +62,7 @@ def exact_hom_count(H: Motif, X: EdgeSubset, n: int) -> int:
     verts = sorted({v for e in X for v in e})
     label = {v: i for i, v in enumerate(verts)}
     Y = tuple((label[u], label[v]) for u, v in X)
-    adj = [0] * len(verts)
-    for u, v in Y:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    counts, isolated = _edge_images(H, adj, (1 << len(verts)) - 1)
+    counts, isolated = _edge_images(H, adjacency(len(verts), Y), (1 << len(verts)) - 1)
     return counts.get(Y, 0) * n ** isolated
 
 
@@ -194,7 +190,7 @@ def _class_couplings(motifs: Sequence[Motif], betas: Sequence[float],
     every class has an integer numerator, so cancellations are exact; the one
     rounding is the correctly rounded int/int division per class.  A zero
     numerator gives 0.0; a nonzero one that rounds to zero raises ValueError,
-    as storing it in an Interaction would.
+    with the class's first link: K is nonzero there but no float holds it.
     """
     check_alignment(motifs, betas)
     table = _link_table(tuple(motifs), n)
@@ -205,7 +201,8 @@ def _class_couplings(motifs: Sequence[Motif], betas: Sequence[float],
     values = [n * n * v / denom for v in nums]
     lost = [c[0] for c, v, k in zip(table.classes, nums, values) if v and not k]
     if lost:
-        raise ValueError(f"exact zero stored at {min(lost)}")
+        raise ValueError(f"the exact K of the class of {min(lost)} is nonzero "
+                         "but underflows to 0.0")
     return table, values
 
 

@@ -19,9 +19,10 @@ pinned to one polymer, which the Kotecky-Preiss condition bounds, W resummed
 over every family of disjoint polymers, which must equal the exact partition
 function, and the central difference of psi_n in one coupling, which must
 match the motif expectation.  The last few are small graph helpers the
-library never calls: empty and complete graphs, every graph on n vertices
-(under the library's size guard), the weighted density sum_i beta_i t(H_i, G),
-one site's absolute interaction sum, and the Hamiltonian of one graph.
+library never calls: empty and complete graphs, a graph from its site mask
+and back, every graph on n vertices (under the library's size guard), the
+weighted density sum_i beta_i t(H_i, G), one site's absolute interaction
+sum, and the Hamiltonian of one graph.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ from ergm_cluster.graphs import (
     check_alignment,
     check_guard,
     edge_index,
-    graph_from_mask,
     hom_density,
+    mask_sites,
+    site_mask,
 )
 from ergm_cluster.lattice import EdgeSubset, Interaction, freeze_sites, support_families
 
@@ -122,7 +124,7 @@ def polymer_activity(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
     X = freeze_sites(N, K.n)
     if not X:
         raise ValueError("a polymer support cannot be empty")
-    nmask = sys._site_mask(X)
+    nmask = site_mask(K.n, X)
     inside, adj = _subsystem(sys, nmask)
     total = 0.0
     for idxs in _connected_item_sets(adj, max_links, max_count):
@@ -145,7 +147,7 @@ def activity_bound(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
     X = freeze_sites(N, K.n)
     if not X:
         raise ValueError("a polymer support cannot be empty")
-    nmask = sys._site_mask(X)
+    nmask = site_mask(K.n, X)
     inside, adj = _subsystem(sys, nmask)
     total = 0.0
     for idxs in _connected_item_sets(adj, max_links, max_count):
@@ -412,7 +414,7 @@ def _cluster_sums(polymers: Sequence[Polymer], order: int, sys: _LinkSystem,
     per_size = [0.0] * (order + 1)
     if not polymers:
         return per_size[1:]
-    pmasks = [sys._site_mask(p.support) for p in polymers]
+    pmasks = [site_mask(sys.n, p.support) for p in polymers]
     ws = [p.activity for p in polymers]
     adj = [0] * len(polymers)
     for i in range(len(polymers)):
@@ -661,9 +663,9 @@ def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: in
     X = freeze_sites(N, K.n)
     masks, activities, _, _ = _polymer_sums(sys, max_links, 0)
     masks = masks.tolist()
-    if sys._site_mask(X) not in masks:
+    if site_mask(K.n, X) not in masks:
         raise ValueError(f"{X} is not a realizable polymer support here")
-    pin = masks.index(sys._site_mask(X))
+    pin = masks.index(site_mask(K.n, X))
     return sum(_pinned_abs_sums(len(sys.sites), masks, activities.tolist(), order, pin))
 
 
@@ -690,6 +692,18 @@ def empty_graph(n: int) -> SimpleGraph:
 
 def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, frozenset(all_edge_sites(n)))
+
+
+def graph_from_mask(n: int, mask: int) -> SimpleGraph:
+    """Decode an edge-subset bitmask (canonical site order) into a graph."""
+    if mask < 0 or mask >= (1 << len(all_edge_sites(n))):
+        raise ValueError(f"mask {mask} out of range for n={n}")
+    return SimpleGraph(n, frozenset(mask_sites(n, mask)))
+
+
+def graph_mask(G: SimpleGraph) -> int:
+    """Edge-subset bitmask of a graph in the canonical site order."""
+    return site_mask(G.n, G.edges)
 
 
 def enumerate_graphs(n: int, force: bool = False) -> Iterator[SimpleGraph]:

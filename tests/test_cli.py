@@ -12,6 +12,7 @@ import pytest
 from ergm_cluster import expansion, expansion_report, optimal_M, report_jsonable
 from ergm_cluster.cli import build_parser, main, render_json, write_artifact
 from ergm_cluster.graphs import BUILTIN_MOTIFS
+from ergm_cluster.lattice import Interaction
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -285,6 +286,34 @@ class TestCoeffs:
         assert main(["coeffs", "--p", "1", "--norm", "0.1", "--M", "2.0"]) == 0
 
 
+def _cell(value) -> str:
+    """A JSON value as a key-value CSV renders it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+class TestKeyValueArtifacts:
+    @pytest.mark.parametrize("argv", [
+        ["density", "--motif", "two-star", "--graph", "fig.json"],
+        ["density", "--motif", "two-star", "--n", "4", "--sites", "[[0, 1], [1, 2]]"],
+        ["represent", "--motif", "two-star", "--graph", "fig.json"],
+        ["region", "--p", "2", "--m", "3"],
+        ["region", "--p", "3", "--m", "4", "--M", "1.3"],
+    ])
+    def test_csv_and_json_carry_the_same_pairs(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig.json").write_text(FIG_DOC)
+        assert main([*argv, "--out", "a.json"]) == 0
+        assert main([*argv, "--out", "a.csv", "--format", "csv"]) == 0
+        pairs = json.loads((tmp_path / "a.json").read_text(), object_pairs_hook=list)
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        assert lines[0] == "key,value"
+        assert [line.split(",", 1) for line in lines[1:]] == [[k, _cell(v)] for k, v in pairs]
+
+
 class TestConfigPrecedence:
     def test_config_supplies_options(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -315,6 +344,36 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
         assert main(["exact", "--config", str(cfg)]) == 2
+
+    def test_expand_options_from_the_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"motifs": ["two-star"], "betas": [0.001], "n": 7,
+                                   "order": 2, "max_links": 1, "head_links": 2,
+                                   "force": True}))
+        out = tmp_path / "report.json"
+        assert main(["expand", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == report_jsonable(expansion_report(
+            [BUILTIN_MOTIFS["two-star"]], [0.001], 7, order=2, max_links=1, head_links=2,
+            force=True))
+        assert main(["expand", "--config", str(cfg), "--order", "1", "--out", str(out)]) == 0
+        assert [row["order"] for row in json.loads(out.read_text())["orders"]] == [1]
+
+    def test_density_sites_and_n_from_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"motif": "two-star", "n": 4, "sites": [[0, 1], [1, 2]]}')
+        assert main(["density", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == "2/64\n"
+
+    def test_null_leaves_an_option_unset(self, tmp_path, capsys):
+        # A null falls through to the built-in default, or to the missing-option
+        # error where there is none.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"motifs": ["two-star"], "betas": [0.001], "n": 4, "order": null}')
+        assert main(["expand", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count("order ") == 4
+        cfg.write_text('{"motifs": ["edge"], "betas": [0.1], "n": null}')
+        assert main(["exact", "--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "missing required option --n"
 
 
 class TestFailureModes:
@@ -375,6 +434,28 @@ class TestFailureModes:
         assert [row["order"] for row in doc["orders"]] == [1, 2]
         for row in doc["orders"]:
             assert row["gap_to_exact"] <= row["tail_bound"]
+
+    @pytest.mark.parametrize("command", ["exact", "expand"])
+    @pytest.mark.parametrize("n", ["8", "100000"])
+    def test_force_stops_at_the_ceiling(self, command, n, capsys):
+        start = time.perf_counter()
+        rc = main([command, "--motifs", "edge", "--betas", "0.1", "--n", n, "--force"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["kind"] == "guard" and "--force" not in err["hint"]
+
+    def test_underflowing_coupling_named(self, capsys):
+        # K's exact value on the two-star's single sites is below the least
+        # subnormal; a 0.0 a caller stores keeps Interaction's own message.
+        assert main(["exact", "--motifs", "two-star", "--betas", "5e-324", "--n", "5"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "the exact K of the class of ((0, 1),) is nonzero but underflows to 0.0",
+            "kind": "invalid-config"}
+        with pytest.raises(ValueError, match=r"^exact zero stored at \(\(0, 1\),\)$"):
+            Interaction(5, {((0, 1),): 0.0}, 2)
 
     def test_expand_n7_refused_up_front(self, capsys):
         start = time.perf_counter()

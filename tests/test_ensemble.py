@@ -21,7 +21,6 @@ from ergm_cluster import (
     partition_normalized,
     phi_n,
     psi_n,
-    graph_from_mask,
     hom_count,
     results_csv,
 )
@@ -44,6 +43,7 @@ from oracles import (
     energies_by_link,
     energies_by_subset_sums,
     expectations_by_graph,
+    graph_from_mask,
     hamiltonian,
     psi_by_graph,
 )

@@ -32,7 +32,7 @@ from ergm_cluster.expansion import (
     _LinkSystem,
     _size_column,
 )
-from ergm_cluster.graphs import check_guard
+from ergm_cluster.graphs import check_guard, site_mask
 from ergm_cluster.lattice import Interaction, freeze_sites
 
 import oracles
@@ -402,7 +402,7 @@ def polymer_system(names, betas, n, max_links):
     K = build_interaction([BUILTIN_MOTIFS[x] for x in names], list(betas), n)
     sys = _LinkSystem(K)
     polymers = polymer_table(K, max_links)
-    masks = [sys._site_mask(p.support) for p in polymers]
+    masks = [site_mask(K.n, p.support) for p in polymers]
     return K, sys, polymers, masks, [p.activity for p in polymers]
 
 

@@ -13,7 +13,6 @@ from ergm_cluster import (
     expansion_report,
     expectation_densities,
     graph_from_json,
-    graph_from_mask,
     hom_count,
     hom_density,
     make_graph,
@@ -22,12 +21,15 @@ from ergm_cluster import (
     partition_normalized,
     phi_n,
     psi_n,
+    support_families,
     truncated_log_partition,
 )
 from ergm_cluster.ensemble import motif_hom_table
-from ergm_cluster.graphs import all_edge_sites, canonical_edge, check_alignment, edge_index
+from ergm_cluster.graphs import all_edge_sites, canonical_edge, check_alignment, edge_index, \
+    mask_sites, site_mask
 
-from oracles import complete_graph, empty_graph, enumerate_graphs, weighted_density
+from oracles import complete_graph, empty_graph, enumerate_graphs, graph_from_mask, graph_mask, \
+    weighted_density
 
 
 class TestSitesAndGraphs:
@@ -63,8 +65,13 @@ class TestSitesAndGraphs:
             make_graph(3, [(1, 1)])
 
     def test_mask_round_trip(self):
+        # Every link of every built-in motif at n <= 6 decodes back to itself.
+        for n in range(1, 7):
+            for H in BUILTIN_MOTIFS.values():
+                for X in support_families(H, n):
+                    assert mask_sites(n, site_mask(n, X)) == X
         for mask in range(64):
-            assert graph_from_mask(4, mask).mask() == mask
+            assert graph_mask(graph_from_mask(4, mask)) == mask
 
     def test_enumeration_counts(self):
         assert sum(1 for _ in enumerate_graphs(2)) == 2
@@ -113,6 +120,12 @@ class TestSizeGuard:
         assert time.perf_counter() - start < 1.0
         if name != "truncated_log_partition":
             run(7, force=True)
+            # force stops at the table ceiling, before any work
+            start = time.perf_counter()
+            with pytest.raises(GuardExceeded) as exc:
+                run(8, force=True)
+            assert time.perf_counter() - start < 1.0
+            assert "--force" not in exc.value.hint
 
 
 class TestMotifs:

@@ -13,7 +13,6 @@ from ergm_cluster import (
     build_interaction,
     exact_density,
     exact_hom_count,
-    graph_from_mask,
     hom_density,
     interaction_dump,
     interaction_from_dump,
@@ -26,6 +25,7 @@ from ergm_cluster.lattice import freeze_sites
 from oracles import (
     complete_graph,
     empty_graph,
+    graph_from_mask,
     hamiltonian,
     interaction_by_fractions,
     pinned_abs_sum,

@@ -39,7 +39,6 @@ from ergm_cluster import (
     ensemble_result,
     exact_hom_count,
     expansion_report,
-    graph_from_mask,
     hom_count,
     optimal_M,
     partition_normalized,
@@ -56,11 +55,11 @@ from ergm_cluster.ensemble import (
     motif_hom_table,
 )
 from ergm_cluster.expansion import _cluster_sums, _connected_item_sets, _LinkSystem, _log_series
-from ergm_cluster.graphs import GuardExceeded, all_edge_sites, edge_index
+from ergm_cluster.graphs import GuardExceeded, all_edge_sites, edge_index, site_mask
 
 from oracles import _family_sweep, distinct_columns_by_sort, exact_log_series, \
-    image_counts_by_subset_differences, interaction_by_fractions, polymer_sum_dicts, \
-    polymer_sums_by_set
+    graph_from_mask, image_counts_by_subset_differences, interaction_by_fractions, \
+    polymer_sum_dicts, polymer_sums_by_set
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -90,7 +89,7 @@ def test_partials_match_exact_rationals(family, order):
     K = build_interaction(motifs, betas, n)
     sys = _LinkSystem(K)
     polymers = polymer_table(K, 4)
-    masks = [sys._site_mask(p.support) for p in polymers]
+    masks = [site_mask(K.n, p.support) for p in polymers]
     ws = [p.activity for p in polymers]
     want = list(accumulate(exact_log_series(masks, ws, order)))
     mass = list(accumulate(-s for s in exact_log_series(masks, [-abs(w) for w in ws], order)))
