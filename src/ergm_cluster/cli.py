@@ -86,34 +86,52 @@ def write_artifact(path: str | Path, text: str) -> None:
         raise
 
 
+def _cell(v) -> str:
+    """A value as one CSV cell: empty for null and for a float that is not finite."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return _fmt(v) if math.isfinite(v) else ""
+    return "" if v is None else str(v)
+
+
 def _kv_csv(pairs: Iterable[tuple[str, object]]) -> str:
-    lines = ["key,value"]
-    for k, v in pairs:
-        if isinstance(v, bool):
-            s = "true" if v else "false"
-        elif isinstance(v, float):
-            s = _fmt(v) if math.isfinite(v) else ""
-        elif v is None:
-            s = ""
-        else:
-            s = str(v)
-        lines.append(f"{k},{s}")
-    return "\n".join(lines) + "\n"
+    return "key,value\n" + "".join(f"{k},{_cell(v)}\n" for k, v in pairs)
 
 
 # The options with a built-in value; a flag beats the --config file, which beats these.
-DEFAULTS = {"format": "json", "order": 4, "max_links": 4, "n_max": 30}
+DEFAULTS = {"format": "json", "order": 4, "max_links": 4, "n_max": 30, "force": False}
 
 
 def _merge_config(ns: argparse.Namespace) -> None:
     """Fill each option the flags left unset from the --config file, then from
-    DEFAULTS.  A null in the file leaves the option unset."""
+    DEFAULTS.  A null in the file leaves the option unset; any other value is
+    taken as its flag would take it, or refused where the flag refuses it."""
     cfg = json.loads(Path(ns.config).read_text()) if ns.config else {}
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     for key, value in [*cfg.items(), *DEFAULTS.items()]:
-        if key in vars(ns) and getattr(ns, key) is None:
-            setattr(ns, key, value)
+        if key in ns.options and getattr(ns, key) is None and value is not None:
+            setattr(ns, key, _as_flag(ns.options[key], value))
+
+
+def _as_flag(action: argparse.Action, value):
+    """A config value through its flag's checks.  A switch takes a JSON boolean,
+    a list option a non-empty list, and a typed option what its type parses
+    from the value's text: 3.7 is no --n, true no --betas."""
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"unknown {action.dest} {value!r}")
+    many = action.nargs == "+"
+    ok = (isinstance(value, bool) if action.nargs == 0 else
+          not many or isinstance(value, list) and len(value) > 0)
+    if ok and action.type is not None:
+        try:
+            value = [action.type(str(v)) for v in value] if many else action.type(str(value))
+        except ValueError:
+            ok = False
+    if not ok:
+        raise ValueError(f"{action.option_strings[0]} cannot take {value!r} from a config file")
+    return value
 
 
 def _motifs(ns: argparse.Namespace) -> list[Motif]:
@@ -122,11 +140,10 @@ def _motifs(ns: argparse.Namespace) -> list[Motif]:
     return [load_motif(str(s)) for s in ns.motifs]
 
 
-def _finite(key: str, val) -> float:
+def _finite(key: str, x: float) -> float:
     """The one boundary check for real-valued inputs: a finite float."""
-    x = float(val)
     if not math.isfinite(x):
-        raise ValueError(f"--{key} must be finite, got {val!r}")
+        raise ValueError(f"--{key} must be finite, got {x!r}")
     return x
 
 
@@ -140,7 +157,7 @@ def _need_int(ns: argparse.Namespace, key: str) -> int:
     val = getattr(ns, key)
     if val is None:
         raise ValueError(f"missing required option --{key.replace('_', '-')}")
-    return int(val)
+    return val
 
 
 def _graph(ns: argparse.Namespace) -> SimpleGraph | None:
@@ -150,14 +167,8 @@ def _graph(ns: argparse.Namespace) -> SimpleGraph | None:
 
 
 def _emit(ns: argparse.Namespace, json_doc, csv_text: str) -> None:
-    if ns.out is None:
-        return
-    if ns.format == "json":
-        write_artifact(ns.out, render_json(json_doc) + "\n")
-    elif ns.format == "csv":
-        write_artifact(ns.out, csv_text)
-    else:
-        raise ValueError(f"unknown format {ns.format!r}")
+    if ns.out is not None:
+        write_artifact(ns.out, render_json(json_doc) + "\n" if ns.format == "json" else csv_text)
 
 
 def cmd_density(ns: argparse.Namespace) -> int:
@@ -165,16 +176,13 @@ def cmd_density(ns: argparse.Namespace) -> int:
         raise ValueError("--motif is required")
     H = load_motif(str(ns.motif))
     G = _graph(ns)
-    if ns.sites is not None:
-        n = G.n if G is not None else (int(ns.n) if ns.n is not None else None)
-        if n is None:
-            raise ValueError("--sites needs --graph or --n to fix the vertex count")
-    elif G is None:
+    n = ns.n if G is None else G.n
+    if ns.n not in (None, n):
+        raise ValueError(f"--n {ns.n} disagrees with the graph file (n={n})")
+    if ns.sites is None and G is None:
         raise ValueError("--graph is required without --sites")
-    else:
-        n = G.n
-        if ns.n is not None and int(ns.n) != n:
-            raise ValueError(f"--n {ns.n} disagrees with the graph file (n={n})")
+    if n is None:
+        raise ValueError("--sites needs --graph or --n to fix the vertex count")
     # A density divides by n^m, which is 0 at n = 0.
     if n < 1:
         raise ValueError(f"need n >= 1 vertices, got n={n}")
@@ -214,7 +222,7 @@ def cmd_exact(ns: argparse.Namespace) -> int:
     motifs = _motifs(ns)
     betas = _betas(ns)
     n = _need_int(ns, "n")
-    res = ensemble_result(motifs, betas, n, force=bool(ns.force))
+    res = ensemble_result(motifs, betas, n, force=ns.force)
     print(f"psi_{n} = {_fmt(res.psi)}")
     print(f"phi_{n} = {_fmt(res.phi)}")
     for H, e in zip(motifs, res.expectations):
@@ -238,18 +246,15 @@ def cmd_expand(ns: argparse.Namespace) -> int:
     motifs = _motifs(ns)
     betas = _betas(ns)
     n = _need_int(ns, "n")
-    order = int(ns.order)
-    max_links = int(ns.max_links)
-    head_links = None if ns.head_links is None else int(ns.head_links)
     M = None if ns.M is None else _finite("M", ns.M)
-    report = expansion_report(motifs, betas, n, order=order, max_links=max_links,
-                              M=M, head_links=head_links, force=bool(ns.force))
-    doc = report_jsonable(report)
+    report = expansion_report(motifs, betas, n, order=ns.order, max_links=ns.max_links,
+                              M=M, head_links=ns.head_links, force=ns.force)
+    lines = ["order,partial_sum,gap_to_exact,tail_bound"]
     for row in report.orders:
-        tb = "n/a" if row.tail_bound is None or not math.isfinite(row.tail_bound) \
-            else _fmt(row.tail_bound)
+        tb = _cell(row.tail_bound)
         print(f"order {row.order}: partial = {_fmt(row.partial_sum)}, "
-              f"gap = {_fmt(row.gap_to_exact)}, tail bound = {tb}")
+              f"gap = {_fmt(row.gap_to_exact)}, tail bound = {tb or 'n/a'}")
+        lines.append(f"{row.order},{_fmt(row.partial_sum)},{_fmt(row.gap_to_exact)},{tb}")
     cert = report.certificate
     state = "pass" if cert.verdict else "FAIL"
     print(f"KP check at M = {_fmt(cert.M)}: max site sum = {_fmt(cert.max_site_sum)}, "
@@ -258,12 +263,7 @@ def cmd_expand(ns: argparse.Namespace) -> int:
         print(f"  reason: {cert.reason}")
     if report.beta_budget is not None:
         print(f"beta budget at this M = {_fmt(report.beta_budget)}")
-    lines = ["order,partial_sum,gap_to_exact,tail_bound"]
-    for row in report.orders:
-        tb = "" if row.tail_bound is None or not math.isfinite(row.tail_bound) \
-            else _fmt(row.tail_bound)
-        lines.append(f"{row.order},{_fmt(row.partial_sum)},{_fmt(row.gap_to_exact)},{tb}")
-    _emit(ns, doc, "\n".join(lines) + "\n")
+    _emit(ns, report_jsonable(report), "\n".join(lines) + "\n")
     return 0
 
 
@@ -289,38 +289,31 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
                                optimal_M, radius_and_tail)
 
     p = _need_int(ns, "p")
+    if p < 1:
+        raise ValueError(f"edge count p must be a positive integer, got {p}")
     if ns.norm is None:
         raise ValueError("--norm is required")
     norm = _finite("norm", ns.norm)
-    if ns.M is None:
-        if p < 2:
-            raise ValueError("--M is required when p = 1 (no interior optimum)")
-        M = optimal_M(p)
-    else:
-        M = _finite("M", ns.M)
-    n_max = int(ns.n_max)
-    table = abar_recursion(p, norm, M, n_max)
+    if ns.M is None and p == 1:
+        raise ValueError("--M is required when p = 1 (no interior optimum)")
+    M = optimal_M(p) if ns.M is None else _finite("M", ns.M)
+    table = abar_recursion(p, norm, M, ns.n_max)
     # radius_and_tail overflows for large p; fail before the O(p n_max^2) check.
     radius = radius_and_tail(p, norm, M)[0] if p >= 2 else None
-    checked = generating_function_check(p, min(n_max, 30))
-    tail = coefficient_tail(table, n_max)
+    checked = generating_function_check(p, min(ns.n_max, 30))
+    tail = coefficient_tail(table, ns.n_max)
     divergent = math.isinf(tail)
     print(f"c = {_fmt(table.c)}")
     if radius is not None:
         print(f"norm radius = {_fmt(radius)}")
-    if divergent:
-        print(f"tail beyond n = {n_max}: divergent")
-    else:
-        print(f"tail beyond n = {n_max}: {_fmt(tail)}")
+    print(f"tail beyond n = {ns.n_max}: {'divergent' if divergent else _fmt(tail)}")
     print(f"series identity check: {'ok' if checked else 'FAILED'}")
     rows = [{"n": i, "gamma": f"{table.gamma[i].numerator}/{table.gamma[i].denominator}",
              "abar": table.abar(i)} for i in range(1, table.n_max + 1)]
     doc = {"p": p, "norm": norm, "M": M, "c": table.c,
            "radius": radius, "tail_beyond_n_max": None if divergent else tail,
            "divergent": divergent, "series_check": checked, "rows": rows}
-    lines = ["n,gamma,abar"]
-    for r in rows:
-        lines.append(f"{r['n']},{r['gamma']},{_fmt(r['abar'])}")
+    lines = ["n,gamma,abar"] + [f"{r['n']},{r['gamma']},{_fmt(r['abar'])}" for r in rows]
     _emit(ns, doc, "\n".join(lines) + "\n")
     return 0
 
@@ -397,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub in subs.choices.values():
         sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # The flags of the subcommand by option name, for _merge_config.
+        sub.set_defaults(options={a.dest: a for a in sub._actions if a.option_strings})
     return parser
 
 

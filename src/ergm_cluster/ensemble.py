@@ -90,50 +90,40 @@ def _distinct_columns(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     ascending keys are lexsort order, and np.bincount counts the keys.  A fold
     that would take the key past twice the table length re-ranks the key
     densely first; if even the dense key cannot take the next table, that
-    table and then the key are ranked by sorting, as a last resort.
+    table and then the key are ranked by sorting, as a last resort.  Each
+    column's row is then read from the tables at one mask with its key.
     """
     size = len(tables[0])
     key, span = np.zeros(size, dtype=np.int64), 1
-    # Per fold (i, lo, values, radix); per re-rank the old keys that occur, after
-    # a sort as the sorted keys, else as a packed bitmap over the old key range,
-    # because with one class per link nearly every fold follows a re-rank.
-    steps: list = []
-    for i in reversed(range(len(tables))):
-        t = tables[i]
+    for t in reversed(tables):
         lo = int(t.min())
         radix = int(t.max()) - lo + 1
         if span * radix > 2 * size:
             seen = np.bincount(key, minlength=span) != 0
             key = (np.cumsum(seen) - 1)[key]
-            steps.append(np.packbits(seen))
             span = int(np.count_nonzero(seen))
         if span * radix <= 2 * size:
             key *= radix
             key += t
             key -= lo
-            steps.append((i, lo, None, radix))
             span *= radix
         else:
             values, digits = np.unique(t, return_inverse=True)
             key *= len(values)
             key += digits
             keys, key = np.unique(key, return_inverse=True)
-            steps += [(i, 0, values, len(values)), keys]
             span = len(keys)
     counts = np.bincount(key, minlength=span)
     codes = np.flatnonzero(counts)
-    counts = counts[codes]
+    # Any mask of each key will do, as its masks share one column.  Blocks of
+    # 4096 masks keep the index arrays small: a fresh key-length one costs RSS.
+    at = np.empty(span, dtype=np.int64)
+    for lo in range(0, size, 4096):
+        at[key[lo:lo + 4096]] = np.arange(lo, min(size, lo + 4096))
+    at = at[codes]
     # Column-major, so _column_energies reads rows.T contiguously.
-    rows = np.empty((len(codes), len(tables)), dtype=np.result_type(*tables)).T
-    for step in reversed(steps):
-        if isinstance(step, tuple):
-            i, lo, values, radix = step
-            codes, digits = np.divmod(codes, radix)
-            rows[i] = digits + lo if values is None else values[digits]
-        elif step.dtype == np.uint8:
-            codes = np.flatnonzero(np.unpackbits(step))[codes]
-        else:
-            codes = step[codes]
+    rows = np.stack([t[at] for t in tables], axis=1).T
+    counts = counts[codes]
     rows.flags.writeable = counts.flags.writeable = False
     return rows, counts
 
@@ -331,28 +321,17 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def csv_header(k: int) -> str:
-    """Column layout: n, beta_1..beta_k, psi_n, phi_n, E_1..E_k."""
-    parts = ["n"]
-    parts += [f"beta_{i}" for i in range(1, k + 1)]
-    parts += ["psi_n", "phi_n"]
-    parts += [f"E_{i}" for i in range(1, k + 1)]
-    return ",".join(parts)
-
-
-def csv_row(res: EnsembleResult) -> str:
-    parts = [str(res.n)]
-    parts += [_fmt(b) for b in res.betas]
-    parts += [_fmt(res.psi), _fmt(res.phi)]
-    parts += [_fmt(e) for e in res.expectations]
-    return ",".join(parts)
-
-
 def results_csv(results: Sequence[EnsembleResult]) -> str:
-    """Render results as one CSV document (header + one row per result)."""
+    """Render results as one CSV document: a header, then one row per result.
+
+    Columns: n, beta_1..beta_k, psi_n, phi_n, E_1..E_k.
+    """
     if not results:
         raise ValueError("nothing to render")
     k = len(results[0].betas)
     if any(len(r.betas) != k for r in results):
         raise ValueError("results carry differing parameter counts")
-    return "\n".join([csv_header(k)] + [csv_row(r) for r in results]) + "\n"
+    header = ["n", *(f"beta_{i}" for i in range(1, k + 1)), "psi_n", "phi_n",
+              *(f"E_{i}" for i in range(1, k + 1))]
+    rows = [[str(r.n), *map(_fmt, [*r.betas, r.psi, r.phi, *r.expectations])] for r in results]
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])

@@ -152,15 +152,12 @@ class Interaction:
 class _LinkTable(NamedTuple):
     """The beta-free part of K for one (motifs, n): its links, grouped into classes.
 
-    links is the sorted union of the motifs' support families and link_class[j]
-    the index in classes of the class of links[j].  A class holds the links
-    that share one integer count vector (n^m_i d(H_i, X))_i, which is
-    vectors[c] for classes[c]; each class is sorted, and the classes by their
-    links.
+    The links are the union of the motifs' support families.  A class holds
+    the links that share one integer count vector (n^m_i d(H_i, X))_i, which
+    is vectors[c] for classes[c]; each class is sorted, and the classes by
+    their links.
     """
 
-    links: tuple[EdgeSubset, ...]
-    link_class: tuple[int, ...]
     classes: tuple[tuple[EdgeSubset, ...], ...]
     vectors: tuple[tuple[int, ...], ...]
 
@@ -169,14 +166,11 @@ class _LinkTable(NamedTuple):
 def _link_table(motifs: tuple[Motif, ...], n: int) -> _LinkTable:
     """The link table of (motifs, n), memoized: every K on it is one value per class."""
     families = [support_families(H, n) for H in motifs]
-    links = sorted(set().union(*families))
     by_vector: dict[tuple[int, ...], list[EdgeSubset]] = defaultdict(list)
-    for X in links:
+    for X in sorted(set().union(*families)):
         by_vector[tuple(int(f.get(X, 0) * n ** H.m) for H, f in zip(motifs, families))].append(X)
     classes = sorted((tuple(c), v) for v, c in by_vector.items())
-    index = {X: i for i, (c, _) in enumerate(classes) for X in c}
-    return _LinkTable(links=tuple(links), link_class=tuple(index[X] for X in links),
-                      classes=tuple(c for c, _ in classes),
+    return _LinkTable(classes=tuple(c for c, _ in classes),
                       vectors=tuple(v for _, v in classes))
 
 
@@ -210,10 +204,10 @@ def build_interaction(motifs: Sequence[Motif], betas: Sequence[float], n: int) -
     """K(X) = n^2 * sum_i beta_i d(H_i, X), assembled exactly and rounded once per class.
 
     Links with equal count vectors share one value, computed by
-    _class_couplings; exact zeros are dropped.
+    _class_couplings; exact zeros are dropped, and the links are sorted.
     """
     table, values = _class_couplings(motifs, betas, n)
-    k_map = {X: values[c] for X, c in zip(table.links, table.link_class) if values[c]}
+    k_map = dict(sorted((X, v) for c, v in zip(table.classes, values) if v for X in c))
     return Interaction(n=n, k_map=k_map, p_max=max(H.p for H in motifs))
 
 

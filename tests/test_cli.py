@@ -91,6 +91,17 @@ class TestDensity:
         assert rc == 2
         assert "disagrees" in capsys.readouterr().err
 
+    def test_n_must_agree_with_graph_given_sites(self, fig_file, capsys):
+        rc = main(["density", "--motif", "two-star", "--graph", fig_file, "--n", "9",
+                   "--sites", "[[0, 1], [1, 2]]"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "--n 9 disagrees with the graph file (n=4)"
+        assert main(["density", "--motif", "two-star", "--graph", fig_file, "--n", "4",
+                     "--sites", "[[0, 1], [1, 2]]"]) == 0
+        assert capsys.readouterr().out == "2/64\n"
+
     def test_sites_need_a_vertex_count(self, capsys):
         assert main(["density", "--motif", "edge", "--sites", "[[0, 1]]"]) == 2
 
@@ -230,6 +241,19 @@ class TestExpand:
             assert cert.margin == -math.inf and kp["margin"] is None
             assert kp["worst_site"] == [0, 1]
 
+    def test_missing_tail_bound_placeholders(self, tmp_path, capsys):
+        # A single edge has p = 1: no tail function, so no order has a bound.
+        argv = ["expand", "--motifs", "edge", "--betas", "0.01", "--n", "4", "--order", "3"]
+        assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()[:3]
+        assert [line.split(": ")[0] for line in lines] == ["order 1", "order 2", "order 3"]
+        assert all(line.endswith(", tail bound = n/a") for line in lines)
+        rows = json.loads((tmp_path / "a.json").read_text())["orders"]
+        assert [row["tail_bound"] for row in rows] == [None] * 3
+        assert main([*argv, "--out", str(tmp_path / "a.csv"), "--format", "csv"]) == 0
+        cells = [line.split(",") for line in (tmp_path / "a.csv").read_text().splitlines()]
+        assert [row[3] for row in cells] == ["tail_bound", "", "", ""]
+
     def test_csv_artifact(self, tmp_path):
         out = tmp_path / "orders.csv"
         rc = main(self.ARGS + ["--out", str(out), "--format", "csv"])
@@ -283,7 +307,17 @@ class TestCoeffs:
 
     def test_single_site_needs_M(self, capsys):
         assert main(["coeffs", "--p", "1", "--norm", "0.1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "--M is required when p = 1 (no interior optimum)"
         assert main(["coeffs", "--p", "1", "--norm", "0.1", "--M", "2.0"]) == 0
+
+    @pytest.mark.parametrize("p", ["0", "-3"])
+    @pytest.mark.parametrize("M", [[], ["--M", "2.0"]])
+    def test_p_checked_before_M(self, p, M, capsys):
+        assert main(["coeffs", "--p", p, "--norm", "0.1", *M]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"edge count p must be a positive integer, got {p}",
+            "kind": "invalid-config"}
 
 
 def _cell(value) -> str:
@@ -363,6 +397,15 @@ class TestConfigPrecedence:
         cfg.write_text('{"motif": "two-star", "n": 4, "sites": [[0, 1], [1, 2]]}')
         assert main(["density", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == "2/64\n"
+
+    def test_values_parse_as_the_flags_parse_them(self, tmp_path, capsys):
+        # Text parses as the flag's text would; a JSON false is no --force.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"motifs": ["edge"], "betas": ["0"], "n": "4", "force": false}')
+        assert main(["exact", "--config", str(cfg)]) == 0
+        assert "psi_4 = 0.25993019270997947" in capsys.readouterr().out
+        assert main(["exact", "--config", str(cfg), "--n", "7"]) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "guard"
 
     def test_null_leaves_an_option_unset(self, tmp_path, capsys):
         # A null falls through to the built-in default, or to the missing-option
@@ -537,6 +580,11 @@ class TestFailureModes:
         (["exact", "--motifs", "edge", "--betas", "0.1", "--n", "3"], {"out": 5}),
         (["expand", "--motifs", "edge", "--betas", "0.1", "--n", "3"], {"order": [2]}),
         (["coeffs", "--p", "2"], {"norm": [0.1]}),
+        # The flags refuse each of these, so the file must too.
+        (["exact", "--motifs", "edge", "--betas", "0.1", "--n", "7"], {"force": "no"}),
+        (["exact", "--motifs", "edge", "--betas", "0.1"], {"n": 3.7}),
+        (["expand", "--motifs", "edge", "--betas", "0.1", "--n", "3"], {"order": 2.9}),
+        (["exact", "--motifs", "edge", "--n", "3"], {"betas": [True]}),
     ])
     def test_wrongly_typed_values(self, argv, cfg, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -30,8 +30,6 @@ from ergm_cluster.ensemble import (
     _link_classes,
     _link_histogram,
     _statistic_histogram,
-    csv_header,
-    csv_row,
     motif_hom_table,
 )
 from ergm_cluster.graphs import all_edge_sites, edge_index
@@ -185,8 +183,8 @@ class TestResultPlumbing:
 
     def test_csv_layout(self, edge, triangle):
         res = ensemble_result([edge, triangle], [0.05, 0.02], 4)
-        assert csv_header(2) == "n,beta_1,beta_2,psi_n,phi_n,E_1,E_2"
-        row = csv_row(res)
+        header, row = results_csv([res]).splitlines()
+        assert header == "n,beta_1,beta_2,psi_n,phi_n,E_1,E_2"
         cells = row.split(",")
         assert cells[0] == "4" and len(cells) == 7
         # 17 significant digits round-trip
