@@ -24,7 +24,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
 import numpy as np
 
@@ -140,58 +141,62 @@ def _statistic_histogram(motifs: tuple[Motif, ...], n: int) -> tuple[np.ndarray,
 
 def _ensemble_sums(motifs: Sequence[Motif], betas: Sequence[float],
                    n: int) -> tuple[float, list[float]]:
-    """psi_n and E[t(H_i, G)] from the statistic histogram.
+    """psi_n and E[t(H_i, G)] from the statistic histogram; callers check the betas.
 
     A column's log-weight n^2 T(G) is the same float for all its graphs, so
     its count multiplies its shifted weight once.  A largest weight that is
     not finite raises OverflowError, as partition_normalized does.
     """
-    check_alignment(motifs, betas)
     rows, counts = _statistic_histogram(tuple(motifs), n)
     weights = np.zeros(len(counts), dtype=np.float64)
     n2 = float(n * n)
     with np.errstate(over="ignore", invalid="ignore"):
         for H, b, row in zip(motifs, betas, rows):
             weights += (n2 * float(b) / n ** H.m) * row
-    hi = float(np.max(weights))
+    hi = float(weights.max())
     if not math.isfinite(hi):
         raise OverflowError(f"a statistic column's weight n^2 T(G) is {hi} at n={n}")
     weights -= hi
     p = np.exp(weights, out=weights)
     p *= counts
     z = math.fsum(p.tolist())
-    expectations = [math.fsum((row * p).tolist()) / z / n ** H.m
-                    for H, row in zip(motifs, rows)]
+    expectations = [math.fsum(s) / z / n ** H.m for H, s in zip(motifs, (rows * p).tolist())]
     return (hi + math.log(z)) / (n * n), expectations
 
 
 def psi_n(motifs: Sequence[Motif], betas: Sequence[float], n: int, force: bool = False) -> float:
     """Finite-size free energy (1/n^2) log sum_G exp(n^2 T(G))."""
     check_guard(n, force)
+    check_alignment(motifs, betas)
     return _ensemble_sums(motifs, betas, n)[0]
 
 
 LinkClasses = tuple[tuple[EdgeSubset, ...], ...]
 
 
-def _link_classes(K: Interaction) -> tuple[LinkClasses, tuple[float, ...]]:
-    """K's links grouped by value, and the values: two aligned tuples."""
-    return _merge_by_value(((X,), v) for X, v in K.k_map.items())
+def _link_classes(K: Interaction) -> tuple[LinkClasses, Sequence[float]]:
+    """K's links grouped by value, and the values: two aligned sequences."""
+    links = sorted(K.k_map)
+    return _merge_by_value(tuple((X,) for X in links), [K.k_map[X] for X in links])
 
 
-def _merge_by_value(groups: Iterable[tuple[Sequence[EdgeSubset], float]]
-                    ) -> tuple[LinkClasses, tuple[float, ...]]:
-    """Groups of links with a nonzero value each, merged into one class per value.
+def _merge_by_value(classes: LinkClasses, values: Sequence[float]
+                    ) -> tuple[LinkClasses, Sequence[float]]:
+    """Sorted classes of links, one value each, merged into one class per nonzero value.
 
-    Links are sorted within a class and the classes by their links, so equal
-    class structures give equal keys for _link_histogram, whether the groups
-    are K's single links or the classes of the link table.
+    Links are sorted within a class and the classes by their links, as on
+    input, so equal class structures give equal keys for _link_histogram,
+    whether the classes are K's single links or the classes of the link
+    table.  Distinct nonzero values merge nothing and return the input.
     """
+    if 0.0 not in values and len(set(values)) == len(values):
+        return classes, values
     by_value: dict[float, list[EdgeSubset]] = defaultdict(list)
-    for links, v in groups:
-        by_value[v] += links
-    classes = sorted((tuple(sorted(links)), v) for v, links in by_value.items())
-    return tuple(c for c, _ in classes), tuple(v for _, v in classes)
+    for links, v in zip(classes, values):
+        if v:
+            by_value[v] += links
+    merged = sorted((tuple(sorted(links)), v) for v, links in by_value.items())
+    return tuple(c for c, _ in merged), tuple(v for _, v in merged)
 
 
 @lru_cache(maxsize=8)
@@ -215,17 +220,31 @@ def _link_histogram(n: int, classes: LinkClasses) -> tuple[np.ndarray, np.ndarra
 def _column_energies(rows: np.ndarray, values: Sequence[float]) -> list[float]:
     """sum_c rows[c, j] * values[c] for every column j, correctly rounded.
 
-    Over the largest denominator of the values, a power of two, every energy
-    has an exact integer numerator: an object-dtype product of Python ints,
-    taken in blocks of columns so the object arrays stay small.  The int / int
-    division rounds it once.
+    Over the largest denominator 2^s of the values every energy has an exact
+    integer numerator sum_c rows[c, j] a_c.  Each a_c is cut into signed
+    32-bit limbs; a column holds fewer than 2^21 links (at most 21 sites), so
+    one int64 product per block of 4096 columns gives every limb sum exactly,
+    below 2^53.  Scaled by 2^(32k - s), the limb sums are exact floats, and
+    rounding them once gives the energy: one float addition for two limbs,
+    math.fsum for more.  Values from 2^1001 up could overflow a scaled sum;
+    they take Python ints, whose int / int raises OverflowError past the
+    float range.
     """
     ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    nums = np.array([a * (den // d) for a, d in ratios], dtype=object)
+    scale = max(d for _, d in ratios).bit_length() - 1
+    nums = [a << scale - d.bit_length() + 1 for a, d in ratios]
     cols = rows.T
-    return [e / den for lo in range(0, len(cols), 4096)
-            for e in (cols[lo:lo + 4096].astype(object) @ nums).tolist()]
+    if max(map(abs, values)) >= 2.0 ** 1001:
+        return [sum(map(mul, col.tolist(), nums)) / (1 << scale) for col in cols]
+    width = max(map(abs, nums)).bit_length()
+    limbs = np.array([[(abs(a) >> k & 0xFFFFFFFF) * (-1 if a < 0 else 1)
+                       for k in range(0, width, 32)] for a in nums], dtype=np.int64)
+    units = [math.ldexp(1.0, k - scale) for k in range(0, width, 32)]
+    energies: list[float] = []
+    for lo in range(0, len(cols), 4096):
+        sums = np.dot(cols[lo:lo + 4096], limbs) * units
+        energies += sums.sum(axis=1).tolist() if width <= 64 else map(math.fsum, sums.tolist())
+    return energies
 
 
 def partition_normalized(K: Interaction, force: bool = False) -> float:
@@ -250,7 +269,7 @@ def _table_log_w(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> flo
     histogram entry and the same bits.
     """
     table, values = _class_couplings(motifs, betas, n)
-    return _log_w(n, *_merge_by_value((c, v) for c, v in zip(table.classes, values) if v))
+    return _log_w(n, *_merge_by_value(table.classes, values))
 
 
 def _log_w(n: int, classes: LinkClasses, values: Sequence[float]) -> float:
@@ -262,10 +281,10 @@ def _log_w(n: int, classes: LinkClasses, values: Sequence[float]) -> float:
     energies, weights = _column_energies(rows, values), counts.tolist()
     hi = max(energies)
     if hi < 700.0:
-        mean = math.fsum(c * math.expm1(e) for c, e in zip(weights, energies)) / (1 << sites)
+        mean = math.fsum(map(mul, weights, map(math.expm1, energies))) / (1 << sites)
         if mean >= -0.5:
             return math.log1p(mean)
-    shifted = math.fsum(c * math.exp(e - hi) for c, e in zip(weights, energies))
+    shifted = math.fsum(map(mul, weights, map(math.exp, map(hi.__rsub__, energies))))
     return hi + math.log(shifted) - math.log(1 << sites)
 
 
@@ -279,6 +298,7 @@ def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float], n: in
                           force: bool = False) -> list[float]:
     """Model expectations E[t(H_i, G)] under the exponential family weights."""
     check_guard(n, force)
+    check_alignment(motifs, betas)
     return _ensemble_sums(motifs, betas, n)[1]
 
 
@@ -305,11 +325,12 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     statistic histogram serves psi_n and the expectations.
     """
     check_guard(n, force, least=2)
+    check_alignment(motifs, betas)
     log_w = _table_log_w(motifs, betas, n)
     psi, expectations = _ensemble_sums(motifs, betas, n)
     return EnsembleResult(
         n=n,
-        betas=tuple(float(b) for b in betas),
+        betas=tuple(map(float, betas)),
         log_w_normalized=log_w,
         psi=psi,
         phi=log_w / (n * (n - 1) // 2),

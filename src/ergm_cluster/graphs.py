@@ -17,6 +17,7 @@ rationals; floats only appear once a beta vector is folded in.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -211,7 +212,7 @@ def graph_from_json(doc: str | dict) -> SimpleGraph:
 
 
 def check_alignment(motifs: Sequence[Motif], betas: Sequence) -> None:
-    """A parameter vector must pair one real weight with each motif."""
+    """A parameter vector must pair one finite real weight with each motif."""
     if len(motifs) != len(betas):
         raise ValueError(f"{len(motifs)} motifs but {len(betas)} weights")
     if not motifs:
@@ -219,6 +220,9 @@ def check_alignment(motifs: Sequence[Motif], betas: Sequence) -> None:
     for H in motifs:
         if not isinstance(H, Motif):
             raise ValueError(f"not a motif: {H!r}")
+    for i, b in enumerate(map(float, betas)):
+        if not math.isfinite(b):
+            raise ValueError(f"weight {i} is {b}, not a finite number")
 
 
 def _traversal_order(H: Motif) -> tuple[list[list[int]], int]:

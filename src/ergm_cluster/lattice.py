@@ -20,6 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import (
@@ -185,15 +186,15 @@ def _class_couplings(motifs: Sequence[Motif], betas: Sequence[float],
     rounding is the correctly rounded int/int division per class.  A zero
     numerator gives 0.0; a nonzero one that rounds to zero raises ValueError,
     with the class's first link: K is nonzero there but no float holds it.
+    The caller checks the alignment.
     """
-    check_alignment(motifs, betas)
     table = _link_table(tuple(motifs), n)
-    fbs = [Fraction(float(b)) for b in betas]
-    denom = math.lcm(1, *(fb.denominator * n ** H.m for fb, H in zip(fbs, motifs)))
-    scales = [fb.numerator * denom // (fb.denominator * n ** H.m) for fb, H in zip(fbs, motifs)]
-    nums = [sum(s * c for s, c in zip(scales, vec)) for vec in table.vectors]
+    ratios = [float(b).as_integer_ratio() for b in betas]
+    denom = math.lcm(1, *(d * n ** H.m for (_, d), H in zip(ratios, motifs)))
+    scales = [a * denom // (d * n ** H.m) for (a, d), H in zip(ratios, motifs)]
+    nums = [sum(map(mul, scales, vec)) for vec in table.vectors]
     values = [n * n * v / denom for v in nums]
-    lost = [c[0] for c, v, k in zip(table.classes, nums, values) if v and not k]
+    lost = 0.0 in values and [c[0] for c, v, k in zip(table.classes, nums, values) if v and not k]
     if lost:
         raise ValueError(f"the exact K of the class of {min(lost)} is nonzero "
                          "but underflows to 0.0")
@@ -206,6 +207,7 @@ def build_interaction(motifs: Sequence[Motif], betas: Sequence[float], n: int) -
     Links with equal count vectors share one value, computed by
     _class_couplings; exact zeros are dropped, and the links are sorted.
     """
+    check_alignment(motifs, betas)
     table, values = _class_couplings(motifs, betas, n)
     k_map = dict(sorted((X, v) for c, v in zip(table.classes, values) if v for X in c))
     return Interaction(n=n, k_map=k_map, p_max=max(H.p for H in motifs))

@@ -150,6 +150,19 @@ class TestOverflow:
             with pytest.raises(OverflowError):
                 run([edge, triangle], betas, 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("run", [psi_n, expectation_densities, ensemble_result,
+                                     build_interaction])
+    def test_non_finite_beta_refused_before_any_table(self, monkeypatch, edge, triangle,
+                                                      bad, run):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was read for a non-finite beta")
+
+        monkeypatch.setattr(lattice, "_link_table", refuse)
+        monkeypatch.setattr(ensemble, "_statistic_histogram", refuse)
+        with pytest.raises(ValueError, match=f"^weight 1 is {bad}, not a finite number$"):
+            run([edge, triangle], [0.1, bad], 4)
+
     def test_minus_inf_weights_are_empty_columns(self, edge):
         # each term is finite; their sum is -inf on every graph but the empty one
         with warnings.catch_warnings():
@@ -342,16 +355,28 @@ class TestEnergies:
     def test_column_energies_are_correctly_rounded(self, names):
         rng = random.Random(23)
         motifs = _family(*names)
+        interactions = []
         for n in range(2, 7):
             for scale in (1e-300, 1e-4, 1.0, 1e3):
                 betas = [rng.uniform(-2.0, 2.0) * scale for _ in motifs]
-                classes, values = _link_classes(build_interaction(motifs, betas, n))
-                if not classes:  # the diamond has no link at n = 2
-                    continue
-                rows, _ = _link_histogram(n, classes)
-                for col, got in zip(rows.T.tolist(), _column_energies(rows, values)):
-                    want = sum(Fraction(v) * k for v, k in zip(values, col))
-                    assert got == float(want), (n, betas, col)
+                interactions.append(build_interaction(motifs, betas, n))
+        if names == ("two-star", "triangle"):
+            # 95 links of distinct values, and values 1e-300 and 1e3 apart
+            K = build_interaction(motifs, [0.04, -0.03], 6)
+            interactions.append(_with_values(K, lambda i, v: v * (1 + (i + 1) * 2.0 ** -20)))
+            K = build_interaction(motifs, [0.7, -0.3], 5)
+            interactions.append(_with_values(K, lambda i, v: v * (1e-300, 1e3)[i % 2]))
+        for K in interactions:
+            classes, values = _link_classes(K)
+            if not classes:  # the diamond has no link at n = 2
+                continue
+            # exact sums, over a common denominator of the values
+            den = math.lcm(*(Fraction(v).denominator for v in values))
+            nums = [int(Fraction(v) * den) for v in values]
+            rows, _ = _link_histogram(K.n, classes)
+            for col, got in zip(rows.T.tolist(), _column_energies(rows, values)):
+                want = Fraction(sum(a * k for a, k in zip(nums, col) if k), den)
+                assert got == float(want), (K.n, values, col)
 
     @pytest.mark.parametrize("names", ENERGY_FAMILIES, ids="+".join)
     def test_subset_sums_match_masking_loop(self, names):
@@ -584,10 +609,10 @@ class TestLinkClasses:
         for motifs, betas, n in cases:
             K = build_interaction(motifs, betas, n)
             got = ensemble_result(motifs, betas, n).log_w_normalized
-            assert got.hex() == partition_normalized(K).hex(), (betas, n)
-            # A hand-made K, its links in reverse order, reads the same
-            # histogram entry through _link_classes.
+            # K, and a hand-made K with its links in reverse order, read the
+            # histogram entry that ensemble_result filled, through _link_classes.
             misses = _link_histogram.cache_info().misses
+            assert got.hex() == partition_normalized(K).hex(), (betas, n)
             hand = Interaction(K.n, dict(reversed(K.k_map.items())), K.p_max)
             assert partition_normalized(hand).hex() == got.hex()
             assert _link_histogram.cache_info().misses == misses

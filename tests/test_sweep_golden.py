@@ -4,15 +4,14 @@ tests/data/sweep_golden.json holds float.hex of log W, psi, phi and every
 expectation at 64 ladder points of three families.  The ladders include points
 where two link classes take one value, points where a class's value is zero,
 and points on both branches of log W (log1p of the mean expm1, and the shifted
-log-sum-exp).  The file was written before the per-point arithmetic was
-rewritten; a 1-ulp drift in any output fails here, where the mpmath checks
-allow a tolerance.  Regenerate it only for a deliberate change of results:
+log-sum-exp).  A 1-ulp drift in any output fails here, where the mpmath checks
+allow a tolerance.  Regenerate the file only for a deliberate change of
+results:
 
     PYTHONPATH=src python tests/test_sweep_golden.py
 """
 
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -36,7 +35,7 @@ def _ladder(names):
 
     Special points per family: two classes with one value, a class at zero,
     all of K zero, a largest energy past 700, a mean weight under 1/2, and
-    subnormal-scale and huge betas.
+    betas near 1e-300 and past 10.
     """
     k = len(names)
     special = {
