@@ -43,7 +43,8 @@ def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
     Dict key order is preserved (all emitters build dicts in canonical
-    order); non-finite floats become null.
+    order); non-finite floats become null.  Only plain lists and tuples
+    render as arrays: a record such as a NamedTuple raises TypeError.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -63,7 +64,7 @@ def render_json(obj, indent: int = 0) -> str:
         rows = [f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}"
                 for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):
         if not obj:
             return "[]"
         rows = [f"{inner}{render_json(v, indent + 1)}" for v in obj]

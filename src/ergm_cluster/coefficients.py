@@ -12,10 +12,11 @@ rational arithmetic; floats appear only when a norm is substituted in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 COEFFICIENT_GUARD = 64
 
@@ -63,11 +64,12 @@ def region_bound(p: int, m: int, M: float) -> float:
 @lru_cache(maxsize=None)
 def _gamma_table(p: int, n_max: int) -> tuple[Fraction, ...]:
     """gamma_1..gamma_n_max as exact rationals, 0-slot padded for 1-indexing."""
+    from fractions import Fraction
+
     return (Fraction(0),) + tuple(gamma_closed_form(p, n) for n in range(1, n_max + 1))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """abar_n = gamma_n * (2 norm M^p)^n for n = 1..n_max.
 
     gamma is stored exactly with the scalar c = 2 norm M^p factored out
@@ -106,13 +108,15 @@ def abar_recursion(p: int, norm: float, M: float, n_max: int = 30) -> Coefficien
 
 def gamma_closed_form(p: int, n: int) -> Fraction:
     """binom(p n, n - 1) / n, the Lagrange-inversion value of gamma_n."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("order must be positive")
     return Fraction(math.comb(p * n, n - 1), n)
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction], n_max: int) -> list[Fraction]:
-    out = [Fraction(0)] * (n_max + 1)
+    out = [0] * (n_max + 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
@@ -130,16 +134,16 @@ def _satisfies_identity(p: int, gamma: tuple[Fraction, ...]) -> bool:
     coefficients, and both sides are expanded as truncated rational series.
     """
     n_max = len(gamma) - 1
-    w = [Fraction(0)] + list(gamma[1:])
-    one_plus_w = [Fraction(1)] + w[1:]
-    power = [Fraction(1)] + [Fraction(0)] * n_max
+    w = [0, *gamma[1:]]
+    one_plus_w = [1, *w[1:]]
+    power = [1] + [0] * n_max
     while p > 0:  # square-and-multiply
         if p & 1:
             power = _poly_mul(power, one_plus_w, n_max)
         p >>= 1
         if p:
             one_plus_w = _poly_mul(one_plus_w, one_plus_w, n_max)
-    return [Fraction(0)] + power[:n_max] == w
+    return [0, *power[:n_max]] == w
 
 
 def generating_function_check(p: int, n_max: int = 30) -> bool:
@@ -181,20 +185,26 @@ def radius_and_tail(p: int, norm: float, M: float) -> tuple[float, Callable[[int
 
 
 def coefficient_tail(table: CoefficientTable, from_order: int) -> float:
-    """sum_{n > from_order} abar_n: tabulated values, then a geometric cap.
+    """sum_{n > from_order} abar_n: tabulated values, then a geometric cap."""
+    return _majorant_tail(table.p, table.c, from_order, table.n_max)
 
-    Orders beyond the table are covered by the closed-form bound on abar_n;
-    returns math.inf when that bound's ratio reaches 1 (series divergent).
+
+def _majorant_tail(p: int, c: float, from_order: int, n_max: int) -> float:
+    """sum_{n > from_order} gamma_n c^n: orders through n_max, then a geometric cap.
+
+    Each gamma_n = comb(p n, n - 1) / n is one int/int division, which rounds
+    correctly, so it is the float of the exact table's entry bit for bit and
+    no Fraction is built.  Orders beyond n_max are covered by the closed-form
+    bound on abar_n; returns math.inf when that bound's ratio reaches 1
+    (series divergent).
     """
     if from_order < 0:
         raise ValueError("tail order must be nonnegative")
-    c = table.c
     if c == 0:
         return 0.0
-    p = table.p
     total = 0.0
-    for n in range(from_order + 1, table.n_max + 1):
-        total += float(table.gamma[n]) * c ** n
+    for n in range(from_order + 1, n_max + 1):
+        total += math.comb(p * n, n - 1) / n * c ** n
     if p == 1:
         # Links with one site never overlap, so gamma_n = 1 and the series
         # past the table is exactly geometric in c.
@@ -207,5 +217,5 @@ def coefficient_tail(table: CoefficientTable, from_order: int) -> float:
         ratio, scale = c * p ** p / (p - 1) ** (p - 1), 1.0 / (p - 1)
     if ratio >= 1.0:
         return math.inf
-    start = max(from_order, table.n_max) + 1
+    start = max(from_order, n_max) + 1
     return total + scale * ratio ** start / (1.0 - ratio)

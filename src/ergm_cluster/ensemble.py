@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -302,8 +301,7 @@ def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float], n: in
     return _ensemble_sums(motifs, betas, n)[1]
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
+class EnsembleResult(NamedTuple):
     """One exact-ensemble evaluation: free energies plus motif expectations.
 
     Satisfies psi == (C(n,2)/n^2) * (log 2 + phi) up to float arithmetic.

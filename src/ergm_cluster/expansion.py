@@ -29,21 +29,14 @@ order.  Results are bit-reproducible across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .coefficients import (
-    abar_recursion,
-    coefficient_tail,
-    optimal_M,
-    radius_and_tail,
-    region_bound,
-)
+from .coefficients import _majorant_tail, optimal_M, radius_and_tail, region_bound
 from .ensemble import _table_log_w
 from .graphs import (TABLE_SITES, Motif, all_edge_sites, check_alignment, check_guard,
                      mask_sites, site_mask)
@@ -51,7 +44,7 @@ from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
 from .subsets import CHUNK, DEFAULT_MAX_COUNT, _connected_walk, _family_totals, _words
 
 ORDER_GUARD = 8
-# Majorant coefficients tabulated exactly before the geometric tail takes over.
+# Majorant coefficients summed order by order before the geometric tail takes over.
 TABLE_ORDER = 30
 
 
@@ -157,8 +150,7 @@ def enumerate_connected_hypergraphs(K: Interaction,
         yield tuple(sys.links[i] for i in idxs)
 
 
-@dataclass(frozen=True)
-class Polymer:
+class Polymer(NamedTuple):
     """A realizable support with its activity and the absolute-value bound."""
 
     support: EdgeSubset
@@ -233,8 +225,7 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
     return _partials(len(sys.sites), masks, activities, order)
 
 
-@dataclass(frozen=True)
-class KPCertificate:
+class KPCertificate(NamedTuple):
     """Outcome of the per-site convergence check at weight base M.
 
     per_site_sums maps each edge site to its certified upper bound: the
@@ -305,8 +296,9 @@ def _certify(sites: Sequence[tuple[int, int]], masks: np.ndarray, bounds: np.nda
         reason = (f"norm {norm:.6g} exceeds the 1/2 cap; "
                   "the analytic tail is not justified there")
     else:
-        table = abar_recursion(p, norm, M, TABLE_ORDER)
-        tail = coefficient_tail(table, head_links)
+        # coefficient_tail of abar_recursion(p, norm, M, TABLE_ORDER), bit for
+        # bit, without the table's exact rationals.
+        tail = _majorant_tail(p, 2.0 * norm * float(M) ** p, head_links, TABLE_ORDER)
         if math.isinf(tail):
             reason = ("tail series divergent: 2 norm (M p)^p reaches "
                       "(p-1)^(p-1) at this norm")
@@ -335,16 +327,14 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4) -> KPCertificate:
     return _certify(sys.sites, masks, bounds, M, head_links, banach_norm(K), K.p_max)
 
 
-@dataclass(frozen=True)
-class OrderRow:
+class OrderRow(NamedTuple):
     order: int
     partial_sum: float
     gap_to_exact: float
     tail_bound: float | None
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Per-order truncation data plus the certificate and the parameter region."""
 
     n: int

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # The hom tables, log W and the series sweep all tabulate the
 # 2^C(n,2) edge-site masks; 2^15 masks at n = 6 is where they start to crawl.
@@ -105,19 +106,46 @@ def adjacency(size: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return adj
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """A labeled simple graph: vertex count n plus a set of canonical edges."""
+class _ValueType:
+    """Equality of a validated NamedTuple: only with its own type, as for a
+    frozen dataclass, while hashing stays tuple's own.  _make, and with it
+    _replace, goes through the validating constructor."""
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+
+class _GraphFields(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+
+class SimpleGraph(_ValueType, _GraphFields):
+    """A labeled simple graph: vertex count n plus a set of canonical edges."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]) -> SimpleGraph:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge {(u, v)} is not canonical for n={self.n}")
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge {(u, v)} is not canonical for n={n}")
+        return tuple.__new__(cls, (n, edges))
 
     @property
     def edge_count(self) -> int:
@@ -138,25 +166,29 @@ def make_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
     return SimpleGraph(n, frozenset(seen))
 
 
-@dataclass(frozen=True)
-class Motif:
+class _MotifFields(NamedTuple):
+    name: str
+    m: int
+    edges: frozenset[tuple[int, int]]
+
+
+class Motif(_ValueType, _MotifFields):
     """A pattern graph on m vertices whose homomorphism density is tracked.
 
     p = number of edges.  Motifs must be simple with at least one edge; m >= 2.
     """
 
-    name: str
-    m: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
+    def __new__(cls, name: str, m: int, edges: frozenset[tuple[int, int]]) -> Motif:
+        if m < 2:
             raise ValueError("a motif needs at least two vertices")
-        if not self.edges:
+        if not edges:
             raise ValueError("a motif needs at least one edge")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.m):
-                raise ValueError(f"motif edge {(u, v)} is not canonical for m={self.m}")
+        for u, v in edges:
+            if not (0 <= u < v < m):
+                raise ValueError(f"motif edge {(u, v)} is not canonical for m={m}")
+        return tuple.__new__(cls, (name, m, edges))
 
     @property
     def p(self) -> int:
@@ -355,6 +387,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 def hom_density(H: Motif, G: SimpleGraph) -> Fraction:
     """t(H, G) = hom_count / n^m as an exact rational."""
+    from fractions import Fraction
+
     if G.n == 0:
         raise ValueError("homomorphism density needs at least one vertex")
     return Fraction(hom_count(H, G), G.n ** H.m)

@@ -6,7 +6,8 @@ the subsets of E(G) recovers the homomorphism density t(H, G), which is what
 lets a motif family act as a lattice gas on the C(n,2) edge sites with a
 finite-body interaction K(X) = n^2 * sum_i beta_i d(H_i, X).  The counts
 c(H, X) = n^m d(H, X) come from the one vertex-map walk of graphs._maps,
-grouped by edge image: over K_n for every X at once (support_families), over
+grouped by edge image: over K_n for every X at once (_support_counts, which
+support_families divides by n^m and the link table reads as they are), over
 X's own support for one X (exact_hom_count).
 
 All structural densities are exact rationals; K values are floats with a
@@ -17,11 +18,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import (
     Motif,
@@ -33,6 +32,9 @@ from .graphs import (
     hom_density,
     _edge_images,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EdgeSubset = tuple[tuple[int, int], ...]
 
@@ -69,36 +71,44 @@ def exact_hom_count(H: Motif, X: EdgeSubset, n: int) -> int:
 
 def exact_density(H: Motif, X: EdgeSubset, n: int) -> Fraction:
     """d(H, X): exact homomorphism density of H on the edge subset X."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("need at least one vertex")
     return Fraction(exact_hom_count(H, X, n), n ** H.m)
 
 
 @lru_cache(maxsize=None)
-def support_families(H: Motif, n: int) -> dict[EdgeSubset, Fraction]:
-    """All X with d(H, X) != 0, found by enumerating homomorphic edge images.
+def _support_counts(H: Motif, n: int) -> dict[EdgeSubset, int]:
+    """c(H, X) = n^m d(H, X) for every X with d(H, X) != 0, memoized.
 
     Walks every map of the non-isolated motif vertices into V_n that sends no
     motif edge to a loop, and buckets the maps by their edge image; scanning
     the 2^C(n,2) subsets never happens.  Keys are canonical site tuples in
-    sorted order, values exact rationals.
+    sorted order; isolated motif vertices multiply each count by n.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     full = (1 << n) - 1
     counts, isolated = _edge_images(H, [full ^ (1 << v) for v in range(n)], full)
-    denom = n ** H.m
     scale = n ** isolated
-    return {X: Fraction(c * scale, denom) for X, c in sorted(counts.items())}
+    return {X: c * scale for X, c in sorted(counts.items())}
+
+
+@lru_cache(maxsize=None)
+def support_families(H: Motif, n: int) -> dict[EdgeSubset, Fraction]:
+    """All X with d(H, X) != 0: the counts of _support_counts over n^m, in the
+    same sorted key order, as exact rationals."""
+    from fractions import Fraction
+
+    denom = n ** H.m
+    return {X: Fraction(c, denom) for X, c in _support_counts(H, n).items()}
 
 
 def representation_check(H: Motif, G: SimpleGraph) -> bool:
     """Exact identity t(H, G) == sum of d(H, X) over subsets X of E(G)."""
     fam = support_families(H, G.n)
-    total = Fraction(0)
-    for X, d in fam.items():
-        if all(e in G.edges for e in X):
-            total += d
+    total = sum(d for X, d in fam.items() if all(e in G.edges for e in X))
     return total == hom_density(H, G)
 
 
@@ -108,6 +118,8 @@ def pinned_density(H: Motif, G: SimpleGraph, e: Sequence[int]) -> Fraction:
     Bounded by m(m-1)/n^2 regardless of G: pinning one motif edge to e fixes
     an ordered vertex pair (m(m-1) ways) and frees the remaining m-2 images.
     """
+    from fractions import Fraction
+
     site = canonical_edge(e[0], e[1], G.n)
     fam = support_families(H, G.n)
     total = Fraction(0)
@@ -117,30 +129,47 @@ def pinned_density(H: Motif, G: SimpleGraph, e: Sequence[int]) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
 class Interaction:
     """Sparse finite-body interaction on the edge sites of K_n.
 
     k_map sends canonical site tuples X to real values K(X); exact zeros are
-    never stored, and no stored X has more than p_max sites.
+    never stored, and no stored X has more than p_max sites.  The fields are
+    read-only; equal fields make equal interactions, which are unhashable.
     """
 
-    n: int
-    k_map: Mapping[EdgeSubset, float]
-    p_max: int
+    __slots__ = ("n", "k_map", "p_max")
 
-    def __post_init__(self) -> None:
-        idx = edge_index(self.n)
-        for X, v in self.k_map.items():
+    def __init__(self, n: int, k_map: Mapping[EdgeSubset, float], p_max: int) -> None:
+        idx = edge_index(n)
+        for X, v in k_map.items():
             if not X:
                 raise ValueError("empty subsets cannot carry interaction")
-            if len(X) > self.p_max:
-                raise ValueError(f"{X} has more than p_max={self.p_max} sites")
+            if len(X) > p_max:
+                raise ValueError(f"{X} has more than p_max={p_max} sites")
             for e in X:
                 if e not in idx:
-                    raise ValueError(f"site {e} outside the edge set of K_{self.n}")
+                    raise ValueError(f"site {e} outside the edge set of K_{n}")
             if v == 0:
                 raise ValueError(f"exact zero stored at {X}")
+        for name, value in zip(self.__slots__, (n, k_map, p_max)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Interaction, (self.n, self.k_map, self.p_max)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.k_map, self.p_max) == (other.n, other.k_map, other.p_max)
+
+    def __repr__(self) -> str:
+        return f"Interaction(n={self.n!r}, k_map={self.k_map!r}, p_max={self.p_max!r})"
 
     def links(self) -> list[EdgeSubset]:
         """Stored subsets in canonical sorted order."""
@@ -166,10 +195,10 @@ class _LinkTable(NamedTuple):
 @lru_cache(maxsize=None)
 def _link_table(motifs: tuple[Motif, ...], n: int) -> _LinkTable:
     """The link table of (motifs, n), memoized: every K on it is one value per class."""
-    families = [support_families(H, n) for H in motifs]
+    families = [_support_counts(H, n) for H in motifs]
     by_vector: dict[tuple[int, ...], list[EdgeSubset]] = defaultdict(list)
     for X in sorted(set().union(*families)):
-        by_vector[tuple(int(f.get(X, 0) * n ** H.m) for H, f in zip(motifs, families))].append(X)
+        by_vector[tuple(f.get(X, 0) for f in families)].append(X)
     classes = sorted((tuple(c), v) for v, c in by_vector.items())
     return _LinkTable(classes=tuple(c for c, _ in classes),
                       vectors=tuple(v for _, v in classes))

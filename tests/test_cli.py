@@ -49,6 +49,14 @@ class TestRenderJson:
         with pytest.raises(TypeError):
             render_json(object())
 
+    def test_rejects_a_record_but_not_a_plain_tuple(self):
+        row = expansion.OrderRow(order=1, partial_sum=0.5, gap_to_exact=0.25, tail_bound=None)
+        for record in (row, {"rows": [row]}):
+            with pytest.raises(TypeError, match="OrderRow"):
+                render_json(record)
+        assert render_json(tuple(row)) == render_json(list(row)) == \
+            "[\n  1,\n  0.5,\n  0.25,\n  null\n]"
+
     def test_floats_round_trip(self):
         for x in (0.1, 1 / 3, math.pi, 1e-300, 123456.789):
             assert json.loads(render_json(x)) == x

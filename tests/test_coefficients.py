@@ -7,13 +7,22 @@ import pytest
 from ergm_cluster import (
     CoefficientTable,
     abar_recursion,
+    banach_norm,
+    build_interaction,
     coefficient_tail,
     generating_function_check,
+    kp_certify,
+    load_motif,
     optimal_M,
     radius_and_tail,
     region_bound,
 )
-from ergm_cluster.coefficients import _gamma_table, _satisfies_identity, gamma_closed_form
+from ergm_cluster.coefficients import (
+    COEFFICIENT_GUARD,
+    _gamma_table,
+    _satisfies_identity,
+    gamma_closed_form,
+)
 
 from oracles import gamma_by_compositions
 
@@ -75,6 +84,12 @@ class TestGamma:
     def test_matches_compositions_recursion(self):
         for p in range(1, 7):
             assert _gamma_table(p, 12) == gamma_by_compositions(p, 12)
+
+    def test_float_quotient_is_the_rounded_rational(self):
+        # The tails read gamma_n as one int/int division, which rounds correctly.
+        for p in range(1, 9):
+            for n in range(1, COEFFICIENT_GUARD + 1):
+                assert math.comb(p * n, n - 1) / n == float(gamma_closed_form(p, n))
 
     def test_catalan_numbers_for_pairs(self):
         table = abar_recursion(2, 0.1, 1.5, n_max=6)
@@ -138,6 +153,15 @@ class TestCoefficientTail:
             # the bound must cover every neglected tabulated coefficient
             left = sum(table.abar(k) for k in range(from_order + 1, 31))
             assert left <= bound + 1e-18
+
+    def test_certificate_tail_is_pinned_at_the_budget(self):
+        # Triangle at n = 5 and the region's beta budget: the bits the tail had
+        # when it summed float(gamma) from the exact table.
+        M = optimal_M(3)
+        K = build_interaction([load_motif("triangle")], [region_bound(3, 3, M)], 5)
+        tail = kp_certify(K, M, head_links=2).tail
+        assert tail.hex() == "0x1.39d6b3ca2375fp-12"
+        assert coefficient_tail(abar_recursion(3, banach_norm(K), M, 30), 2) == tail
 
     def test_single_site_geometric(self):
         # p = 1 trees are paths, the series is plain geometric in c

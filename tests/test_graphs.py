@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import time
 from fractions import Fraction
 
@@ -7,7 +9,9 @@ import pytest
 from ergm_cluster import (
     BUILTIN_MOTIFS,
     GuardExceeded,
+    Interaction,
     Motif,
+    SimpleGraph,
     build_interaction,
     ensemble_result,
     expansion_report,
@@ -170,6 +174,58 @@ class TestMotifs:
         check_alignment([H], [0.5])
         with pytest.raises(ValueError):
             check_alignment([H], [0.5, 0.1])
+
+
+class TestRecordSemantics:
+    """What a frozen dataclass gave the record types, kept by their NamedTuple
+    and slotted forms."""
+
+    def test_fields_cannot_be_assigned_or_added(self):
+        H = Motif("pair", 2, frozenset({(0, 1)}))
+        K = Interaction(3, {((0, 1),): 0.5}, 1)
+        res = ensemble_result([H], [0.1], 3)
+        for record, field in ((H, "m"), (make_graph(2, [(0, 1)]), "n"), (K, "n"), (K, "k_map"),
+                              (res, "psi"), (res, "no_such_field")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            del K.p_max
+        assert K.n == 3 and res.n == 3 and H.m == 2
+
+    def test_equal_motifs_share_one_cache_entry(self):
+        a = Motif("pair", 2, frozenset({(0, 1)}))
+        b = Motif(name="pair", m=2, edges=frozenset([(0, 1)]))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert support_families(a, 5) is support_families(b, 5)
+        assert motif_hom_table(a, 4) is motif_hom_table(b, 4)
+
+    def test_equality_repr_and_hashing(self):
+        H = Motif("pair", 2, frozenset({(0, 1)}))
+        G = SimpleGraph(2, frozenset({(0, 1)}))
+        assert repr(H) == "Motif(name='pair', m=2, edges=frozenset({(0, 1)}))"
+        assert repr(G) == "SimpleGraph(n=2, edges=frozenset({(0, 1)}))"
+        # Equal to its own type only, as a frozen dataclass was.
+        assert H != ("pair", 2, frozenset({(0, 1)})) and not H == ("pair", 2, H.edges)
+        assert G != (2, frozenset({(0, 1)})) and H != Motif("other", 2, H.edges)
+        assert {H: 1}[Motif("pair", 2, frozenset({(0, 1)}))] == 1
+        K = Interaction(n=3, k_map={((0, 1),): 0.5}, p_max=1)
+        assert repr(K) == "Interaction(n=3, k_map={((0, 1),): 0.5}, p_max=1)"
+        assert K == Interaction(3, {((0, 1),): 0.5}, 1) != Interaction(3, {((0, 1),): 0.5}, 2)
+        with pytest.raises(TypeError):
+            hash(K)
+
+    def test_copies_validate_and_stay_equal(self):
+        H = BUILTIN_MOTIFS["triangle"]
+        K = build_interaction([H], [0.1], 4)
+        for record in (H, make_graph(3, [(0, 1)]), K):
+            for twin in (copy.copy(record), copy.deepcopy(record),
+                         pickle.loads(pickle.dumps(record))):
+                assert type(twin) is type(record) and twin == record
+        assert H._replace(name="tri") == Motif("tri", 3, H.edges)
+        with pytest.raises(ValueError):
+            H._replace(m=2)
+        with pytest.raises(ValueError):
+            SimpleGraph._make((1, frozenset({(0, 1)})))
 
 
 class TestHomCounting:

@@ -1,4 +1,5 @@
-"""The package's lazy exports, each checked in a fresh interpreter.
+"""The package's lazy exports and what each route loads, checked in a fresh
+interpreter.
 
 A test process has already imported every module, so what an import loads
 can only be seen in a new one.
@@ -31,6 +32,42 @@ def test_exact_route_leaves_the_series_modules_unloaded(stmt):
     loaded = set(_fresh(stmt + "\nprint(json.dumps(sorted(sys.modules)))"))
     assert not loaded & SERIES
     assert "numpy" in loaded
+
+
+# Loaded by nothing on the exact, expand and sweep routes: no record type is a
+# dataclass, and only the functions that return exact rationals import fractions.
+UNUSED = ["dataclasses", "decimal", "fractions"]
+STEPS = """
+import contextlib, io
+steps = []
+def step(label, code=0):
+    steps.append([label, code, sorted(set(sys.modules) & {"numpy", *%r})])
+""" % UNUSED
+
+
+def test_routes_load_neither_dataclasses_nor_fractions():
+    cli_steps = _fresh(STEPS + """
+import ergm_cluster.cli as cli
+step("import")
+for argv in (["exact", "--motifs", "edge", "triangle", "--betas", "0.1", "-0.2", "--n", "4"],
+             ["expand", "--motifs", "two-star", "triangle", "--betas", "0.001", "0.002",
+              "--n", "4", "--order", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        step(argv[0], cli.main(argv))
+print(json.dumps(steps))
+""")
+    sweep_steps = _fresh(STEPS + """
+from ergm_cluster import ensemble_result, load_motif
+step("sweep import")
+res = ensemble_result([load_motif("edge"), load_motif("two-star")], [0.1, 0.2], 4)
+step("ensemble_result", int(res.n != 4))
+print(json.dumps(steps))
+""")
+    assert [label for label, _, _ in cli_steps + sweep_steps] == \
+        ["import", "exact", "expand", "sweep import", "ensemble_result"]
+    for label, code, loaded in cli_steps + sweep_steps:
+        assert code == 0, label
+        assert loaded == ["numpy"], label
 
 
 def test_every_export_resolves_and_is_listed():
