@@ -10,8 +10,8 @@ null next to an explicit "divergent" flag.
 Exit codes: 0 success (including negative certificate verdicts, which are
 valid results), 2 invalid configuration (non-finite numbers and inputs whose
 arithmetic overflows included), 3 a guard refused the job: the n <= 6 size
-guard without --force, the n <= 7 ceiling with it (exact and expand only), or
-the connected-set budget.
+guard without --force, the n <= 7 ceiling with it (exact and expand only), the
+2^24 vertex-map budget of a motif walk, or the connected-set budget.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ statistic columns (hom(H_i, G))_i and their graph counts.  partition_normalized
 goes through the sparse interaction: its links are grouped by value, and a
 configuration's energy is fixed by how many links of each class it contains,
 so the distinct class-count columns and their configuration counts are
-reduced once per class structure.  The two pipelines share no intermediate,
-which is what makes the identity psi_n = (C(n,2) log 2 + log W) / n^2 a real
-cross-check.  The hom tables never touch the interaction: they are built from
-the edge images of vertex maps, not from lattice.support_families or
-build_interaction; log W reads only the lattice side: K, or the beta-free link
-table and K's value on each of its classes.
+reduced once per class structure.  The two pipelines share only the beta-free
+edge-image counts c(H, X) of lattice._support_counts: the hom tables are their
+subset sums, and K is n^2 sum_i beta_i c(H_i, X) / n^m_i.  No K, link class,
+histogram or weight is shared, which is what keeps the identity
+psi_n = (C(n,2) log 2 + log W) / n^2 a cross-check: the hom tables never read
+build_interaction or the link table, and log W reads only the lattice side:
+K, or the beta-free link table and K's value on each of its classes.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Motif, _traversal_order, check_alignment, check_guard, edge_index, site_mask
-from .lattice import EdgeSubset, Interaction, _class_couplings
+from .graphs import Motif, check_alignment, check_guard, site_mask
+from .lattice import EdgeSubset, Interaction, _class_couplings, _support_counts
 
 
 def _subset_sums(table: np.ndarray) -> np.ndarray:
@@ -50,33 +51,22 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     """hom_count(H, G) for every graph G on n vertices, indexed by bitmask.
 
     hom(H, G) sums c(H, X), the number of vertex maps whose edge image is
-    exactly X, over X inside E(G).  The maps of the non-isolated motif
-    vertices are grown one vertex at a time, dropping those that send a motif
-    edge to a loop; counting them per edge-image mask gives c(H, .), and one
-    in-place subset-sum transform over the C(n,2) bits gives the table.
-    Isolated motif vertices add a free factor n each.  Memoized per (motif, n);
-    the returned exact int64 array is read-only because it is shared.
+    exactly X, over X inside E(G): each count of lattice._support_counts put
+    at its site mask, then one in-place subset-sum transform over the C(n,2)
+    bits, gives the table.  Its largest entry is hom(H, K_n) = sum_X c(H, X);
+    past the int64 range that raises OverflowError before any table is built.
+    Memoized per (motif, n); the returned exact int64 array is read-only
+    because it is shared.
     """
-    earlier, isolated = _traversal_order(H)
-    bit = np.zeros((n, n), dtype=np.int64)  # zero on the diagonal marks a loop
-    for (u, v), k in edge_index(n).items():
-        bit[u, v] = bit[v, u] = 1 << k
-    images: list[np.ndarray] = []
-    masks = np.zeros(1, dtype=np.int64)
-    for js in earlier:
-        cand = np.tile(np.arange(n), len(masks))
-        images = [np.repeat(c, n) for c in images] + [cand]
-        masks = np.repeat(masks, n)
-        keep = np.ones(len(masks), dtype=bool)
-        for j in js:
-            b = bit[images[j], cand]
-            keep &= b != 0
-            masks |= b
-        images = [c[keep] for c in images]
-        masks = masks[keep]
-    table = _subset_sums(
-        np.bincount(masks, minlength=1 << n * (n - 1) // 2).astype(np.int64, copy=False))
-    table *= n ** isolated
+    # No map reaches the empty vertex set: its one graph has hom 0.
+    counts = _support_counts(H, n) if n else {}
+    total = sum(counts.values())
+    if total >= 1 << 63:
+        raise OverflowError(f"hom({H.name}, K_{n}) = {total} exceeds the int64 "
+                            "range of the hom table")
+    table = np.zeros(1 << n * (n - 1) // 2, dtype=np.int64)
+    table[[site_mask(n, X) for X in counts]] = list(counts.values())
+    table = _subset_sums(table)
     table.flags.writeable = False
     return table
 

@@ -7,11 +7,13 @@ for the k-th site.  That order is part of the contract: two runs of any
 enumeration in this package produce identical sequences.
 
 One backtracking walk over the vertex maps of a motif into a host graph,
-_maps, serves every count here and in the lattice module: hom_count counts
-the maps into G, and _edge_images groups them by edge image, over K_n for
-lattice.support_families and over the subset itself for
-lattice.exact_hom_count.  Counts are plain integers, densities exact
-rationals; floats only appear once a beta vector is folded in.
+_maps, serves every count in the package: hom_count counts the maps into G,
+and _edge_images groups them by edge image, over K_n for
+lattice.support_families, the link table and ensemble.motif_hom_table, over
+the subset itself for lattice.exact_hom_count, and over G for the images
+inside E(G).  A walk whose maps could number past MAP_BUDGET is refused
+before it starts.  Counts are plain integers, densities exact rationals;
+floats only appear once a beta vector is folded in.
 """
 
 from __future__ import annotations
@@ -31,13 +33,16 @@ ENSEMBLE_GUARD = 6
 # The largest site-mask table any route builds, force or not: 2^21 entries at
 # n = 7.  At n = 8 one float64 table over the 2^28 masks would take 2 GB.
 TABLE_SITES = 21
+# The most vertex maps _maps walks: a 10-vertex path into K_6 (11.7 M maps)
+# takes about 8 s on a 2-CPU box; an 11-vertex path (58.6 M) would take minutes.
+MAP_BUDGET = 1 << 24
 
 
 class GuardExceeded(RuntimeError):
     """A job refused before it starts.  force=True (CLI --force) lifts the size
     guard n <= ENSEMBLE_GUARD up to the TABLE_SITES ceiling, but neither the
-    ceiling nor the series' connected-set budget, whose hints name what does
-    help instead."""
+    ceiling, nor the vertex-map budget, nor the series' connected-set budget,
+    whose hints name what does help instead."""
 
     def __init__(self, message: str, hint: str = "pass --force to override"):
         super().__init__(message)
@@ -303,8 +308,21 @@ def _maps(H: Motif, adj: Sequence[int], start: int,
     (images[i] is the host vertex of the i-th placed motif vertex) and the
     nonzero candidate mask of the last one.  Returns the isolated motif
     vertex count; each such vertex multiplies every count by the host size.
+
+    Before any vertex is placed, the maps are bounded by s^r D^(m'-r): s host
+    vertices in start for each of the r component roots, and the largest host
+    degree D inside start for each of the other m' - r placed vertices.  A
+    bound past MAP_BUDGET raises GuardExceeded.
     """
     earlier, isolated = _traversal_order(H)
+    roots = sum(not js for js in earlier)
+    degree = max(((adj[v] & start).bit_count() for v in _bits(start)), default=0)
+    bound = start.bit_count() ** roots * degree ** (len(earlier) - roots)
+    if bound > MAP_BUDGET:
+        raise GuardExceeded(f"{H.name} has up to {bound} vertex maps into the host, "
+                            f"past the budget of {MAP_BUDGET}",
+                            hint="--force does not lift the map budget: use a motif "
+                                 "with fewer vertices or a smaller n")
     last = len(earlier) - 1
     images = [0] * last
 
@@ -333,14 +351,17 @@ def _edge_images(H: Motif, adj: Sequence[int],
     isolated motif vertex count.
 
     Images are keyed by canonical site tuples over the host vertices
-    0..len(adj)-1, in sorted order.  Each leaf builds the site mask of its
-    placed vertices once and adds only the last vertex's sites per candidate.
+    0..len(adj)-1, in sorted order.  A map sends motif edges to host edges
+    only, so the image masks number the host's edges alone, in sorted order:
+    on K_n that is the site mask.  Each leaf builds the mask of its placed
+    vertices once and adds only the last vertex's sites per candidate.
     """
     earlier, _ = _traversal_order(H)
     last = len(earlier) - 1
-    index = edge_index(len(adj))
-    site_bit = [[1 << index[(a, b) if a < b else (b, a)] if a != b else 0
-                 for b in range(len(adj))] for a in range(len(adj))]
+    sites = [(a, b) for a in range(len(adj)) for b in _bits(adj[a]) if a < b]
+    site_bit = [[0] * len(adj) for _ in adj]
+    for k, (a, b) in enumerate(sites):
+        site_bit[a][b] = site_bit[b][a] = 1 << k
     placed = [(k, j) for k in range(last) for j in earlier[k]]
     counts: dict[int, int] = {}
 
@@ -359,7 +380,7 @@ def _edge_images(H: Motif, adj: Sequence[int],
             counts[key] = counts.get(key, 0) + 1
 
     isolated = _maps(H, adj, start, leaf)
-    return {mask_sites(len(adj), mask): c for mask, c in counts.items()}, isolated
+    return {tuple(sites[k] for k in _bits(mask)): c for mask, c in counts.items()}, isolated
 
 
 def hom_count(H: Motif, G: SimpleGraph) -> int:

@@ -7,8 +7,9 @@ lets a motif family act as a lattice gas on the C(n,2) edge sites with a
 finite-body interaction K(X) = n^2 * sum_i beta_i d(H_i, X).  The counts
 c(H, X) = n^m d(H, X) come from the one vertex-map walk of graphs._maps,
 grouped by edge image: over K_n for every X at once (_support_counts, which
-support_families divides by n^m and the link table reads as they are), over
-X's own support for one X (exact_hom_count).
+support_families divides by n^m, and the link table and ensemble's hom tables
+read as they are), over X's own support for one X (exact_hom_count), and over
+a graph G for the X inside E(G) (representation_check, pinned_density).
 
 All structural densities are exact rationals; K values are floats with a
 single documented rounding point in build_interaction.
@@ -105,10 +106,21 @@ def support_families(H: Motif, n: int) -> dict[EdgeSubset, Fraction]:
     return {X: Fraction(c, denom) for X, c in _support_counts(H, n).items()}
 
 
+def _images_in(H: Motif, G: SimpleGraph) -> list[EdgeSubset]:
+    """The X inside E(G) with d(H, X) != 0: the edge images of the maps into G."""
+    return list(_edge_images(H, adjacency(G.n, G.edges), (1 << G.n) - 1)[0])
+
+
 def representation_check(H: Motif, G: SimpleGraph) -> bool:
-    """Exact identity t(H, G) == sum of d(H, X) over subsets X of E(G)."""
-    fam = support_families(H, G.n)
-    total = sum(d for X, d in fam.items() if all(e in G.edges for e in X))
+    """Exact identity t(H, G) == sum of d(H, X) over subsets X of E(G).
+
+    Only the X that are edge images of maps into G have d(H, X) != 0; each
+    d(H, X) is counted afresh by exact_density on X's own support, so the sum
+    shares no count with hom_density.
+    """
+    if G.n < 1:
+        raise ValueError("need at least one vertex")
+    total = sum(exact_density(H, X, G.n) for X in _images_in(H, G))
     return total == hom_density(H, G)
 
 
@@ -117,16 +129,12 @@ def pinned_density(H: Motif, G: SimpleGraph, e: Sequence[int]) -> Fraction:
 
     Bounded by m(m-1)/n^2 regardless of G: pinning one motif edge to e fixes
     an ordered vertex pair (m(m-1) ways) and frees the remaining m-2 images.
+    The X are the edge images of the maps into G, as in representation_check.
     """
     from fractions import Fraction
 
     site = canonical_edge(e[0], e[1], G.n)
-    fam = support_families(H, G.n)
-    total = Fraction(0)
-    for X, d in fam.items():
-        if site in X and all(x in G.edges for x in X):
-            total += d
-    return total
+    return sum((exact_density(H, X, G.n) for X in _images_in(H, G) if site in X), Fraction(0))
 
 
 class Interaction:

@@ -13,7 +13,8 @@ columns of stacked tables by one lexsort, the energy of
 every configuration by one masking pass per interaction link and by one
 float subset-sum transform, the interaction accumulated in Fractions, and
 psi_n and the motif expectations summed graph by graph over one log-weight
-per graph, and the exact-image counts c(H, X) by inverting the hom table.
+per graph, the hom tables by a numpy walk that grows every vertex map at
+once, and the exact-image counts c(H, X) by inverting that table.
 Three check quantities the library never needs: the absolute cluster mass
 pinned to one polymer, which the Kotecky-Preiss condition bounds, W resummed
 over every family of disjoint polymers, which must equal the exact partition
@@ -49,6 +50,7 @@ from ergm_cluster.graphs import (
     GuardExceeded,
     Motif,
     SimpleGraph,
+    _traversal_order,
     all_edge_sites,
     canonical_edge,
     check_alignment,
@@ -611,11 +613,43 @@ def derivative_check(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     return fd, expectation_densities(motifs, betas, n, force)[i]
 
 
+def hom_table_by_numpy_walk(H: Motif, n: int) -> np.ndarray:
+    """hom_count(H, G) for every graph G on n vertices, indexed by bitmask,
+    from a walk of its own: the maps of the non-isolated motif vertices are
+    grown in numpy one vertex at a time, all at once, dropping those that send
+    a motif edge to a loop; counting them per edge-image mask gives c(H, .),
+    and one subset-sum transform over the C(n,2) bits gives the table.
+    Isolated motif vertices add a free factor n each.  It holds every map at
+    once, so keep H small."""
+    earlier, isolated = _traversal_order(H)
+    bit = np.zeros((n, n), dtype=np.int64)  # zero on the diagonal marks a loop
+    for (u, v), k in edge_index(n).items():
+        bit[u, v] = bit[v, u] = 1 << k
+    images: list[np.ndarray] = []
+    masks = np.zeros(1, dtype=np.int64)
+    for js in earlier:
+        cand = np.tile(np.arange(n), len(masks))
+        images = [np.repeat(c, n) for c in images] + [cand]
+        masks = np.repeat(masks, n)
+        keep = np.ones(len(masks), dtype=bool)
+        for j in js:
+            b = bit[images[j], cand]
+            keep &= b != 0
+            masks |= b
+        images = [c[keep] for c in images]
+        masks = masks[keep]
+    table = _subset_sums(
+        np.bincount(masks, minlength=1 << n * (n - 1) // 2).astype(np.int64, copy=False))
+    table *= n ** isolated
+    return table
+
+
 def image_counts_by_subset_differences(H: Motif, n: int) -> dict[EdgeSubset, int]:
     """c(H, X), the number of vertex maps whose edge image is exactly X, for
     every X with c != 0: hom(H, G) sums c(H, X) over X inside E(G), so the
-    subset-difference (Moebius) transform of motif_hom_table inverts it."""
-    table = motif_hom_table(H, n).copy()
+    subset-difference (Moebius) transform of hom_table_by_numpy_walk inverts
+    it, without the package's own map walk."""
+    table = hom_table_by_numpy_walk(H, n)
     for s in range(len(table).bit_length() - 1):
         t = table.reshape(-1, 2, 1 << s)
         t[:, 1] -= t[:, 0]

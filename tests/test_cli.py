@@ -134,6 +134,18 @@ class TestRepresent:
     def test_requires_graph(self, capsys):
         assert main(["represent", "--motif", "edge"]) == 2
 
+    def test_sparse_large_graph(self, tmp_path, capsys):
+        # Only the images inside E(G) are read, not the family on K_300; the
+        # circulant graph is 4-regular, so hom(two-star, G) = 300 * 4^2.
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({"n": 300, "edges": [[v, (v + d) % 300] for v in range(300)
+                                                        for d in (1, 7)]}))
+        start = time.perf_counter()
+        assert main(["represent", "--motif", "two-star", "--graph", str(path)]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().out == \
+            "t = 4800/27000000\nsubset decomposition matches: yes\n"
+
 
 class TestExact:
     def test_uniform_point(self, capsys):
@@ -610,6 +622,51 @@ class TestFailureModes:
         rc = main(["density", "--motif", "pentagon", "--graph", fig_file])
         assert rc == 2
         assert "pentagon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,error", [
+        (["exact", "--betas", "0.1", "--n", "3"], "at least one motif is required"),
+        (["expand", "--betas", "0.1", "--n", "3"], "at least one motif is required"),
+        (["exact", "--motifs", "edge", "--n", "3"], "parameter values are required"),
+        (["expand", "--motifs", "edge", "--n", "3"], "parameter values are required"),
+        (["density", "--n", "3", "--sites", "[[0, 1]]"], "--motif is required"),
+        (["represent", "--graph", "fig.json"], "--motif is required"),
+        (["density", "--motif", "edge"], "--graph is required without --sites"),
+        (["coeffs", "--p", "2"], "--norm is required"),
+    ])
+    def test_required_options(self, argv, error, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": error, "kind": "invalid-config"}
+
+    @pytest.mark.parametrize("isolated,code", [(21, 0), (23, 2)])
+    def test_hom_table_inside_int64(self, isolated, code, tmp_path, capsys):
+        # hom(H, K_6) = 30 * 6^isolated passes 2^63 between 21 and 23.
+        path = tmp_path / "padded.json"
+        path.write_text(json.dumps({"name": "padded", "m": isolated + 2, "edges": [[0, 1]]}))
+        assert main(["exact", "--motifs", str(path), "--betas", "1e-20", "--n", "6"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["kind"] == "invalid-config" and "int64" in err["error"]
+        else:
+            assert captured.out.splitlines()[-1] == "E[padded] = 0.41666666666666669"
+
+    def test_map_budget_refuses_up_front(self, tmp_path, capsys):
+        path = tmp_path / "p11.json"
+        path.write_text(json.dumps({"name": "P11", "m": 11,
+                                    "edges": [[i, i + 1] for i in range(10)]}))
+        for force in ([], ["--force"]):
+            start = time.perf_counter()
+            rc = main(["exact", "--motifs", str(path), "--betas", "0.01", "--n", "6", *force])
+            assert time.perf_counter() - start < 1.0
+            assert rc == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["kind"] == "guard" and "58593750" in err["error"]
+            assert "--force does not lift" in err["hint"]
 
     def test_missing_n(self, capsys):
         assert main(["exact", "--motifs", "edge", "--betas", "0.1"]) == 2

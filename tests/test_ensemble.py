@@ -12,6 +12,7 @@ import pytest
 import numpy as np
 
 from ergm_cluster import (
+    BUILTIN_MOTIFS,
     GuardExceeded,
     Interaction,
     Motif,
@@ -43,6 +44,7 @@ from oracles import (
     expectations_by_graph,
     graph_from_mask,
     hamiltonian,
+    hom_table_by_numpy_walk,
     psi_by_graph,
 )
 
@@ -303,6 +305,25 @@ class TestHomTable:
             want = [hom_count(H, graph_from_mask(n, mask))
                     for mask in range(1 << len(all_edge_sites(n)))]
             assert motif_hom_table(H, n).tolist() == want
+
+    @pytest.mark.parametrize("H", ORACLE_MOTIFS, ids=lambda H: H.name)
+    def test_matches_the_numpy_walk(self, H):
+        assert motif_hom_table(H, 0).tolist() == [0]
+        for n in range(1, 7):
+            assert np.array_equal(motif_hom_table(H, n), hom_table_by_numpy_walk(H, n)), n
+
+    @pytest.mark.parametrize("H", BUILTIN_MOTIFS.values(), ids=lambda H: H.name)
+    def test_builtins_match_the_numpy_walk_at_n7(self, H):
+        # Unmemoized: three 16 MB tables need not outlive the test.
+        assert np.array_equal(motif_hom_table.__wrapped__(H, 7), hom_table_by_numpy_walk(H, 7))
+
+    def test_refuses_past_int64(self):
+        # hom(H, K_6) = 30 * 6^23 for an edge with 23 isolated vertices.
+        H = Motif("edge+23", 25, frozenset({(0, 1)}))
+        with pytest.raises(OverflowError, match="int64"):
+            motif_hom_table(H, 6)
+        H = Motif("edge+21", 23, frozenset({(0, 1)}))
+        assert int(motif_hom_table(H, 6)[-1]) == 30 * 6 ** 21
 
     def test_closed_forms_at_n6(self, edge, two_star, triangle):
         A = _adjacency_stack(6)

@@ -29,8 +29,8 @@ from ergm_cluster import (
     truncated_log_partition,
 )
 from ergm_cluster.ensemble import motif_hom_table
-from ergm_cluster.graphs import all_edge_sites, canonical_edge, check_alignment, edge_index, \
-    mask_sites, site_mask
+from ergm_cluster.graphs import MAP_BUDGET, _maps, all_edge_sites, canonical_edge, \
+    check_alignment, edge_index, mask_sites, site_mask
 
 from oracles import complete_graph, empty_graph, enumerate_graphs, graph_from_mask, graph_mask, \
     weighted_density
@@ -276,6 +276,65 @@ class TestHomCounting:
         table = motif_hom_table(two_star, 4)
         for mask in (0, 5, 21, 63):
             assert table[mask] == hom_count(two_star, graph_from_mask(4, mask))
+
+
+def _path(k):
+    return Motif(f"P{k}", k, frozenset((i, i + 1) for i in range(k - 1)))
+
+
+def _disjoint_edges(k):
+    return Motif(f"{k} edges", 2 * k, frozenset((2 * i, 2 * i + 1) for i in range(k)))
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reach(H, n, start=None):
+    """Walk the maps of H into K_n up to the first leaf: True if the walk starts."""
+    full = (1 << n) - 1
+
+    def leaf(images, cand):
+        raise _Reached
+
+    try:
+        _maps(H, [full ^ (1 << v) for v in range(n)], full if start is None else start, leaf)
+    except _Reached:
+        return True
+    return False
+
+
+class TestMapBudget:
+    @pytest.mark.parametrize("H,n,bound", [
+        (_path(11), 6, 6 * 5 ** 10),
+        (_disjoint_edges(2), 65, 65 ** 2 * 64 ** 2),
+        (_disjoint_edges(3), 17, 17 ** 3 * 16 ** 3),
+    ])
+    def test_refused_before_the_first_vertex(self, H, n, bound):
+        # s^r D^(m'-r): one factor s per component root, D per other vertex.
+        assert bound > MAP_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded, match=f"up to {bound} vertex maps") as info:
+            _reach(H, n)
+        assert time.perf_counter() - start < 1.0
+        assert "--force does not lift" in info.value.hint
+
+    @pytest.mark.parametrize("H,n,bound", [
+        (_path(10), 6, 6 * 5 ** 9),
+        (_disjoint_edges(2), 64, 64 ** 2 * 63 ** 2),
+        (BUILTIN_MOTIFS["two-star"], 100, 100 * 99 ** 2),
+    ])
+    def test_admitted_up_to_the_budget(self, H, n, bound):
+        assert bound <= MAP_BUDGET
+        assert _reach(H, n)
+
+    def test_bound_reads_the_start_mask(self):
+        # Inside 16 of K_17's vertices: 16^3 15^3 maps, under the budget.
+        assert _reach(_disjoint_edges(3), 17, start=(1 << 16) - 1)
+
+    def test_isolated_vertices_are_free(self):
+        H = Motif("edge+10", 12, frozenset({(0, 1)}))
+        assert hom_count(H, make_graph(100, [(0, 1)])) == 2 * 100 ** 10
 
 
 class TestWeightedDensity:

@@ -20,7 +20,8 @@ from ergm_cluster import (
     representation_check,
     support_families,
 )
-from ergm_cluster.lattice import freeze_sites
+from ergm_cluster.graphs import all_edge_sites
+from ergm_cluster.lattice import _images_in, freeze_sites
 
 from oracles import (
     complete_graph,
@@ -121,6 +122,27 @@ class TestRepresentation:
         for H in (edge, two_star, triangle):
             for mask in range(64):
                 assert representation_check(H, graph_from_mask(4, mask))
+
+    def test_images_are_the_family_inside_the_graph(self, edge, two_star, triangle):
+        # The X inside E(G) with d(H, X) != 0 are the images of the maps into
+        # G, and the sums over them equal the K_n-family formula.
+        rng = random.Random(5)
+        for n in range(1, 8):
+            for _ in range(3):
+                G = graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2))
+                for H in (edge, two_star, triangle):
+                    fam = {X: d for X, d in support_families(H, n).items()
+                           if G.edges.issuperset(X)}
+                    assert sorted(_images_in(H, G)) == sorted(fam)
+                    assert representation_check(H, G)
+                    assert sum(fam.values()) == hom_density(H, G)
+                    for e in all_edge_sites(n):
+                        want = sum((d for X, d in fam.items() if e in X), Fraction(0))
+                        assert pinned_density(H, G, e) == want
+
+    def test_needs_a_vertex(self, edge):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            representation_check(edge, empty_graph(0))
 
 
 class TestPinnedDensity:
