@@ -33,8 +33,9 @@ ENSEMBLE_GUARD = 6
 # The largest site-mask table any route builds, force or not: 2^21 entries at
 # n = 7.  At n = 8 one float64 table over the 2^28 masks would take 2 GB.
 TABLE_SITES = 21
-# The most vertex maps _maps walks: a 10-vertex path into K_6 (11.7 M maps)
-# takes about 8 s on a 2-CPU box; an 11-vertex path (58.6 M) would take minutes.
+# The most vertex maps _maps walks (leaf calls, for a leaf that only reads its
+# candidate mask): a 10-vertex path into K_6 (11.7 M maps) takes about 8 s on a
+# 2-CPU box; an 11-vertex path (58.6 M) would take minutes.
 MAP_BUDGET = 1 << 24
 
 
@@ -297,7 +298,7 @@ def _traversal_order(H: Motif) -> tuple[list[list[int]], int]:
 
 
 def _maps(H: Motif, adj: Sequence[int], start: int,
-          leaf: Callable[[list[int], int], None]) -> int:
+          leaf: Callable[[list[int], int], None], walk_last: bool = True) -> int:
     """The one backtracking walk over the vertex maps of a motif into a host.
 
     The host is given by neighbour bitmasks adj[v] (a list or a dict); every
@@ -312,17 +313,21 @@ def _maps(H: Motif, adj: Sequence[int], start: int,
     Before any vertex is placed, the maps are bounded by s^r D^(m'-r): s host
     vertices in start for each of the r component roots, and the largest host
     degree D inside start for each of the other m' - r placed vertices.  A
+    leaf that only reads its candidate mask (walk_last=False) is charged per
+    call instead: the last vertex is never a root, so that drops one D.  A
     bound past MAP_BUDGET raises GuardExceeded.
     """
     earlier, isolated = _traversal_order(H)
     roots = sum(not js for js in earlier)
     degree = max(((adj[v] & start).bit_count() for v in _bits(start)), default=0)
-    bound = start.bit_count() ** roots * degree ** (len(earlier) - roots)
+    bound = start.bit_count() ** roots * degree ** (len(earlier) - roots - (not walk_last))
     if bound > MAP_BUDGET:
-        raise GuardExceeded(f"{H.name} has up to {bound} vertex maps into the host, "
+        what = "vertex maps" if walk_last else "partial vertex maps"
+        raise GuardExceeded(f"{H.name} has up to {bound} {what} into the host, "
                             f"past the budget of {MAP_BUDGET}",
                             hint="--force does not lift the map budget: use a motif "
-                                 "with fewer vertices or a smaller n")
+                                 "with fewer vertices, a smaller --n, or a smaller "
+                                 "or sparser --graph")
     last = len(earlier) - 1
     images = [0] * last
 
@@ -395,7 +400,7 @@ def hom_count(H: Motif, G: SimpleGraph) -> int:
         nonlocal count
         count += cand.bit_count()
 
-    isolated = _maps(H, adjacency(G.n, G.edges), (1 << G.n) - 1, leaf)
+    isolated = _maps(H, adjacency(G.n, G.edges), (1 << G.n) - 1, leaf, walk_last=False)
     return count * G.n ** isolated
 
 

@@ -668,6 +668,18 @@ class TestFailureModes:
             assert err["kind"] == "guard" and "58593750" in err["error"]
             assert "--force does not lift" in err["hint"]
 
+    def test_map_budget_admits_a_dense_graph_file(self, tmp_path, capsys):
+        # hom_count on K_300 walks 300 * 299 placements of a two-star's first
+        # two vertices, though 300 * 299^2 maps are past the budget.
+        n = 300
+        path = tmp_path / "k300.json"
+        path.write_text(json.dumps({"n": n, "edges": [[i, j] for i in range(n)
+                                                      for j in range(i + 1, n)]}))
+        start = time.perf_counter()
+        assert main(["density", "--motif", "two-star", "--graph", str(path)]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().out == f"{n * (n - 1) ** 2}/{n ** 3}\n"
+
     def test_missing_n(self, capsys):
         assert main(["exact", "--motifs", "edge", "--betas", "0.1"]) == 2
 

@@ -332,6 +332,26 @@ class TestMapBudget:
         # Inside 16 of K_17's vertices: 16^3 15^3 maps, under the budget.
         assert _reach(_disjoint_edges(3), 17, start=(1 << 16) - 1)
 
+    @pytest.mark.parametrize("H,n,count", [
+        (BUILTIN_MOTIFS["triangle"], 300, 300 * 299 * 298),
+        (BUILTIN_MOTIFS["two-star"], 300, 300 * 299 ** 2),
+        (Motif("K4", 4, frozenset(all_edge_sites(4))), 65, 65 * 64 * 63 * 62),
+    ])
+    def test_hom_count_is_charged_per_leaf_call(self, H, n, count):
+        # A popcount leaf is charged s^r D^(m'-r-1): 300 * 299 and 65 * 64^2
+        # leaf calls, though s^r D^(m'-r) is past the budget.
+        assert n * (n - 1) ** (H.m - 1) > MAP_BUDGET
+        start = time.perf_counter()
+        assert hom_count(H, make_graph(n, all_edge_sites(n))) == count
+        assert time.perf_counter() - start < 2.0
+
+    def test_hom_count_refused_past_its_leaf_calls(self):
+        # P12 into K_6: 6 * 5^10 leaf calls.
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded, match="up to 58593750 partial vertex maps"):
+            hom_count(_path(12), make_graph(6, all_edge_sites(6)))
+        assert time.perf_counter() - start < 1.0
+
     def test_isolated_vertices_are_free(self):
         H = Motif("edge+10", 12, frozenset({(0, 1)}))
         assert hom_count(H, make_graph(100, [(0, 1)])) == 2 * 100 ** 10
