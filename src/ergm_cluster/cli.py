@@ -3,9 +3,12 @@
 Subcommands: density, represent, exact, expand, region, coeffs.  Each run is
 a single invocation that prints a short human-readable summary and optionally
 writes one artifact (CSV or JSON) atomically.  Option precedence is flags over
-config file over built-in defaults.  Floats are rendered with 17 significant
-digits so artifacts round-trip bit-faithfully; non-finite values appear as
-null next to an explicit "divergent" flag.
+config file over built-in defaults; a config key that names no option of the
+subcommand is refused.  Floats are rendered with 17 significant digits so
+artifacts round-trip bit-faithfully; non-finite values appear as null next to
+an explicit "divergent" flag.  expand certifies at its own depth and base: the
+certificate's exact head reaches --max-links links, at the region-optimal
+weight base M.
 
 Exit codes: 0 success (including negative certificate verdicts, which are
 valid results), 2 invalid configuration (non-finite numbers and inputs whose
@@ -106,11 +109,16 @@ DEFAULTS = {"format": "json", "order": 4, "max_links": 4, "n_max": 30, "force": 
 
 def _merge_config(ns: argparse.Namespace) -> None:
     """Fill each option the flags left unset from the --config file, then from
-    DEFAULTS.  A null in the file leaves the option unset; any other value is
-    taken as its flag would take it, or refused where the flag refuses it."""
+    DEFAULTS.  A key that names no option of the subcommand is refused before
+    any value is taken.  A null in the file leaves the option unset; any other
+    value is taken as its flag would take it, or refused where the flag
+    refuses it."""
     cfg = json.loads(Path(ns.config).read_text()) if ns.config else {}
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    for key in cfg:
+        if key not in ns.options:
+            raise ValueError(f"config key {key!r} names no option of {ns.command}")
     for key, value in [*cfg.items(), *DEFAULTS.items()]:
         if key in ns.options and getattr(ns, key) is None and value is not None:
             setattr(ns, key, _as_flag(ns.options[key], value))
@@ -247,9 +255,8 @@ def cmd_expand(ns: argparse.Namespace) -> int:
     motifs = _motifs(ns)
     betas = _betas(ns)
     n = _need_int(ns, "n")
-    M = None if ns.M is None else _finite("M", ns.M)
     report = expansion_report(motifs, betas, n, order=ns.order, max_links=ns.max_links,
-                              M=M, head_links=ns.head_links, force=ns.force)
+                              force=ns.force)
     lines = ["order,partial_sum,gap_to_exact,tail_bound"]
     for row in report.orders:
         tb = _cell(row.tail_bound)
@@ -366,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--order", type=int, help="truncation order (default 4)")
     s.add_argument("--max-links", type=int, dest="max_links",
                    help="largest hypergraph used to build polymers (default 4)")
-    s.add_argument("--head-links", type=int, dest="head_links",
-                   help="exact head depth of the certificate (default max-links)")
-    s.add_argument("--M", type=float, help="weight base (default optimal)")
     _add_common(s, force=True)
     s.set_defaults(func=cmd_expand)
 
@@ -392,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in subs.choices.values():
         sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
         # The flags of the subcommand by option name, for _merge_config.
-        sub.set_defaults(options={a.dest: a for a in sub._actions if a.option_strings})
+        sub.set_defaults(options={a.dest: a for a in sub._actions
+                                  if a.option_strings and a.dest != "help"})
     return parser
 
 

@@ -5,9 +5,9 @@ links, connected when the links cannot be split into two groups with disjoint
 supports.  Grouping connected hypergraphs by their support N gives polymers
 with activity w_N; disjoint collections of polymers resum the partition
 function exactly.  One walk over the connected link sets accumulates, per
-support mask, the activities up to the series depth and the bounds up to the
-certificate's head depth; the series and the certificate both read it.  The
-walk (subsets._connected_walk) builds the sets level by level, all roots
+support mask, the activities and the bounds of the sets up to one link
+depth; the series and the certificate both read it.  The walk
+(subsets._connected_walk) builds the sets level by level, all roots
 together, in numpy chunks that carry each set's support mask and its running
 products of expm1(K) and expm1(|K|); the chunks come in depth-first order,
 so every sum is added in the same order, and comes out bit for bit the same,
@@ -67,10 +67,6 @@ class _LinkSystem:
                     for i, X in enumerate(self.links)]
 
 
-def _size_column(n: int) -> tuple[np.ndarray, Callable, object]:
-    return np.ones(n, dtype=np.int64), np.add, 0
-
-
 def _last_item(prefix: np.ndarray, item: np.ndarray) -> np.ndarray:
     return np.where(item > 0, item, prefix)
 
@@ -82,7 +78,8 @@ def _connected_item_sets(adj: Sequence[int], max_size: int,
     In depth-first order a set of k items is the last set of k - 1 items
     before it plus its own last item."""
     prefix: list[int] = []
-    columns = [_size_column(len(adj)), (np.arange(len(adj)), _last_item, 0)]
+    columns = [(np.ones(len(adj), dtype=np.int64), np.add, 0),
+               (np.arange(len(adj)), _last_item, 0)]
     for sizes, last in _connected_walk(adj, max_size, columns, max_count):
         for size, item in zip(sizes.tolist(), last.tolist()):
             del prefix[size - 1:]
@@ -90,12 +87,9 @@ def _connected_item_sets(adj: Sequence[int], max_size: int,
             yield tuple(prefix)
 
 
-def _polymer_sums(sys: _LinkSystem, max_links: int,
-                  head_links: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(masks, activities, masks, bounds): the polymers built from at most
-    max_links links with their activities, and those built from at most
-    head_links with their bounds, each in sorted mask order, from one walk
-    over the connected link sets.
+def _polymer_sums(sys: _LinkSystem, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(masks, activities, bounds): the polymers built from at most depth
+    links, in sorted mask order, from one walk over the connected link sets.
 
     Each set adds its product of expm1(K) to its support's activity and its
     product of expm1(|K|) to its bound, in walk order: np.add.at adds in
@@ -103,39 +97,35 @@ def _polymer_sums(sys: _LinkSystem, max_links: int,
     per-set loop gives.  Masks are int64 while the sites fit, Python ints
     beyond.
     """
-    depth = max(max_links, head_links)
     site_count = len(sys.sites)
     dtype = np.int64 if site_count < 64 else object
     columns = [(np.array(sys.masks, dtype=dtype), np.bitwise_or, 0),
                (np.array([math.expm1(v) for v in sys.values]), np.multiply, 1.0),
                (np.array([math.expm1(abs(v)) for v in sys.values]), np.multiply, 1.0)]
-    if min(max_links, head_links) < depth:
-        columns.append(_size_column(len(sys.links)))
     # Sums sit at their mask in a table up to the sweeps' ceiling, in dicts
     # beyond it, where only kp_certify and polymer_table reach.
     dense = site_count <= TABLE_SITES
     sums = np.zeros((2, 1 << site_count)) if dense else ({}, {})
-    seen = np.zeros((2, 1 << site_count), dtype=bool) if dense else None
-    for support, w, v, *sizes in _connected_walk(sys.adj, depth, columns):
-        for row, cut, x in ((0, max_links, w), (1, head_links, v)):
-            pick = slice(None) if cut >= depth else sizes[0] <= cut
+    seen = np.zeros(1 << site_count, dtype=bool) if dense else None
+    for support, *terms in _connected_walk(sys.adj, depth, columns):
+        if dense:
+            seen[support] = True
+        for acc, x in zip(sums, terms):
             if dense:
-                np.add.at(sums[row], support[pick], x[pick])
-                seen[row, support[pick]] = True
+                np.add.at(acc, support, x)
             else:
-                acc = sums[row]
-                for mask, term in zip(support[pick].tolist(), x[pick].tolist()):
+                for mask, term in zip(support.tolist(), x.tolist()):
                     acc[mask] = acc.get(mask, 0.0) + term
     if dense:
-        masks = [np.flatnonzero(seen[row]) for row in (0, 1)]
-        totals = [sums[row, masks[row]] for row in (0, 1)]
+        masks = np.flatnonzero(seen)
+        activities, bounds = sums[:, masks]
     else:
-        masks = [np.array(sorted(acc), dtype=dtype) for acc in sums]
-        totals = [np.array([acc[m] for m in sorted(acc)]) for acc in sums]
+        masks = np.array(sorted(sums[0]), dtype=dtype)
+        activities, bounds = (np.array([acc[m] for m in masks.tolist()]) for acc in sums)
     # The activity carries the 2^-|N| spin normalization; the bound, by its
     # definition, does not (it dominates |w_N| all the more).
-    counts = np.array([m.bit_count() for m in masks[0].tolist()], dtype=np.int64)
-    return masks[0], np.ldexp(totals[0], -counts), masks[1], totals[1]
+    counts = np.array([m.bit_count() for m in masks.tolist()], dtype=np.int64)
+    return masks, np.ldexp(activities, -counts), bounds
 
 
 def enumerate_connected_hypergraphs(K: Interaction,
@@ -167,7 +157,7 @@ def polymer_table(K: Interaction, max_links: int) -> list[Polymer]:
     (bitwise identical to the literal spin sum, which a test pins down).
     """
     sys = _LinkSystem(K)
-    masks, activities, _, bounds = _polymer_sums(sys, max_links, max_links)
+    masks, activities, bounds = _polymer_sums(sys, max_links)
     return [Polymer(mask_sites(sys.n, mask), w, v)
             for mask, w, v in zip(masks.tolist(), activities.tolist(), bounds.tolist())]
 
@@ -221,7 +211,7 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
     _check_max_links(max_links)
     check_guard(K.n)
     sys = _LinkSystem(K)
-    masks, activities, _, _ = _polymer_sums(sys, max_links, 0)
+    masks, activities, _ = _polymer_sums(sys, max_links)
     return _partials(len(sys.sites), masks, activities, order)
 
 
@@ -261,13 +251,6 @@ class KPCertificate(NamedTuple):
         """The first site, in site order, whose sum is max_site_sum; None without sites."""
         top = self.max_site_sum
         return next((site for site, v in self.per_site_sums.items() if v == top), None)
-
-
-def _check_certify_args(M: float, head_links: int) -> None:
-    if not M > 1:
-        raise ValueError(f"weight base M must exceed 1, got {M!r}")
-    if head_links < 0:
-        raise ValueError("head_links cannot be negative")
 
 
 def _certify(sites: Sequence[tuple[int, int]], masks: np.ndarray, bounds: np.ndarray,
@@ -321,9 +304,12 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4) -> KPCertificate:
     failure modes return a failing certificate with a reason instead of
     raising.
     """
-    _check_certify_args(M, head_links)
+    if not M > 1:
+        raise ValueError(f"weight base M must exceed 1, got {M!r}")
+    if head_links < 0:
+        raise ValueError("head_links cannot be negative")
     sys = _LinkSystem(K)
-    _, _, masks, bounds = _polymer_sums(sys, 0, head_links)
+    masks, _, bounds = _polymer_sums(sys, head_links)
     return _certify(sys.sites, masks, bounds, M, head_links, banach_norm(K), K.p_max)
 
 
@@ -352,13 +338,13 @@ class ExpansionReport(NamedTuple):
 
 
 def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
-                     order: int = 4, max_links: int = 4, M: float | None = None,
-                     head_links: int | None = None, force: bool = False) -> ExpansionReport:
+                     order: int = 4, max_links: int = 4, force: bool = False) -> ExpansionReport:
     """Run the whole expansion pipeline for one parameter point.
 
-    M defaults to the region-optimal base for the family's maximal edge count
-    (2.0 for single-edge families, which have no optimum).  The exact log W
-    is the reference for every order's gap.
+    The certificate's exact head reaches max_links links, and its weight base
+    M is the region-optimal one for the family's maximal edge count (2.0 for
+    single-edge families, which have no optimum).  The exact log W is the
+    reference for every order's gap.
     """
     check_alignment(motifs, betas)
     _check_order(order)
@@ -367,17 +353,14 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     site_count = n * (n - 1) // 2
     p = max(H.p for H in motifs)
     m = max(H.m for H in motifs)
-    if M is None:
-        M = optimal_M(p) if p >= 2 else 2.0
-    head = max_links if head_links is None else head_links
-    _check_certify_args(M, head)
+    M = optimal_M(p) if p >= 2 else 2.0
     K = build_interaction(motifs, betas, n)
     norm = banach_norm(K)
     # One walk over the connected link sets serves the series and the
-    # certificate head, whatever the two depths.
+    # certificate head.
     sys = _LinkSystem(K)
-    masks, activities, heads, bounds = _polymer_sums(sys, max_links, head)
-    cert = _certify(sys.sites, heads, bounds, M, head, norm, p)
+    masks, activities, bounds = _polymer_sums(sys, max_links)
+    cert = _certify(sys.sites, masks, bounds, M, max_links, norm, p)
     partials = _partials(site_count, masks, activities, order)
     exact = _table_log_w(motifs, betas, n)
     tail_fn: Callable[[int], float] | None = None

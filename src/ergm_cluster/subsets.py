@@ -133,8 +133,7 @@ def _connected_walk(adj: Sequence[int], max_size: int,
             count += more
             if count > max_count:
                 raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
-                                    hint="lower --max-links or --head-links; --force does "
-                                         "not lift this budget")
+                                    hint="lower --max-links; --force does not lift this budget")
     values = [v for v, _, _ in columns]
     tables = []
     for v, op, identity in columns:

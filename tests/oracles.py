@@ -228,8 +228,7 @@ def _connected_batches(adj: Sequence[int], max_size: int, masks: Sequence[int],
         budget -= 1 + leaves.bit_count()
         if budget < 0:
             raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
-                                hint="lower --max-links or --head-links; --force does "
-                                     "not lift this budget")
+                                hint="lower --max-links; --force does not lift this budget")
         yield sub, support, w, v, leaves
         if full:
             return
@@ -249,8 +248,7 @@ def _connected_batches(adj: Sequence[int], max_size: int, masks: Sequence[int],
         yield from rec((r,), ext, (1 << r) | adj[r], above, masks[r], ew[r], ev[r])
 
 
-def polymer_sums_by_set(sys: _LinkSystem, max_links: int,
-                        head_links: int) -> tuple[dict[int, float], dict[int, float]]:
+def polymer_sums_by_set(sys: _LinkSystem, depth: int) -> tuple[dict[int, float], dict[int, float]]:
     """The library's polymer sums, recomputed from every connected set's tuple.
 
     Each set's support and its products of expm1(K) and expm1(|K|) are formed
@@ -261,7 +259,7 @@ def polymer_sums_by_set(sys: _LinkSystem, max_links: int,
     ev = [math.expm1(abs(v)) for v in sys.values]
     acc_w: dict[int, float] = {}
     acc_v: dict[int, float] = {}
-    for idxs in _connected_item_sets(sys.adj, max(max_links, head_links)):
+    for idxs in _connected_item_sets(sys.adj, depth):
         support = 0
         w = 1.0
         v = 1.0
@@ -269,20 +267,17 @@ def polymer_sums_by_set(sys: _LinkSystem, max_links: int,
             support |= sys.masks[i]
             w *= ew[i]
             v *= ev[i]
-        if len(idxs) <= max_links:
-            acc_w[support] = acc_w.get(support, 0.0) + w
-        if len(idxs) <= head_links:
-            acc_v[support] = acc_v.get(support, 0.0) + v
+        acc_w[support] = acc_w.get(support, 0.0) + w
+        acc_v[support] = acc_v.get(support, 0.0) + v
     activities = {mask: acc_w[mask] / (1 << mask.bit_count()) for mask in sorted(acc_w)}
     return activities, {mask: acc_v[mask] for mask in sorted(acc_v)}
 
 
-def polymer_sum_dicts(sys: _LinkSystem, max_links: int,
-                      head_links: int) -> tuple[dict[int, float], dict[int, float]]:
+def polymer_sum_dicts(sys: _LinkSystem, depth: int) -> tuple[dict[int, float], dict[int, float]]:
     """The library's polymer sums as two dicts, mask to activity and mask to bound."""
-    masks, activities, heads, bounds = _polymer_sums(sys, max_links, head_links)
+    masks, activities, bounds = _polymer_sums(sys, depth)
     return (dict(zip(masks.tolist(), activities.tolist())),
-            dict(zip(heads.tolist(), bounds.tolist())))
+            dict(zip(masks.tolist(), bounds.tolist())))
 
 
 def _family_sweep(site_count: int, masks: Sequence[int], weights: Sequence[float],
@@ -695,7 +690,7 @@ def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: in
     check_guard(K.n)
     sys = _LinkSystem(K)
     X = freeze_sites(N, K.n)
-    masks, activities, _, _ = _polymer_sums(sys, max_links, 0)
+    masks, activities, _ = _polymer_sums(sys, max_links)
     masks = masks.tolist()
     if site_mask(K.n, X) not in masks:
         raise ValueError(f"{X} is not a realizable polymer support here")
@@ -715,7 +710,7 @@ def cluster_partition_sum(K: Interaction) -> float:
     check_guard(K.n)
     sys = _LinkSystem(K)
     site_count = len(sys.sites)
-    masks, activities, _, _ = _polymer_sums(sys, len(sys.links), 0)
+    masks, activities, _ = _polymer_sums(sys, len(sys.links))
     table = _family_sweep(site_count, masks.tolist(), activities.tolist(), site_count)
     return float(np.sum(table))
 

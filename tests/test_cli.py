@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ergm_cluster import expansion, expansion_report, optimal_M, report_jsonable
+from ergm_cluster import cli, expansion, expansion_report, optimal_M, report_jsonable
 from ergm_cluster.cli import build_parser, main, render_json, write_artifact
 from ergm_cluster.graphs import BUILTIN_MOTIFS
 from ergm_cluster.lattice import Interaction
@@ -237,11 +238,18 @@ class TestExpand:
         assert main(self.ARGS + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("head", ["2", "5"])
-    def test_head_links(self, tmp_path, head):
+    def test_certificate_at_max_links_and_the_optimal_base(self, tmp_path):
         out = tmp_path / "report.json"
-        assert main(self.ARGS + ["--head-links", head, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["kp"]["tail_order"] == int(head)
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        kp = json.loads(out.read_text())["kp"]
+        assert kp["tail_order"] == 3
+        assert kp["M"] == optimal_M(2)
+
+    @pytest.mark.parametrize("flag", [["--head-links", "2"], ["--M", "2"]])
+    def test_certificate_depth_and_base_are_no_options(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + flag)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("beta, passes", [("0.001", True), ("1.0", False)])
     def test_margin_and_worst_site_in_artifact(self, tmp_path, beta, passes):
@@ -402,13 +410,11 @@ class TestConfigPrecedence:
     def test_expand_options_from_the_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"motifs": ["two-star"], "betas": [0.001], "n": 7,
-                                   "order": 2, "max_links": 1, "head_links": 2,
-                                   "force": True}))
+                                   "order": 2, "max_links": 1, "force": True}))
         out = tmp_path / "report.json"
         assert main(["expand", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == report_jsonable(expansion_report(
-            [BUILTIN_MOTIFS["two-star"]], [0.001], 7, order=2, max_links=1, head_links=2,
-            force=True))
+            [BUILTIN_MOTIFS["two-star"]], [0.001], 7, order=2, max_links=1, force=True))
         assert main(["expand", "--config", str(cfg), "--order", "1", "--out", str(out)]) == 0
         assert [row["order"] for row in json.loads(out.read_text())["orders"]] == [1]
 
@@ -437,6 +443,32 @@ class TestConfigPrecedence:
         cfg.write_text('{"motifs": ["edge"], "betas": [0.1], "n": null}')
         assert main(["exact", "--config", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "missing required option --n"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("exact", {"bettas": [0.2]}),
+        ("exact", {"order": 2}),
+        ("expand", {"max_link": 1, "ordr": 1}),
+        ("expand", {"head_links": 2}),
+        ("expand", {"M": 2.0}),
+        ("expand", {"help": True}),
+    ])
+    def test_keys_naming_no_option_are_refused(self, tmp_path, monkeypatch, capsys,
+                                               command, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the config keys were checked")
+
+        monkeypatch.setattr(cli, "ensemble_result", refuse)
+        monkeypatch.setattr(expansion, "expansion_report", refuse)
+        cfg = tmp_path / "cfg.json"
+        motif = "edge" if command == "exact" else "two-star"
+        cfg.write_text(json.dumps({"motifs": [motif], "betas": [0.001], "n": 4, **extra}))
+        out = tmp_path / "run.json"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = json.loads(captured.err)
+        assert err["kind"] == "invalid-config"
+        assert err["error"] == f"config key {next(iter(extra))!r} names no option of {command}"
 
 
 class TestFailureModes:
@@ -484,8 +516,7 @@ class TestFailureModes:
             assert rc == 3
             err = json.loads(capsys.readouterr().err)
             assert err["kind"] == "guard"
-            assert "--max-links" in err["hint"] and "--head-links" in err["hint"]
-            assert not err["hint"].startswith("pass --force")
+            assert err["hint"] == "lower --max-links; --force does not lift this budget"
 
     def test_expand_n6_runs_inside_tail_bounds(self, tmp_path):
         # the site-mask table at n = 6 is inside the guard: no exit 3
@@ -557,7 +588,7 @@ class TestFailureModes:
         assert json.loads(captured.err)["kind"] == "invalid-config"
 
     @pytest.mark.parametrize("links", [["--max-links", "-1"],
-                                       ["--max-links", "-1", "--head-links", "2"]])
+                                       ["--max-links", "-1", "--force"]])
     def test_negative_max_links_refused(self, links, capsys):
         rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4", *links])
         assert rc == 2
@@ -691,6 +722,30 @@ class TestFailureModes:
 
     def test_missing_graph_file(self, capsys):
         assert main(["density", "--motif", "edge", "--graph", "no-such.json"]) == 2
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, tmp_path, monkeypatch, capsys):
+        # Every command of the README's command-line block exits 0, and each
+        # "# -> x" line is the stdout of the command before it.
+        text = (SRC.parent / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        commands, stdout = 0, None
+        for line in block.splitlines():
+            if line.startswith("echo "):
+                doc, redirect, target = shlex.split(line)[1:]
+                assert redirect == ">"
+                Path(target).write_text(doc + "\n")
+            elif line.startswith("ergm-cluster "):
+                assert main(shlex.split(line)[1:]) == 0, line
+                stdout = capsys.readouterr().out
+                commands += 1
+            elif line.startswith("# -> "):
+                assert stdout == line[len("# -> "):] + "\n"
+            else:
+                assert line == "" or line.startswith("# "), line
+        assert commands
 
 
 class TestEntryPoint:

@@ -30,7 +30,7 @@ from ergm_cluster.expansion import (
     _connected_walk,
     _last_item,
     _LinkSystem,
-    _size_column,
+    _polymer_sums,
 )
 from ergm_cluster.graphs import check_guard, site_mask
 from ergm_cluster.lattice import Interaction, freeze_sites
@@ -127,14 +127,13 @@ class TestConnectedSets:
             for max_size in range(1, len(adj) + 1):
                 count = len(list(connected_sets_one_by_one(adj, max_size)))
                 assert len(list(_connected_item_sets(adj, max_size, count))) == count
-                sizes = [_size_column(len(adj))]
+                sizes = [(np.ones(len(adj), dtype=np.int64), np.add, 0)]
                 assert sum(len(chunk[0]) for chunk in
                            _connected_walk(adj, max_size, sizes, count)) == count
                 with pytest.raises(GuardExceeded) as exc:
                     list(_connected_item_sets(adj, max_size, count - 1))
                 assert str(exc.value) == f"connected-set enumeration exceeded {count - 1} sets"
-                assert exc.value.hint == ("lower --max-links or --head-links; "
-                                          "--force does not lift this budget")
+                assert exc.value.hint == "lower --max-links; --force does not lift this budget"
                 with pytest.raises(GuardExceeded):
                     next(_connected_walk(adj, max_size, sizes, count - 1))
 
@@ -146,7 +145,8 @@ class TestConnectedSets:
             masks = [rng.getrandbits(12) for _ in adj]
             ew = [rng.uniform(-2.0, 2.0) for _ in adj]
             ev = [abs(x) for x in ew]
-            columns = [_size_column(len(adj)), (np.arange(len(adj)), _last_item, 0),
+            columns = [(np.ones(len(adj), dtype=np.int64), np.add, 0),
+                       (np.arange(len(adj)), _last_item, 0),
                        (np.array(masks), np.bitwise_or, 0),
                        (np.array(ew), np.multiply, 1.0), (np.array(ev), np.multiply, 1.0)]
             for max_size in range(1, 5):
@@ -265,10 +265,23 @@ class TestActivities:
     def test_sums_past_the_mask_table_match_the_per_set_loop(self, two_star, triangle, n):
         # 28 sites keep int64 masks in dicts; 66 sites need Python-int masks
         sys = _LinkSystem(build_interaction([two_star, triangle], [0.0005, -0.0004], n))
-        for got, want in zip(oracles.polymer_sum_dicts(sys, 2, 1),
-                             oracles.polymer_sums_by_set(sys, 2, 1)):
+        for got, want in zip(oracles.polymer_sum_dicts(sys, 2),
+                             oracles.polymer_sums_by_set(sys, 2)):
             assert list(got) == list(want)
             assert [x.hex() for x in got.values()] == [x.hex() for x in want.values()]
+
+    @pytest.mark.parametrize("max_links", [1, 2])
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("name, beta", [("two-star", -0.0004), ("triangle", 0.0005)])
+    def test_one_motif_past_the_mask_table_matches_the_per_set_loop(self, name, beta, n,
+                                                                    max_links):
+        sys = _LinkSystem(build_interaction([BUILTIN_MOTIFS[name]], [beta], n))
+        masks, activities, bounds = _polymer_sums(sys, max_links)
+        want_w, want_v = oracles.polymer_sums_by_set(sys, max_links)
+        assert masks.dtype == (np.int64 if n == 8 else object)
+        assert masks.tolist() == list(want_w) == list(want_v)
+        assert [x.hex() for x in activities.tolist()] == [x.hex() for x in want_w.values()]
+        assert [x.hex() for x in bounds.tolist()] == [x.hex() for x in want_v.values()]
 
     def test_spin_sum_site_guard(self):
         with pytest.raises(GuardExceeded):
@@ -628,9 +641,9 @@ class TestCertificate:
         for site, got in cert.per_site_sums.items():
             assert got - cert.tail == pytest.approx(want[site], rel=1e-13)
 
-    @pytest.mark.parametrize("n", [4, 8, 17])
+    @pytest.mark.parametrize("n", [4, 8, 12, 17])
     def test_head_is_the_per_polymer_loop(self, triangle, n):
-        # 6, 28 and 136 sites: one word, one word, three words of site bits
+        # 6, 28, 66 and 136 sites: one, one, two and three words of site bits
         M = optimal_M(3)
         K = build_interaction([triangle], [0.0005], n)
         cert = kp_certify(K, M, head_links=2)
@@ -704,11 +717,18 @@ class TestReport:
 
     @pytest.mark.parametrize("head", [2, 5])
     def test_head_depth_matches_entry_points(self, two_star, triangle, head):
+        # the certificate's head reaches max_links, at the optimal base
         motifs, betas = [two_star, triangle], [0.0009, -0.0007]
-        rep = expansion_report(motifs, betas, 4, order=3, max_links=3, head_links=head)
+        rep = expansion_report(motifs, betas, 4, order=3, max_links=head)
         K = build_interaction(motifs, betas, 4)
-        assert rep.certificate == kp_certify(K, rep.M, head)
-        assert [row.partial_sum for row in rep.orders] == truncated_log_partition(K, 3, 3)
+        assert rep.M == optimal_M(3)
+        assert rep.certificate == kp_certify(K, optimal_M(3), head)
+        assert [row.partial_sum for row in rep.orders] == truncated_log_partition(K, 3, head)
+
+    @pytest.mark.parametrize("knob", [{"M": 2.0}, {"head_links": 2}])
+    def test_certificate_depth_and_base_are_no_keywords(self, two_star, knob):
+        with pytest.raises(TypeError):
+            expansion_report([two_star], [0.001], 4, **knob)
 
     @pytest.mark.parametrize("head", [None, 2, 5])
     def test_one_walk_per_report(self, two_star, triangle, head, monkeypatch):
@@ -720,9 +740,9 @@ class TestReport:
             return walk(*args, **kwargs)
 
         monkeypatch.setattr(expansion, "_connected_walk", counted)
-        expansion_report([two_star, triangle], [0.0009, -0.0007], 4, order=3,
-                         max_links=3, head_links=head)
-        assert calls == [3 if head is None else max(3, head)]
+        links = {} if head is None else {"max_links": head}
+        expansion_report([two_star, triangle], [0.0009, -0.0007], 4, order=3, **links)
+        assert calls == [4 if head is None else head]
 
     def test_memory_of_a_warm_report(self, two_star, triangle):
         # two-star and triangle at n = 5, order 2, four links: 53 130 sets and
@@ -747,10 +767,8 @@ class TestReport:
 
         monkeypatch.setattr(expansion, "build_interaction", refuse)
         monkeypatch.setattr(expansion, "_LinkSystem", refuse)
-        for head in (None, 2):
-            with pytest.raises(ValueError, match="max_links cannot be negative"):
-                expansion_report([two_star], [0.001], 4, order=2, max_links=-1,
-                                 head_links=head)
+        with pytest.raises(ValueError, match="max_links cannot be negative"):
+            expansion_report([two_star], [0.001], 4, order=2, max_links=-1)
         with pytest.raises(ValueError, match="max_links cannot be negative"):
             truncated_log_partition(K, 2, max_links=-1)
 

@@ -291,18 +291,18 @@ def test_distinct_columns_match_the_lexsort_oracle(tables):
 
 @settings(PROPERTY_SETTINGS, max_examples=60)
 @given(st.lists(motifs(max_m=4), min_size=1, max_size=3), st.integers(3, 5),
-       st.integers(0, 4), st.integers(0, 4), st.data())
-def test_batched_polymer_sums_match_the_per_set_loop(family, n, max_links, head_links, data):
+       st.integers(0, 4), st.data())
+def test_batched_polymer_sums_match_the_per_set_loop(family, n, max_links, data):
     betas = data.draw(st.lists(st.floats(-1.0, 1.0).filter(bool), min_size=len(family),
                                max_size=len(family)))
     sys = _LinkSystem(build_interaction(family, betas, n))
     try:
-        for _ in _connected_item_sets(sys.adj, max(max_links, head_links), WALK_CAP):
+        for _ in _connected_item_sets(sys.adj, max_links, WALK_CAP):
             pass
     except GuardExceeded:
         assume(False)
-    got = polymer_sum_dicts(sys, max_links, head_links)
-    want = polymer_sums_by_set(sys, max_links, head_links)
+    got = polymer_sum_dicts(sys, max_links)
+    want = polymer_sums_by_set(sys, max_links)
     for g, w in zip(got, want):
         assert list(g) == list(w)
         assert [x.hex() for x in g.values()] == [x.hex() for x in w.values()]
