@@ -53,10 +53,12 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     hom(H, G) sums c(H, X), the number of vertex maps whose edge image is
     exactly X, over X inside E(G): each count of lattice._support_counts put
     at its site mask, then one in-place subset-sum transform over the C(n,2)
-    bits, gives the table.  Its largest entry is hom(H, K_n) = sum_X c(H, X);
-    past the int64 range that raises OverflowError before any table is built.
-    Memoized per (motif, n); the returned exact int64 array is read-only
-    because it is shared.
+    bits, gives the table.  Its largest entry is hom(H, K_n) = sum_X c(H, X),
+    and every partial sum is at most that, so the table takes the smallest
+    unsigned dtype of at most 32 bits that holds it, else int64; past the
+    int64 range that raises OverflowError before any table is built.
+    Memoized per (motif, n); the returned exact array is read-only because it
+    is shared.
     """
     # No map reaches the empty vertex set: its one graph has hom 0.
     counts = _support_counts(H, n) if n else {}
@@ -64,7 +66,8 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     if total >= 1 << 63:
         raise OverflowError(f"hom({H.name}, K_{n}) = {total} exceeds the int64 "
                             "range of the hom table")
-    table = np.zeros(1 << n * (n - 1) // 2, dtype=np.int64)
+    dtype = np.min_scalar_type(total) if total < 1 << 32 else np.int64
+    table = np.zeros(1 << n * (n - 1) // 2, dtype=dtype)
     table[[site_mask(n, X) for X in counts]] = list(counts.values())
     table = _subset_sums(table)
     table.flags.writeable = False
@@ -74,10 +77,12 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
 def _distinct_columns(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(rows, counts): the distinct columns of the stacked tables, in lexsort order.
 
-    rows[i, c] is tables[i][x] for each of the counts[c] masks x of column c;
-    read-only, because the memoized histograms share them.  The tables fold,
-    last one most significant, into one int64 mixed-radix key per mask, so
-    ascending keys are lexsort order, and np.bincount counts the keys.  A fold
+    rows[i, c] is tables[i][x] for each of the counts[c] masks x of column c,
+    in the tables' common dtype; read-only, because the memoized histograms
+    share them.  Each table is unsigned of at most 32 bits, or int64.  The
+    tables fold, last one most significant, into one int64 mixed-radix key per
+    mask, so ascending keys are lexsort order, and np.bincount counts the keys
+    (an int32 key would cost more: np.bincount casts it to intp).  A fold
     that would take the key past twice the table length re-ranks the key
     densely first; if even the dense key cannot take the next table, that
     table and then the key are ranked by sorting, as a last resort.  Each
@@ -122,8 +127,8 @@ def _distinct_columns(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
 def _statistic_histogram(motifs: tuple[Motif, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, counts): the distinct columns of the stacked motif_hom_tables.
 
-    rows[i, c] is hom(H_i, G) for each of the counts[c] graphs G of column c;
-    exact int64.
+    rows[i, c] is hom(H_i, G) for each of the counts[c] graphs G of column c,
+    exact, in the tables' common dtype.
     """
     return _distinct_columns([motif_hom_table(H, n) for H in motifs])
 

@@ -156,6 +156,7 @@ def polymer_table(K: Interaction, max_links: int) -> list[Polymer]:
     factor, so the normalized sum equals the plain product of expm1(K(X))
     (bitwise identical to the literal spin sum, which a test pins down).
     """
+    _check_max_links(max_links)
     sys = _LinkSystem(K)
     masks, activities, bounds = _polymer_sums(sys, max_links)
     return [Polymer(mask_sites(sys.n, mask), w, v)

@@ -270,7 +270,8 @@ class TestResultPlumbing:
     def test_hom_table_is_frozen(self, two_star):
         table = motif_hom_table(two_star, 4)
         assert not table.flags.writeable
-        assert table.dtype == np.int64 and len(table) == 1 << 6
+        # hom(two-star, K_4) = 4 * 3^2 = 36 fits in one byte.
+        assert table.dtype == np.uint8 and len(table) == 1 << 6
 
 
 def _motif(name, m, edges):
@@ -314,7 +315,7 @@ class TestHomTable:
 
     @pytest.mark.parametrize("H", BUILTIN_MOTIFS.values(), ids=lambda H: H.name)
     def test_builtins_match_the_numpy_walk_at_n7(self, H):
-        # Unmemoized: three 16 MB tables need not outlive the test.
+        # Unmemoized: three 2 MB tables need not outlive the test.
         assert np.array_equal(motif_hom_table.__wrapped__(H, 7), hom_table_by_numpy_walk(H, 7))
 
     def test_refuses_past_int64(self):
@@ -324,6 +325,33 @@ class TestHomTable:
             motif_hom_table(H, 6)
         H = Motif("edge+21", 23, frozenset({(0, 1)}))
         assert int(motif_hom_table(H, 6)[-1]) == 30 * 6 ** 21
+
+    @pytest.mark.parametrize("H,n", [(H, n) for H in ORACLE_MOTIFS for n in range(1, 7)]
+                             + [(H, 7) for H in BUILTIN_MOTIFS.values()]
+                             # 30 * 6^9 takes uint32 and 30 * 6^21 int64.
+                             + [(Motif(f"edge+{k}", k + 2, frozenset({(0, 1)})), 6)
+                                for k in (9, 21)],
+                             ids=lambda x: getattr(x, "name", x))
+    def test_smallest_dtype_that_holds_hom_of_the_complete_graph(self, H, n):
+        # Unmemoized, so the 2 MB tables at n = 7 need not outlive the test.
+        table = motif_hom_table.__wrapped__(H, n)
+        total = sum(lattice._support_counts(H, n).values())
+        assert int(table[-1]) == total == int(table.max())
+        want = next((t for t in (np.uint8, np.uint16, np.uint32)
+                     if total <= np.iinfo(t).max), np.int64)
+        assert table.dtype == want
+
+    def test_table_at_n7_is_one_byte_per_graph(self, triangle):
+        lattice._support_counts(triangle, 7)  # the walk is not the table's cost
+        tracemalloc.start()
+        try:
+            table = motif_hom_table.__wrapped__(triangle, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2^21 graphs: 2 MB in uint8, against 16 MB in int64.
+        assert table.nbytes == 1 << 21
+        assert peak < 2.5 * (1 << 20)
 
     def test_closed_forms_at_n6(self, edge, two_star, triangle):
         A = _adjacency_stack(6)
@@ -488,7 +516,10 @@ class TestHistogram:
         # never more columns than the 156 isomorphism classes of 6-vertex graphs
         assert columns <= 156 and int(counts.sum()) == 32768
         assert not rows.flags.writeable and not counts.flags.writeable
-        assert rows.dtype == counts.dtype == np.int64
+        # hom(diamond, K_6) = 480 and hom(K4, K_6) = 360 need two bytes; the
+        # other motifs' hom(H, K_6) fit in one.
+        dtype = np.uint16 if "diamond" in names else np.uint8
+        assert rows.dtype == dtype and counts.dtype == np.int64
 
     @pytest.mark.parametrize("names", HISTOGRAM_FAMILIES, ids="+".join)
     def test_columns_match_the_lexsort_oracle(self, names):

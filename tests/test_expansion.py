@@ -771,6 +771,10 @@ class TestReport:
             expansion_report([two_star], [0.001], 4, order=2, max_links=-1)
         with pytest.raises(ValueError, match="max_links cannot be negative"):
             truncated_log_partition(K, 2, max_links=-1)
+        with pytest.raises(ValueError, match="max_links cannot be negative"):
+            polymer_table(K, -1)
+        with pytest.raises(ValueError, match="max_links cannot be negative"):
+            next(enumerate_connected_hypergraphs(K, -1))
 
     def test_deterministic(self, two_star, triangle):
         a = report_jsonable(expansion_report([two_star, triangle], [0.001, 0.0005], 3))

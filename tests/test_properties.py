@@ -256,16 +256,21 @@ def test_interaction_is_the_fraction_sum_rounded_once(family, n, betas):
 INT64 = (-1 << 63, (1 << 63) - 1)
 
 
+# The table dtypes that reach _distinct_columns, with the value ranges drawn:
+# the unsigned ones up to their full range, int64 up to all of it (None).
+TABLE_WIDTHS = {np.uint8: [1, 2, 3, 7, 50, 1 << 8], np.uint16: [1, 3, 300, 1 << 16],
+                np.uint32: [1, 3, 70000, 1 << 32], np.int64: [1, 2, 5, 100, 1 << 40, None]}
+
+
 @st.composite
 def stacked_tables(draw):
-    """One to five equal-length tables of one dtype; each draws its own value range."""
-    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    """One to five equal-length tables; each draws its own dtype and value range."""
     size = draw(st.integers(1, 40))
     tables = []
     for _ in range(draw(st.integers(1, 5))):
-        width = draw(st.sampled_from([1, 2, 3, 7, 50, 256] if dtype is np.uint8
-                                     else [1, 2, 5, 100, 1 << 40, None]))
-        lo = 0 if dtype is np.uint8 else draw(st.integers(-1000, 1000))
+        dtype = draw(st.sampled_from(list(TABLE_WIDTHS)))
+        width = draw(st.sampled_from(TABLE_WIDTHS[dtype]))
+        lo = draw(st.integers(-1000, 1000)) if dtype is np.int64 else 0
         values = st.integers(*INT64) if width is None else st.integers(lo, lo + width - 1)
         tables.append(np.array(draw(st.lists(values, min_size=size, max_size=size)),
                                dtype=dtype))
@@ -279,6 +284,9 @@ def stacked_tables(draw):
 @example([np.array([0, 1, 1], dtype=np.uint8)])
 @example([np.array(t, dtype=np.uint8) for t in ([0, 1], [0, 1], [1, 0])])
 @example([np.array(t, dtype=np.int64) for t in ([5, -3], [-(1 << 63), (1 << 63) - 1])])
+# A full-range uint32 table ranked by sorting, then a uint16 table folded.
+@example([np.array([1, 0, 1], dtype=np.uint16),
+          np.array([0, (1 << 32) - 1, 0], dtype=np.uint32)])
 def test_distinct_columns_match_the_lexsort_oracle(tables):
     got, want = _distinct_columns(tables), distinct_columns_by_sort(tables)
     for a, b in zip(got, want):
