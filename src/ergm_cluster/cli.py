@@ -306,9 +306,9 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
         raise ValueError("--M is required when p = 1 (no interior optimum)")
     M = optimal_M(p) if ns.M is None else _finite("M", ns.M)
     table = abar_recursion(p, norm, M, ns.n_max)
-    # radius_and_tail overflows for large p; fail before the O(p n_max^2) check.
+    # radius_and_tail overflows for large p; fail before the identity check.
     radius = radius_and_tail(p, norm, M)[0] if p >= 2 else None
-    checked = generating_function_check(p, min(ns.n_max, 30))
+    checked = generating_function_check(p, ns.n_max)
     tail = coefficient_tail(table, ns.n_max)
     divergent = math.isinf(tail)
     print(f"c = {_fmt(table.c)}")

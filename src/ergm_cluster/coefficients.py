@@ -24,8 +24,21 @@ COEFFICIENT_GUARD = 64
 def _validate_pm(p: int, M: float) -> None:
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"edge count p must be a positive integer, got {p!r}")
+    _validate_base(M)
+
+
+def _validate_base(M: float) -> None:
+    if not math.isfinite(M):
+        raise ValueError(f"weight base M must be finite, got {M!r}")
     if not M > 1:
         raise ValueError(f"weight base M must exceed 1, got {M!r}")
+
+
+def _validate_norm(norm: float) -> None:
+    if not math.isfinite(norm):
+        raise ValueError(f"interaction norm must be finite, got {norm!r}")
+    if norm < 0:
+        raise ValueError("interaction norm cannot be negative")
 
 
 def optimal_M(p: int) -> float:
@@ -99,8 +112,7 @@ class CoefficientTable(NamedTuple):
 def abar_recursion(p: int, norm: float, M: float, n_max: int = 30) -> CoefficientTable:
     """Tabulate the majorant coefficients for one (p, norm, M) triple."""
     _validate_pm(p, M)
-    if norm < 0:
-        raise ValueError("interaction norm cannot be negative")
+    _validate_norm(norm)
     if not 1 <= n_max <= COEFFICIENT_GUARD:
         raise ValueError(f"n_max must lie in 1..{COEFFICIENT_GUARD}")
     return CoefficientTable(p=p, norm=float(norm), M=float(M), gamma=_gamma_table(p, n_max))
@@ -115,35 +127,19 @@ def gamma_closed_form(p: int, n: int) -> Fraction:
     return Fraction(math.comb(p * n, n - 1), n)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction], n_max: int) -> list[Fraction]:
-    out = [0] * (n_max + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n_max:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def _satisfies_identity(p: int, gamma: tuple[Fraction, ...]) -> bool:
     """Does w = z (1 + w)^p hold through the tabulated order?
 
-    gamma is 1-indexed with a 0 pad; w is the formal series with those
-    coefficients, and both sides are expanded as truncated rational series.
+    gamma is 1-indexed with a 0 pad, and the identity says g = (1 + w)^p has
+    g_k = gamma_(k+1).  J. C. P. Miller's power recurrence (Knuth, TAOCP vol.
+    2, 4.7), k g_k = sum_(j=1..k) ((p + 1) j - k) gamma_j g_(k-j) with g_0 = 1,
+    fixes each g_k from those before it, so the identity holds iff gamma_1 = 1
+    and each later gamma_(k+1) satisfies it: O(n_max^2) exact products, any p.
     """
-    n_max = len(gamma) - 1
-    w = [0, *gamma[1:]]
-    one_plus_w = [1, *w[1:]]
-    power = [1] + [0] * n_max
-    while p > 0:  # square-and-multiply
-        if p & 1:
-            power = _poly_mul(power, one_plus_w, n_max)
-        p >>= 1
-        if p:
-            one_plus_w = _poly_mul(one_plus_w, one_plus_w, n_max)
-    return [0, *power[:n_max]] == w
+    g = gamma[1:]
+    return not g or g[0] == 1 and all(
+        k * g[k] == sum(((p + 1) * j - k) * gamma[j] * g[k - j] for j in range(1, k + 1))
+        for k in range(1, len(g)))
 
 
 def generating_function_check(p: int, n_max: int = 30) -> bool:
@@ -166,8 +162,7 @@ def radius_and_tail(p: int, norm: float, M: float) -> tuple[float, Callable[[int
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"radius/tail need p >= 2, got {p!r}")
     _validate_pm(p, M)
-    if norm < 0:
-        raise ValueError("interaction norm cannot be negative")
+    _validate_norm(norm)
     if norm == 0:
         return math.inf, lambda n0: 0.0
     scale = (M * p) ** p  # overflows first, as in region_bound

@@ -46,30 +46,36 @@ def _subset_sums(table: np.ndarray) -> np.ndarray:
     return table
 
 
+def _count_table(n: int, counts: dict[EdgeSubset, int]) -> np.ndarray:
+    """The sum of counts[X] over the X inside each of the 2^C(n,2) site masks,
+    by one subset-sum transform.  No entry exceeds the sum of the counts, so
+    the table takes the smallest unsigned dtype of at most 32 bits that holds
+    that sum, else int64."""
+    total = sum(counts.values())
+    dtype = np.min_scalar_type(total) if total < 1 << 32 else np.int64
+    table = np.zeros(1 << n * (n - 1) // 2, dtype=dtype)
+    table[[site_mask(n, X) for X in counts]] = list(counts.values())
+    return _subset_sums(table)
+
+
 @lru_cache(maxsize=None)
 def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     """hom_count(H, G) for every graph G on n vertices, indexed by bitmask.
 
     hom(H, G) sums c(H, X), the number of vertex maps whose edge image is
-    exactly X, over X inside E(G): each count of lattice._support_counts put
-    at its site mask, then one in-place subset-sum transform over the C(n,2)
-    bits, gives the table.  Its largest entry is hom(H, K_n) = sum_X c(H, X),
-    and every partial sum is at most that, so the table takes the smallest
-    unsigned dtype of at most 32 bits that holds it, else int64; past the
-    int64 range that raises OverflowError before any table is built.
-    Memoized per (motif, n); the returned exact array is read-only because it
-    is shared.
+    exactly X, over X inside E(G): the _count_table of lattice._support_counts.
+    Past the table ceiling GuardExceeded is raised before any map is walked,
+    and past the int64 range OverflowError before any table is built.
+    Memoized per (motif, n); the exact array is read-only because it is shared.
     """
+    check_guard(n, force=True, least=0)
     # No map reaches the empty vertex set: its one graph has hom 0.
     counts = _support_counts(H, n) if n else {}
     total = sum(counts.values())
     if total >= 1 << 63:
         raise OverflowError(f"hom({H.name}, K_{n}) = {total} exceeds the int64 "
                             "range of the hom table")
-    dtype = np.min_scalar_type(total) if total < 1 << 32 else np.int64
-    table = np.zeros(1 << n * (n - 1) // 2, dtype=dtype)
-    table[[site_mask(n, X) for X in counts]] = list(counts.values())
-    table = _subset_sums(table)
+    table = _count_table(n, counts)
     table.flags.writeable = False
     return table
 
@@ -198,17 +204,10 @@ def _link_histogram(n: int, classes: LinkClasses) -> tuple[np.ndarray, np.ndarra
     """(rows, counts): the distinct per-class link counts over the 2^C(n,2) configurations.
 
     rows[c, j] is the number of links of classes[c] inside each of the counts[j]
-    configurations of column j.  One subset-sum pass per class, in the smallest
-    unsigned dtype that holds the largest class; the cache is bounded, because
-    an interaction without repeated values has one class per link.
+    configurations of column j, from one _count_table per class.  The cache is
+    bounded: an interaction without repeated values has one class per link.
     """
-    dtype = np.min_scalar_type(max(map(len, classes)))
-    tables = []
-    for links in classes:
-        table = np.zeros(1 << n * (n - 1) // 2, dtype=dtype)
-        table[[site_mask(n, X) for X in links]] = 1
-        tables.append(_subset_sums(table))
-    return _distinct_columns(tables)
+    return _distinct_columns([_count_table(n, dict.fromkeys(links, 1)) for links in classes])
 
 
 def _column_energies(rows: np.ndarray, values: Sequence[float]) -> list[float]:

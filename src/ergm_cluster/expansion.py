@@ -36,10 +36,10 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .coefficients import _majorant_tail, optimal_M, radius_and_tail, region_bound
+from .coefficients import _majorant_tail, _validate_base, optimal_M, radius_and_tail, region_bound
 from .ensemble import _table_log_w
-from .graphs import (TABLE_SITES, Motif, all_edge_sites, check_alignment, check_guard,
-                     mask_sites, site_mask)
+from .graphs import (TABLE_SITES, GuardExceeded, Motif, all_edge_sites, check_alignment,
+                     check_guard, mask_sites, site_mask)
 from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
 from .subsets import CHUNK, DEFAULT_MAX_COUNT, _connected_walk, _family_totals, _words
 
@@ -210,7 +210,12 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
     """
     _check_order(order)
     _check_max_links(max_links)
-    check_guard(K.n)
+    try:
+        check_guard(K.n)
+    except GuardExceeded as exc:
+        check_guard(K.n, force=True)  # the ceiling keeps its own hint
+        exc.hint = f"expansion_report(..., force=True) runs the same series at n={K.n}"
+        raise
     sys = _LinkSystem(K)
     masks, activities, _ = _polymer_sums(sys, max_links)
     return _partials(len(sys.sites), masks, activities, order)
@@ -305,8 +310,7 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4) -> KPCertificate:
     failure modes return a failing certificate with a reason instead of
     raising.
     """
-    if not M > 1:
-        raise ValueError(f"weight base M must exceed 1, got {M!r}")
+    _validate_base(M)
     if head_links < 0:
         raise ValueError("head_links cannot be negative")
     sys = _LinkSystem(K)

@@ -297,30 +297,29 @@ def _traversal_order(H: Motif) -> tuple[list[list[int]], int]:
     return earlier, isolated
 
 
-def _maps(H: Motif, adj: Sequence[int], start: int,
+def _maps(H: Motif, adj: Sequence[int],
           leaf: Callable[[list[int], int], None], walk_last: bool = True) -> int:
     """The one backtracking walk over the vertex maps of a motif into a host.
 
-    The host is given by neighbour bitmasks adj[v] (a list or a dict); every
-    component root ranges over the vertex mask start, and every later vertex
-    over the common host neighbours of its placed motif neighbours.  The
-    non-isolated motif vertices are placed in _traversal_order; for each
-    placement of all but the last, leaf(images, cand) receives the images
-    (images[i] is the host vertex of the i-th placed motif vertex) and the
-    nonzero candidate mask of the last one.  Returns the isolated motif
-    vertex count; each such vertex multiplies every count by the host size.
+    The host is given by neighbour bitmasks adj[v].  The non-isolated motif
+    vertices are placed in _traversal_order: component roots on every host
+    vertex, each later vertex on the common host neighbours of its placed
+    motif neighbours.  For each placement of all but the last, leaf(images,
+    cand) receives the images (images[i] hosts the i-th placed motif vertex)
+    and the nonzero candidate mask of the last one.  Returns the isolated
+    motif vertex count; each such vertex multiplies every count by the host size.
 
     Before any vertex is placed, the maps are bounded by s^r D^(m'-r): s host
-    vertices in start for each of the r component roots, and the largest host
-    degree D inside start for each of the other m' - r placed vertices.  A
-    leaf that only reads its candidate mask (walk_last=False) is charged per
-    call instead: the last vertex is never a root, so that drops one D.  A
-    bound past MAP_BUDGET raises GuardExceeded.
+    vertices for each of the r component roots, and the largest host degree D
+    for each of the other m' - r placed vertices.  A leaf that only reads its
+    candidate mask (walk_last=False) is charged per call instead: the last
+    vertex is never a root, so that drops one D.  A bound past MAP_BUDGET
+    raises GuardExceeded.
     """
     earlier, isolated = _traversal_order(H)
     roots = sum(not js for js in earlier)
-    degree = max(((adj[v] & start).bit_count() for v in _bits(start)), default=0)
-    bound = start.bit_count() ** roots * degree ** (len(earlier) - roots - (not walk_last))
+    degree = max((a.bit_count() for a in adj), default=0)
+    bound = len(adj) ** roots * degree ** (len(earlier) - roots - (not walk_last))
     if bound > MAP_BUDGET:
         what = "vertex maps" if walk_last else "partial vertex maps"
         raise GuardExceeded(f"{H.name} has up to {bound} {what} into the host, "
@@ -330,9 +329,10 @@ def _maps(H: Motif, adj: Sequence[int], start: int,
                                  "or sparser --graph")
     last = len(earlier) - 1
     images = [0] * last
+    everyone = (1 << len(adj)) - 1
 
     def place(i: int) -> None:
-        cand = start
+        cand = everyone
         for j in earlier[i]:
             cand &= adj[images[j]]
             if not cand:
@@ -350,9 +350,9 @@ def _maps(H: Motif, adj: Sequence[int], start: int,
     return isolated
 
 
-def _edge_images(H: Motif, adj: Sequence[int],
-                 start: int) -> tuple[dict[tuple[tuple[int, int], ...], int], int]:
-    """The maps of _maps(H, adj, start) counted by their edge image, plus the
+def _edge_images(H: Motif, adj: Sequence[int]
+                 ) -> tuple[dict[tuple[tuple[int, int], ...], int], int]:
+    """The maps of _maps(H, adj) counted by their edge image, plus the
     isolated motif vertex count.
 
     Images are keyed by canonical site tuples over the host vertices
@@ -384,7 +384,7 @@ def _edge_images(H: Motif, adj: Sequence[int],
                 key |= row[w]
             counts[key] = counts.get(key, 0) + 1
 
-    isolated = _maps(H, adj, start, leaf)
+    isolated = _maps(H, adj, leaf)
     return {tuple(sites[k] for k in _bits(mask)): c for mask, c in counts.items()}, isolated
 
 
@@ -400,7 +400,7 @@ def hom_count(H: Motif, G: SimpleGraph) -> int:
         nonlocal count
         count += cand.bit_count()
 
-    isolated = _maps(H, adjacency(G.n, G.edges), (1 << G.n) - 1, leaf, walk_last=False)
+    isolated = _maps(H, adjacency(G.n, G.edges), leaf, walk_last=False)
     return count * G.n ** isolated
 
 

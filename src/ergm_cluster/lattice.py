@@ -66,7 +66,7 @@ def exact_hom_count(H: Motif, X: EdgeSubset, n: int) -> int:
     verts = sorted({v for e in X for v in e})
     label = {v: i for i, v in enumerate(verts)}
     Y = tuple((label[u], label[v]) for u, v in X)
-    counts, isolated = _edge_images(H, adjacency(len(verts), Y), (1 << len(verts)) - 1)
+    counts, isolated = _edge_images(H, adjacency(len(verts), Y))
     return counts.get(Y, 0) * n ** isolated
 
 
@@ -90,8 +90,7 @@ def _support_counts(H: Motif, n: int) -> dict[EdgeSubset, int]:
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    full = (1 << n) - 1
-    counts, isolated = _edge_images(H, [full ^ (1 << v) for v in range(n)], full)
+    counts, isolated = _edge_images(H, [((1 << n) - 1) ^ (1 << v) for v in range(n)])
     scale = n ** isolated
     return {X: c * scale for X, c in sorted(counts.items())}
 
@@ -108,7 +107,7 @@ def support_families(H: Motif, n: int) -> dict[EdgeSubset, Fraction]:
 
 def _images_in(H: Motif, G: SimpleGraph) -> list[EdgeSubset]:
     """The X inside E(G) with d(H, X) != 0: the edge images of the maps into G."""
-    return list(_edge_images(H, adjacency(G.n, G.edges), (1 << G.n) - 1)[0])
+    return list(_edge_images(H, adjacency(G.n, G.edges))[0])
 
 
 def representation_check(H: Motif, G: SimpleGraph) -> bool:
@@ -159,6 +158,8 @@ class Interaction:
                     raise ValueError(f"site {e} outside the edge set of K_{n}")
             if v == 0:
                 raise ValueError(f"exact zero stored at {X}")
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {v} stored at {X}")
         for name, value in zip(self.__slots__, (n, k_map, p_max)):
             object.__setattr__(self, name, value)
 

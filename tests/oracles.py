@@ -8,7 +8,8 @@ per-support hypergraph sums, signed connected-graph (Ursell) coefficients,
 the polymer-gas sums by one pass over all 2^C(n,2) site masks per polymer,
 cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
-the majorant coefficients by their compositions recursion, the distinct
+the majorant coefficients by their compositions recursion, their
+generating-function identity by powering a truncated series, the distinct
 columns of stacked tables by one lexsort, the energy of
 every configuration by one masking pass per interaction link and by one
 float subset-sum transform, the interaction accumulated in Fractions, and
@@ -498,6 +499,29 @@ def gamma_by_compositions(p: int, n_max: int) -> tuple[Fraction, ...]:
                 total += prod
         g.append(total)
     return tuple(g)
+
+
+def identity_by_powering(p: int, gamma: Sequence[Fraction]) -> bool:
+    """Does w = z (1 + w)^p hold through the tabulated order?  (1 + w)^p by
+    square-and-multiply over truncated rational series; gamma is 0-padded."""
+    n_max = len(gamma) - 1
+
+    def mul(a: list, b: list) -> list:
+        out = [0] * (n_max + 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b[:n_max + 1 - i]):
+                out[i + j] += ai * bj
+        return out
+
+    w = [0, *gamma[1:]]
+    base, power = [1, *w[1:]], [1] + [0] * n_max
+    while p > 0:
+        if p & 1:
+            power = mul(power, base)
+        p >>= 1
+        if p:
+            base = mul(base, base)
+    return [0, *power[:n_max]] == w
 
 
 def distinct_columns_by_sort(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from ergm_cluster.coefficients import (
     gamma_closed_form,
 )
 
-from oracles import gamma_by_compositions
+from oracles import gamma_by_compositions, identity_by_powering
 
 
 class TestOptimalM:
@@ -108,6 +108,22 @@ class TestGamma:
         bad = good[:4] + (good[4] + 1,) + good[5:]
         assert _satisfies_identity(2, good)
         assert not _satisfies_identity(2, bad)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 30, 64])
+    def test_identity_agrees_with_powering(self, n_max):
+        for p in range(13):
+            good = (Fraction(0),) + tuple(Fraction(math.comb(p * n, n - 1), n)
+                                          for n in range(1, n_max + 1))
+            k = min(n_max, 3)
+            bad = good[:k] + (good[k] + Fraction(1, 7),) + good[k + 1:]
+            assert _satisfies_identity(p, good) is identity_by_powering(p, good) is True
+            assert _satisfies_identity(p, bad) is identity_by_powering(p, bad) is False
+
+    @pytest.mark.parametrize("p", [2, 7, 100])
+    def test_identity_holds_at_the_deepest_table(self, p):
+        start = time.perf_counter()
+        assert generating_function_check(p, COEFFICIENT_GUARD)
+        assert time.perf_counter() - start < 1.0
 
     def test_integer_growth_bound(self):
         # gamma_n (p-1)^(1 + (p-1) n) <= p^(p n), exactly in integers
@@ -205,6 +221,25 @@ class TestTableGuards:
     def test_negative_norm(self):
         with pytest.raises(ValueError):
             abar_recursion(2, -0.1, 1.5)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_norm_refused(self, x):
+        with pytest.raises(ValueError, match="norm"):
+            abar_recursion(2, x, 1.5)
+        with pytest.raises(ValueError, match="norm"):
+            radius_and_tail(2, x, 1.5)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf], ids=str)
+    def test_non_finite_weight_base_refused(self, x):
+        with pytest.raises(ValueError, match=f"weight base M must be finite, got {x}"):
+            region_bound(2, 3, x)
+        with pytest.raises(ValueError, match="weight base M must be finite"):
+            radius_and_tail(2, 0.001, x)
+        with pytest.raises(ValueError, match="weight base M must be finite"):
+            abar_recursion(2, 0.1, x)
+        K = build_interaction([load_motif("two-star")], [0.01], 4)
+        with pytest.raises(ValueError, match="weight base M must be finite"):
+            kp_certify(K, x)
 
     def test_table_shape(self):
         table = abar_recursion(2, 0.01, 1.7, n_max=9)

@@ -1,9 +1,11 @@
 import math
 import random
+import time
 import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import mpmath
@@ -353,6 +355,20 @@ class TestHomTable:
         assert table.nbytes == 1 << 21
         assert peak < 2.5 * (1 << 20)
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_refused_past_the_ceiling_before_any_work(self, triangle, n):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(GuardExceeded, match="ceiling") as info:
+                motif_hom_table(triangle, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.1
+        assert peak < 1 << 20
+        assert info.value.hint == "no option lifts the ceiling: use n <= 7"
+
     def test_closed_forms_at_n6(self, edge, two_star, triangle):
         A = _adjacency_stack(6)
         deg = A.sum(axis=2)
@@ -540,6 +556,18 @@ class TestHistogram:
         rows, counts = _link_histogram(6, classes)
         want_rows, want_counts = distinct_columns_by_sort(_class_counts(distinct, classes))
         assert rows.dtype == np.uint8 and counts.dtype == want_counts.dtype
+        assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+
+    def test_class_tables_stack_in_the_widest_dtype(self):
+        # The 575 links of at most three sites at n = 6 take a uint16 table and
+        # the 15 single sites a uint8 one; rows come out in uint16.
+        sites = all_edge_sites(6)
+        links = tuple(X for k in (1, 2, 3) for X in combinations(sites, k))
+        classes = (links, tuple((e,) for e in sites))
+        rows, counts = _link_histogram(6, classes)
+        want_rows, want_counts = distinct_columns_by_sort(
+            _class_counts(Interaction(6, {}, 1), classes))
+        assert rows.dtype == np.uint16 and counts.dtype == want_counts.dtype
         assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
 
     @pytest.mark.parametrize("names", HISTOGRAM_FAMILIES, ids="+".join)

@@ -488,10 +488,22 @@ class TestSweepGuard:
 
     def test_library_entry_points_refuse(self, edge):
         K = build_interaction([edge], [0.1], 7)
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded) as info:
             truncated_log_partition(K, 1, max_links=1)
+        assert info.value.hint == \
+            "expansion_report(..., force=True) runs the same series at n=7"
         with pytest.raises(GuardExceeded):
             pinned_cluster_abs_sum(K, [(0, 1)], 1, max_links=1)
+
+
+    def test_truncation_hint_names_a_remedy_that_runs(self, edge):
+        # The forced report runs the same series at n = 7; the ceiling at
+        # n = 8 keeps its own hint.
+        report = expansion_report([edge], [0.1], 7, order=2, max_links=1, force=True)
+        assert len(report.orders) == 2
+        with pytest.raises(GuardExceeded) as info:
+            truncated_log_partition(build_interaction([edge], [0.1], 8), 1, max_links=1)
+        assert info.value.hint == "no option lifts the ceiling: use n <= 7"
 
 
 class TestFamilySweep:

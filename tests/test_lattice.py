@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -216,6 +217,16 @@ class TestInteraction:
             Interaction(3, {((0, 5),): 1.0}, 2)
         with pytest.raises(ValueError):
             Interaction(3, {((0, 1),): 0.0}, 2)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_value_refused(self, x):
+        link = ((0, 1), (0, 2))
+        with pytest.raises(ValueError) as info:
+            Interaction(3, {((1, 2),): 0.5, link: x}, 2)
+        assert str(info.value) == f"non-finite value {x} stored at {link}"
+        terms = [{"sites": [[0, 1]], "value": 0.5}, {"sites": [[0, 2], [0, 1]], "value": x}]
+        with pytest.raises(ValueError, match=rf"non-finite value {x} stored at"):
+            interaction_from_dump(3, 2, terms)
 
     def test_links_sorted(self, two_star):
         K = build_interaction([two_star], [0.1], 4)
