@@ -19,12 +19,11 @@ _EXPORTS = {
     ),
     "ensemble": (
         "EnsembleResult", "ensemble_result", "expectation_densities", "motif_hom_table",
-        "partition_normalized", "phi_n", "psi_n", "results_csv",
+        "partition_normalized", "phi_n", "psi_n",
     ),
     "expansion": (
         "ExpansionReport", "KPCertificate", "Polymer", "enumerate_connected_hypergraphs",
-        "expansion_report", "kp_certify", "polymer_table", "report_jsonable",
-        "truncated_log_partition",
+        "expansion_report", "kp_certify", "polymer_table", "truncated_log_partition",
     ),
     "graphs": (
         "BUILTIN_MOTIFS", "ENSEMBLE_GUARD", "GuardExceeded", "Motif", "SimpleGraph",

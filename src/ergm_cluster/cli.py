@@ -4,17 +4,23 @@ Subcommands: density, represent, exact, expand, region, coeffs.  Each run is
 a single invocation that prints a short human-readable summary and optionally
 writes one artifact (CSV or JSON) atomically.  Option precedence is flags over
 config file over built-in defaults; a config key that names no option of the
-subcommand is refused.  Floats are rendered with 17 significant digits so
-artifacts round-trip bit-faithfully; non-finite values appear as null next to
-an explicit "divergent" flag.  expand certifies at its own depth and base: the
+subcommand is refused.  expand certifies at its own depth and base: the
 certificate's exact head reaches --max-links links, at the region-optimal
 weight base M.
 
+The one output layer: each subcommand builds its artifact from the
+library's records, as a JSON document and as CSV rows, and _emit renders the
+format asked for with 17 significant digits, so artifacts round-trip
+bit-faithfully.  A value that is not finite is null in JSON and an empty CSV
+cell; a divergent tail also sets an explicit "divergent" flag.
+
 Exit codes: 0 success (including negative certificate verdicts, which are
 valid results), 2 invalid configuration (non-finite numbers and inputs whose
-arithmetic overflows included), 3 a guard refused the job: the n <= 6 size
-guard without --force, the n <= 7 ceiling with it (exact and expand only), the
-2^24 vertex-map budget of a motif walk, or the connected-set budget.
+arithmetic overflows included: a partial sum or majorant coefficient past
+the float range exits 2 before anything is printed), 3 a guard refused the
+job: the n <= 6 size guard without --force, the n <= 7 ceiling with it (exact
+and expand only), the 2^24 vertex-map budget of a motif walk, or the
+connected-set budget.
 """
 
 from __future__ import annotations
@@ -30,16 +36,13 @@ from typing import Iterable, Sequence
 
 # Module level although only `exact` needs numpy: bench/run.py reads a child's
 # peak RSS only above its own, and a numpy-free start-up stays below it.
-from .ensemble import _fmt, ensemble_result, results_csv
-from .graphs import (
-    GuardExceeded,
-    Motif,
-    SimpleGraph,
-    graph_from_json,
-    hom_count,
-    load_motif,
-)
+from .ensemble import ensemble_result
+from .graphs import GuardExceeded, Motif, SimpleGraph, graph_from_json, hom_count, load_motif
 from .lattice import exact_hom_count, freeze_sites, representation_check
+
+
+def _fmt(x: float) -> str:
+    return "%.17g" % x
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -51,28 +54,21 @@ def render_json(obj, indent: int = 0) -> str:
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else "null"
+    if obj is None or isinstance(obj, (int, float)):
+        return _cell(obj, "null")
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}"
-                for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if type(obj) in (list, tuple):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+        brackets = "{}"
+        rows = [f"{json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()]
+    elif type(obj) in (list, tuple):
+        brackets = "[]"
+        rows = [render_json(v, indent + 1) for v in obj]
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+    if not rows:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}{brackets[1]}"
 
 
 def write_artifact(path: str | Path, text: str) -> None:
@@ -90,17 +86,18 @@ def write_artifact(path: str | Path, text: str) -> None:
         raise
 
 
-def _cell(v) -> str:
-    """A value as one CSV cell: empty for null and for a float that is not finite."""
+def _cell(v, null: str = "") -> str:
+    """A scalar as one CSV cell, or as JSON with null="null": `null` for None
+    and for a float that is not finite, 17 significant digits for the others."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _fmt(v) if math.isfinite(v) else ""
-    return "" if v is None else str(v)
+        return _fmt(v) if math.isfinite(v) else null
+    return null if v is None else str(v)
 
 
-def _kv_csv(pairs: Iterable[tuple[str, object]]) -> str:
-    return "key,value\n" + "".join(f"{k},{_cell(v)}\n" for k, v in pairs)
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    return "".join(",".join(map(_cell, cells)) + "\n" for cells in [header, *rows])
 
 
 # The options with a built-in value; a flag beats the --config file, which beats these.
@@ -175,9 +172,12 @@ def _graph(ns: argparse.Namespace) -> SimpleGraph | None:
     return graph_from_json(Path(str(ns.graph)).read_text())
 
 
-def _emit(ns: argparse.Namespace, json_doc, csv_text: str) -> None:
+def _emit(ns: argparse.Namespace, doc: dict, header: Sequence[str],
+          rows: Iterable[Sequence]) -> None:
+    """Write the --out artifact, if asked for: doc as JSON, or header and rows as CSV."""
     if ns.out is not None:
-        write_artifact(ns.out, render_json(json_doc) + "\n" if ns.format == "json" else csv_text)
+        write_artifact(ns.out, render_json(doc) + "\n" if ns.format == "json"
+                       else _csv(header, rows))
 
 
 def cmd_density(ns: argparse.Namespace) -> int:
@@ -205,7 +205,7 @@ def cmd_density(ns: argparse.Namespace) -> int:
     print(f"{num}/{den}")
     doc = {"motif": H.name, "kind": kind, "n": n,
            "numerator": num, "denominator": den, "value": num / den}
-    _emit(ns, doc, _kv_csv(doc.items()))
+    _emit(ns, doc, ("key", "value"), doc.items())
     return 0
 
 
@@ -223,7 +223,7 @@ def cmd_represent(ns: argparse.Namespace) -> int:
     print(f"subset decomposition matches: {'yes' if holds else 'NO'}")
     doc = {"motif": H.name, "n": G.n, "numerator": num,
            "denominator": den, "holds": holds}
-    _emit(ns, doc, _kv_csv(doc.items()))
+    _emit(ns, doc, ("key", "value"), doc.items())
     return 0 if holds else 1
 
 
@@ -236,33 +236,26 @@ def cmd_exact(ns: argparse.Namespace) -> int:
     print(f"phi_{n} = {_fmt(res.phi)}")
     for H, e in zip(motifs, res.expectations):
         print(f"E[{H.name}] = {_fmt(e)}")
-    doc = {
-        "n": res.n,
-        "motifs": [H.name for H in motifs],
-        "betas": list(res.betas),
-        "psi_n": res.psi,
-        "phi_n": res.phi,
-        "log_w_normalized": res.log_w_normalized,
-        "expectations": list(res.expectations),
-    }
-    _emit(ns, doc, results_csv([res]))
+    doc = {"n": res.n, "motifs": [H.name for H in motifs], "betas": res.betas,
+           "psi_n": res.psi, "phi_n": res.phi, "log_w_normalized": res.log_w_normalized,
+           "expectations": res.expectations}
+    k = range(1, len(motifs) + 1)
+    header = ["n", *(f"beta_{i}" for i in k), "psi_n", "phi_n", *(f"E_{i}" for i in k)]
+    _emit(ns, doc, header, [[res.n, *res.betas, res.psi, res.phi, *res.expectations]])
     return 0
 
 
 def cmd_expand(ns: argparse.Namespace) -> int:
-    from .expansion import expansion_report, report_jsonable
+    from .expansion import OrderRow, expansion_report
 
     motifs = _motifs(ns)
     betas = _betas(ns)
     n = _need_int(ns, "n")
     report = expansion_report(motifs, betas, n, order=ns.order, max_links=ns.max_links,
                               force=ns.force)
-    lines = ["order,partial_sum,gap_to_exact,tail_bound"]
     for row in report.orders:
-        tb = _cell(row.tail_bound)
         print(f"order {row.order}: partial = {_fmt(row.partial_sum)}, "
-              f"gap = {_fmt(row.gap_to_exact)}, tail bound = {tb or 'n/a'}")
-        lines.append(f"{row.order},{_fmt(row.partial_sum)},{_fmt(row.gap_to_exact)},{tb}")
+              f"gap = {_fmt(row.gap_to_exact)}, tail bound = {_cell(row.tail_bound) or 'n/a'}")
     cert = report.certificate
     state = "pass" if cert.verdict else "FAIL"
     print(f"KP check at M = {_fmt(cert.M)}: max site sum = {_fmt(cert.max_site_sum)}, "
@@ -271,7 +264,16 @@ def cmd_expand(ns: argparse.Namespace) -> int:
         print(f"  reason: {cert.reason}")
     if report.beta_budget is not None:
         print(f"beta budget at this M = {_fmt(report.beta_budget)}")
-    _emit(ns, report_jsonable(report), "\n".join(lines) + "\n")
+    doc = {"n": report.n, "motifs": report.motif_names, "betas": report.betas,
+           "norm": report.norm, "log_w_exact": report.log_w_exact,
+           "orders": [row._asdict() for row in report.orders],
+           "kp": {"M": cert.M, "max_site_sum": cert.max_site_sum, "logM": cert.log_m,
+                  "margin": cert.margin, "worst_site": cert.worst_site,
+                  "verdict": cert.verdict, "tail_order": cert.tail_order,
+                  "divergent": not math.isfinite(cert.tail), "reason": cert.reason},
+           "region": {"p": report.p, "m": report.m, "M": report.M,
+                      "beta_budget": report.beta_budget}}
+    _emit(ns, doc, OrderRow._fields, report.orders)
     return 0
 
 
@@ -288,7 +290,7 @@ def cmd_region(ns: argparse.Namespace) -> int:
     print(f"log M = {_fmt(math.log(M))}")
     print(f"beta budget = {_fmt(budget)}")
     doc = {"p": p, "m": m, "M": M, "logM": math.log(M), "beta_budget": budget}
-    _emit(ns, doc, _kv_csv(doc.items()))
+    _emit(ns, doc, ("key", "value"), doc.items())
     return 0
 
 
@@ -311,18 +313,20 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
     checked = generating_function_check(p, ns.n_max)
     tail = coefficient_tail(table, ns.n_max)
     divergent = math.isinf(tail)
+    # Rows before the first print, so an abar past the float range prints nothing.
+    rows = [(i, f"{g.numerator}/{g.denominator}", table.abar(i))
+            for i, g in enumerate(table.gamma[1:], start=1)]
     print(f"c = {_fmt(table.c)}")
     if radius is not None:
         print(f"norm radius = {_fmt(radius)}")
     print(f"tail beyond n = {ns.n_max}: {'divergent' if divergent else _fmt(tail)}")
     print(f"series identity check: {'ok' if checked else 'FAILED'}")
-    rows = [{"n": i, "gamma": f"{table.gamma[i].numerator}/{table.gamma[i].denominator}",
-             "abar": table.abar(i)} for i in range(1, table.n_max + 1)]
+    header = ("n", "gamma", "abar")
     doc = {"p": p, "norm": norm, "M": M, "c": table.c,
            "radius": radius, "tail_beyond_n_max": None if divergent else tail,
-           "divergent": divergent, "series_check": checked, "rows": rows}
-    lines = ["n,gamma,abar"] + [f"{r['n']},{r['gamma']},{_fmt(r['abar'])}" for r in rows]
-    _emit(ns, doc, "\n".join(lines) + "\n")
+           "divergent": divergent, "series_check": checked,
+           "rows": [dict(zip(header, row)) for row in rows]}
+    _emit(ns, doc, header, rows)
     return 0
 
 

@@ -104,9 +104,17 @@ class CoefficientTable(NamedTuple):
         return 2.0 * self.norm * self.M ** self.p
 
     def abar(self, n: int) -> float:
+        """gamma_n c^n; OverflowError where it is not a finite float."""
         if not 1 <= n <= self.n_max:
             raise ValueError(f"order {n} outside table 1..{self.n_max}")
-        return float(self.gamma[n]) * self.c ** n
+        try:
+            value = float(self.gamma[n]) * self.c ** n
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise OverflowError(f"abar_{n} = gamma_{n} c^{n} is past the float range "
+                                f"at c = {self.c!r}")
+        return value
 
 
 def abar_recursion(p: int, norm: float, M: float, n_max: int = 30) -> CoefficientTable:

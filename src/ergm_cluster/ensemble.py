@@ -328,23 +328,3 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
         phi=log_w / (n * (n - 1) // 2),
         expectations=tuple(expectations),
     )
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def results_csv(results: Sequence[EnsembleResult]) -> str:
-    """Render results as one CSV document: a header, then one row per result.
-
-    Columns: n, beta_1..beta_k, psi_n, phi_n, E_1..E_k.
-    """
-    if not results:
-        raise ValueError("nothing to render")
-    k = len(results[0].betas)
-    if any(len(r.betas) != k for r in results):
-        raise ValueError("results carry differing parameter counts")
-    header = ["n", *(f"beta_{i}" for i in range(1, k + 1)), "psi_n", "phi_n",
-              *(f"E_{i}" for i in range(1, k + 1))]
-    rows = [[str(r.n), *map(_fmt, [*r.betas, r.psi, r.phi, *r.expectations])] for r in results]
-    return "".join(",".join(cells) + "\n" for cells in [header, *rows])

@@ -87,6 +87,15 @@ def _connected_item_sets(adj: Sequence[int], max_size: int,
             yield tuple(prefix)
 
 
+def _expm1(x: float) -> float:
+    """math.expm1, or inf past the float range."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _polymer_sums(sys: _LinkSystem, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(masks, activities, bounds): the polymers built from at most depth
     links, in sorted mask order, from one walk over the connected link sets.
@@ -95,13 +104,13 @@ def _polymer_sums(sys: _LinkSystem, depth: int) -> tuple[np.ndarray, np.ndarray,
     product of expm1(|K|) to its bound, in walk order: np.add.at adds in
     index order and 0.0 + w == w, so every sum is bit for bit the one a
     per-set loop gives.  Masks are int64 while the sites fit, Python ints
-    beyond.
+    beyond.  A sum past the float range is inf or nan, without a warning.
     """
     site_count = len(sys.sites)
     dtype = np.int64 if site_count < 64 else object
     columns = [(np.array(sys.masks, dtype=dtype), np.bitwise_or, 0),
-               (np.array([math.expm1(v) for v in sys.values]), np.multiply, 1.0),
-               (np.array([math.expm1(abs(v)) for v in sys.values]), np.multiply, 1.0)]
+               (np.array([_expm1(v) for v in sys.values]), np.multiply, 1.0),
+               (np.array([_expm1(abs(v)) for v in sys.values]), np.multiply, 1.0)]
     # Sums sit at their mask in a table up to the sweeps' ceiling, in dicts
     # beyond it, where only kp_certify and polymer_table reach.
     dense = site_count <= TABLE_SITES
@@ -197,9 +206,17 @@ def _cluster_sums(site_count: int, masks: Sequence[int], weights: Sequence[float
     return _log_series(_family_totals(site_count, masks, weights, order))
 
 
-def _partials(site_count: int, masks: np.ndarray, activities: np.ndarray,
+def _partials(sys: _LinkSystem, masks: np.ndarray, activities: np.ndarray,
               order: int) -> list[float]:
-    return list(accumulate(_cluster_sums(site_count, masks, activities, order)))
+    """The partial sums of the series through each order; one past the float
+    range raises OverflowError naming its order and the largest link."""
+    partials = list(accumulate(_cluster_sums(len(sys.sites), masks, activities, order)))
+    for k, partial in enumerate(partials, start=1):
+        if not math.isfinite(partial):
+            X, v = max(zip(sys.links, sys.values), key=lambda link: abs(link[1]))
+            raise OverflowError(f"the partial sum through order {k} is {partial}; "
+                                f"the largest link is {X}, with K = {v!r}")
+    return partials
 
 
 def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> list[float]:
@@ -218,7 +235,7 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
         raise
     sys = _LinkSystem(K)
     masks, activities, _ = _polymer_sums(sys, max_links)
-    return _partials(len(sys.sites), masks, activities, order)
+    return _partials(sys, masks, activities, order)
 
 
 class KPCertificate(NamedTuple):
@@ -259,6 +276,7 @@ class KPCertificate(NamedTuple):
         return next((site for site, v in self.per_site_sums.items() if v == top), None)
 
 
+@np.errstate(over="ignore")
 def _certify(sites: Sequence[tuple[int, int]], masks: np.ndarray, bounds: np.ndarray,
              M: float, head_links: int, norm: float, p: int) -> KPCertificate:
     """kp_certify from the bounds of the polymers of at most head_links links.
@@ -366,7 +384,7 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     sys = _LinkSystem(K)
     masks, activities, bounds = _polymer_sums(sys, max_links)
     cert = _certify(sys.sites, masks, bounds, M, max_links, norm, p)
-    partials = _partials(site_count, masks, activities, order)
+    partials = _partials(sys, masks, activities, order)
     exact = _table_log_w(motifs, betas, n)
     tail_fn: Callable[[int], float] | None = None
     if p >= 2 and norm > 0:
@@ -390,47 +408,3 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
         max_links=max_links, orders=tuple(rows), certificate=cert,
         beta_budget=budget, log_w_exact=exact,
     )
-
-
-def report_jsonable(report: ExpansionReport) -> dict:
-    """Report as JSON-ready primitives; divergent bounds become null."""
-
-    def _num(x: float | None) -> float | None:
-        if x is None or not math.isfinite(x):
-            return None
-        return x
-
-    cert = report.certificate
-    return {
-        "n": report.n,
-        "motifs": list(report.motif_names),
-        "betas": list(report.betas),
-        "norm": report.norm,
-        "log_w_exact": _num(report.log_w_exact),
-        "orders": [
-            {
-                "order": row.order,
-                "partial_sum": row.partial_sum,
-                "gap_to_exact": _num(row.gap_to_exact),
-                "tail_bound": _num(row.tail_bound),
-            }
-            for row in report.orders
-        ],
-        "kp": {
-            "M": cert.M,
-            "max_site_sum": _num(cert.max_site_sum),
-            "logM": cert.log_m,
-            "margin": _num(cert.margin),
-            "worst_site": None if cert.worst_site is None else list(cert.worst_site),
-            "verdict": cert.verdict,
-            "tail_order": cert.tail_order,
-            "divergent": not math.isfinite(cert.tail),
-            "reason": cert.reason,
-        },
-        "region": {
-            "p": report.p,
-            "m": report.m,
-            "M": report.M,
-            "beta_budget": _num(report.beta_budget),
-        },
-    }

@@ -18,6 +18,7 @@ single documented rounding point in build_interaction.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from functools import lru_cache
 from operator import mul
@@ -158,7 +159,7 @@ class Interaction:
                     raise ValueError(f"site {e} outside the edge set of K_{n}")
             if v == 0:
                 raise ValueError(f"exact zero stored at {X}")
-            if not math.isfinite(v):
+            if not abs(v) <= sys.float_info.max:
                 raise ValueError(f"non-finite value {v} stored at {X}")
         for name, value in zip(self.__slots__, (n, k_map, p_max)):
             object.__setattr__(self, name, value)
@@ -279,5 +280,8 @@ def interaction_from_dump(n: int, p_max: int, terms: Iterable[dict]) -> Interact
         X = freeze_sites(term["sites"], n)
         if X in k_map:
             raise ValueError(f"duplicate subset {X} in dump")
-        k_map[X] = float(term["value"])
+        try:
+            k_map[X] = float(term["value"])
+        except OverflowError:  # an int no float holds: Interaction names it as given
+            k_map[X] = term["value"]
     return Interaction(n=n, k_map=k_map, p_max=p_max)

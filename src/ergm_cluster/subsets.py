@@ -188,6 +188,7 @@ def _subset_table(bits: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(subsets), np.array(start)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _family_totals(site_count: int, masks: Sequence[int], weights: Sequence[float],
                    order: int) -> list[float]:
     """Xi_0..Xi_order: sums over the families of k pairwise-disjoint polymers

@@ -6,11 +6,12 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
-from ergm_cluster import cli, expansion, expansion_report, optimal_M, report_jsonable
+from ergm_cluster import cli, expansion, expansion_report, optimal_M
 from ergm_cluster.cli import build_parser, main, render_json, write_artifact
 from ergm_cluster.graphs import BUILTIN_MOTIFS
 from ergm_cluster.lattice import Interaction
@@ -26,6 +27,24 @@ def fig_file(tmp_path):
     path = tmp_path / "fig.json"
     path.write_text(FIG_DOC)
     return str(path)
+
+
+def assert_carries(doc: dict, report) -> None:
+    """An expand JSON artifact, read back, holds the report's every number.
+
+    Each is finite here, so each reads back as the float it was.
+    """
+    cert = report.certificate
+    assert doc == {
+        "n": report.n, "motifs": list(report.motif_names), "betas": list(report.betas),
+        "norm": report.norm, "log_w_exact": report.log_w_exact,
+        "orders": [row._asdict() for row in report.orders],
+        "kp": {"M": cert.M, "max_site_sum": cert.max_site_sum, "logM": cert.log_m,
+               "margin": cert.margin, "worst_site": list(cert.worst_site),
+               "verdict": cert.verdict, "tail_order": cert.tail_order,
+               "divergent": False, "reason": cert.reason},
+        "region": {"p": report.p, "m": report.m, "M": report.M,
+                   "beta_budget": report.beta_budget}}
 
 
 class TestRenderJson:
@@ -227,10 +246,8 @@ class TestExpand:
         rc = main(["expand", "--motifs", "two-star", "--betas", "0.001",
                    "--n", "4", "--out", str(out)])
         assert rc == 0
-        got = json.loads(out.read_text())
-        want = report_jsonable(expansion_report(
+        assert_carries(json.loads(out.read_text()), expansion_report(
             [BUILTIN_MOTIFS["two-star"]], [0.001], 4))
-        assert got == want
 
     def test_artifacts_are_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -413,7 +430,7 @@ class TestConfigPrecedence:
                                    "order": 2, "max_links": 1, "force": True}))
         out = tmp_path / "report.json"
         assert main(["expand", "--config", str(cfg), "--out", str(out)]) == 0
-        assert json.loads(out.read_text()) == report_jsonable(expansion_report(
+        assert_carries(json.loads(out.read_text()), expansion_report(
             [BUILTIN_MOTIFS["two-star"]], [0.001], 7, order=2, max_links=1, force=True))
         assert main(["expand", "--config", str(cfg), "--order", "1", "--out", str(out)]) == 0
         assert [row["order"] for row in json.loads(out.read_text())["orders"]] == [1]
@@ -586,6 +603,34 @@ class TestFailureModes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "invalid-config"
+
+    @pytest.mark.parametrize("argv,message", [
+        ("expand --motifs two-star --betas 600 --n 4 --order 2",
+         "the partial sum through order 1 is inf; the largest link is ((0, 1),), with K = 300.0"),
+        ("expand --motifs two-star --betas 10000 --n 4 --order 2",
+         "the partial sum through order 1 is inf; the largest link is ((0, 1),), "
+         "with K = 5000.0"),
+        ("coeffs --p 2 --norm 1.2e102 --n-max 3",
+         "abar_3 = gamma_3 c^3 is past the float range at c = 4.990417356897768e+102"),
+        ("coeffs --p 2 --norm 1e200 --M 1.5 --n-max 3",
+         "abar_2 = gamma_2 c^2 is past the float range at c = 4.5e+200"),
+    ], ids=["expand-600", "expand-10000", "coeffs-1.2e102", "coeffs-1e200"])
+    def test_overflow_exits_2_before_any_output(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": message, "kind": "invalid-config"}
+
+    def test_overflow_writes_nothing_but_the_error(self):
+        # Run apart, so numpy's warnings would reach stderr unfiltered.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergm_cluster.cli", "expand", "--motifs", "two-star",
+             "--betas", "600", "--n", "4", "--order", "2"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["kind"] == "invalid-config"
 
     @pytest.mark.parametrize("links", [["--max-links", "-1"],
                                        ["--max-links", "-1", "--force"]])

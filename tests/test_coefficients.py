@@ -241,6 +241,18 @@ class TestTableGuards:
         with pytest.raises(ValueError, match="weight base M must be finite"):
             kp_certify(K, x)
 
+    def test_abar_past_the_float_range_refused(self):
+        # gamma_3 c^3 overflows in the product at c = 5e102, and c^2 already
+        # in the power at c = 4.5e200.
+        table = abar_recursion(2, 1.2e102, optimal_M(2), 3)
+        assert math.isfinite(table.abar(2))
+        with pytest.raises(OverflowError, match=r"^abar_3 = gamma_3 c\^3 is past the float"):
+            table.abar(3)
+        table = abar_recursion(2, 1e200, 1.5, 3)
+        assert math.isfinite(table.abar(1))
+        with pytest.raises(OverflowError, match=r"^abar_2 = gamma_2 c\^2 is past the float"):
+            table.abar(2)
+
     def test_table_shape(self):
         table = abar_recursion(2, 0.01, 1.7, n_max=9)
         assert isinstance(table, CoefficientTable)

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import accumulate, combinations
 
@@ -20,10 +22,9 @@ from ergm_cluster import (
     partition_normalized,
     polymer_table,
     region_bound,
-    report_jsonable,
     truncated_log_partition,
 )
-from ergm_cluster import expansion
+from ergm_cluster import cli, expansion
 from ergm_cluster.expansion import (
     _cluster_sums,
     _connected_item_sets,
@@ -409,6 +410,36 @@ class TestTruncatedExpansion:
         with pytest.raises(ValueError):
             truncated_log_partition(K, 9)
 
+    @pytest.mark.parametrize("beta", [600.0, 10000.0])
+    def test_activity_past_the_float_range_refused(self, two_star, beta):
+        # At 600 products of expm1(300) overflow in the walk; at 10000
+        # expm1(5000) itself does.  Neither may warn, and the certificate
+        # fails on its infinite head instead of raising.
+        K = build_interaction([two_star], [beta], 4)
+        value = beta / 2
+        assert max(map(abs, K.k_map.values())) == value
+        message = (r"^the partial sum through order 1 is inf; the largest link is .*, "
+                   rf"with K = {value!r}$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                truncated_log_partition(K, 2)
+            with pytest.raises(OverflowError, match=message):
+                expansion_report([two_star], [beta], 4, order=2)
+            cert = kp_certify(K, optimal_M(2))
+        assert not cert.verdict and cert.max_site_sum == math.inf
+
+    def test_partial_sum_past_the_float_range_refused(self):
+        # Two disjoint single-site polymers of activity about 6e199: each
+        # is finite, and so is order 1, but their pair at order 2 is not.
+        K = Interaction(4, {((0, 1),): 460.0, ((2, 3),): 460.0}, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(truncated_log_partition(K, 1)[0])
+            message = r"^the partial sum through order 2 is nan; the largest link is \(\(0, 1\),\)"
+            with pytest.raises(OverflowError, match=message):
+                truncated_log_partition(K, 2)
+
 
 def polymer_system(names, betas, n, max_links):
     """Link system, polymers, their site masks and activities for one case."""
@@ -567,6 +598,14 @@ class TestCertificate:
         assert cert.norm == 0.0 and cert.tail == 0.0
         assert cert.max_site_sum == 0.0
 
+    def test_head_past_the_float_range_fails_without_a_warning(self):
+        # expm1(709) is finite, but its bound times M = 3 is not.
+        K = Interaction(3, {((0, 1),): 709.0}, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = kp_certify(K, 3.0, head_links=1)
+        assert not cert.verdict and cert.per_site_sums[(0, 1)] == math.inf
+
     def test_half_budget_passes(self, two_star):
         K = build_interaction([two_star], [HALF_BUDGET], 4)
         cert = kp_certify(K, optimal_M(2))
@@ -673,6 +712,14 @@ class TestCertificate:
             kp_certify(K, 2.0, head_links=-1)
 
 
+def expand_artifact(tmp_path, motifs, betas, n) -> dict:
+    """The JSON artifact of `expand` at the library's defaults, read back."""
+    out = tmp_path / "report.json"
+    assert cli.main(["expand", "--motifs", *motifs, "--betas", *map(repr, betas),
+                     "--n", str(n), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
 class TestReport:
     def test_structure_and_convergence(self, two_star):
         rep = expansion_report([two_star], [HALF_BUDGET], 4)
@@ -687,8 +734,8 @@ class TestReport:
         gaps = [row.gap_to_exact for row in rep.orders]
         assert gaps == sorted(gaps, reverse=True)
 
-    def test_jsonable_layout(self, two_star):
-        doc = report_jsonable(expansion_report([two_star], [HALF_BUDGET], 3))
+    def test_jsonable_layout(self, tmp_path):
+        doc = expand_artifact(tmp_path, ["two-star"], [HALF_BUDGET], 3)
         assert set(doc) == {"n", "motifs", "betas", "norm", "log_w_exact",
                             "orders", "kp", "region"}
         assert set(doc["kp"]) == {"M", "max_site_sum", "logM", "margin", "worst_site",
@@ -699,17 +746,17 @@ class TestReport:
         assert doc["kp"]["verdict"] is True
         assert doc["kp"]["divergent"] is False
 
-    def test_single_site_family_has_no_region(self, edge):
+    def test_single_site_family_has_no_region(self, edge, tmp_path):
         rep = expansion_report([edge], [0.1], 4)
         assert rep.p == 1
         assert rep.M == 2.0
         assert rep.beta_budget is None
-        doc = report_jsonable(rep)
+        doc = expand_artifact(tmp_path, ["edge"], [0.1], 4)
         assert doc["region"]["beta_budget"] is None
         assert all(row["tail_bound"] is None for row in doc["orders"])
 
-    def test_zero_betas_report(self, two_star):
-        doc = report_jsonable(expansion_report([two_star], [0.0], 4))
+    def test_zero_betas_report(self, tmp_path):
+        doc = expand_artifact(tmp_path, ["two-star"], [0.0], 4)
         assert doc["kp"]["verdict"] is True
         assert doc["kp"]["max_site_sum"] == 0.0
         assert all(row["partial_sum"] == 0.0 for row in doc["orders"])
@@ -788,7 +835,7 @@ class TestReport:
         with pytest.raises(ValueError, match="max_links cannot be negative"):
             next(enumerate_connected_hypergraphs(K, -1))
 
-    def test_deterministic(self, two_star, triangle):
-        a = report_jsonable(expansion_report([two_star, triangle], [0.001, 0.0005], 3))
-        b = report_jsonable(expansion_report([two_star, triangle], [0.001, 0.0005], 3))
+    def test_deterministic(self, tmp_path):
+        a = expand_artifact(tmp_path, ["two-star", "triangle"], [0.001, 0.0005], 3)
+        b = expand_artifact(tmp_path, ["two-star", "triangle"], [0.001, 0.0005], 3)
         assert a == b

@@ -218,7 +218,9 @@ class TestInteraction:
         with pytest.raises(ValueError):
             Interaction(3, {((0, 1),): 0.0}, 2)
 
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=str)
+    # An int past the float range is refused like inf, not by OverflowError.
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                             ids=["nan", "inf", "-inf", "10**400", "-10**400"])
     def test_non_finite_value_refused(self, x):
         link = ((0, 1), (0, 2))
         with pytest.raises(ValueError) as info:
