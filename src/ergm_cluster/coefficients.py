@@ -67,11 +67,21 @@ def region_bound(p: int, m: int, M: float) -> float:
         raise ValueError(f"vertex count m must be an integer >= 2, got {m!r}")
     _validate_pm(p, M)
     log_m = math.log(M)
-    # The float (M p)^p overflows for every p >= 144: raise before the exact
-    # integer (p-1)^p, of about p log2(p) bits, is built.
-    scale = (M * p) ** p
+    scale = _majorant_scale(p, M)
     rhs = log_m * (p - 1) ** p / (2.0 * scale * (1.0 + (p - 1) * log_m))
     return min(rhs, 0.5) / (m * (m - 1))
+
+
+def _majorant_scale(p: int, M: float) -> float:
+    """(M p)^p for region_bound and radius_and_tail.  Past the float range, as
+    at every p >= 144, OverflowError names it before any exact (p-1)^p is built."""
+    try:
+        scale = (M * p) ** p
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise OverflowError(f"(M p)^p is past the float range at M = {M!r}, p = {p}")
+    return scale
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +183,7 @@ def radius_and_tail(p: int, norm: float, M: float) -> tuple[float, Callable[[int
     _validate_norm(norm)
     if norm == 0:
         return math.inf, lambda n0: 0.0
-    scale = (M * p) ** p  # overflows first, as in region_bound
+    scale = _majorant_scale(p, M)
     radius = (p - 1) ** (p - 1) / (2.0 * norm * scale)
     q = 2.0 * norm * scale / (p - 1) ** (p - 1)
 
@@ -199,15 +209,13 @@ def _majorant_tail(p: int, c: float, from_order: int, n_max: int) -> float:
     correctly, so it is the float of the exact table's entry bit for bit and
     no Fraction is built.  Orders beyond n_max are covered by the closed-form
     bound on abar_n; returns math.inf when that bound's ratio reaches 1
-    (series divergent).
+    (series divergent), before any c^n is taken, so an infinite c or one
+    whose powers pass the float range gives math.inf as well.
     """
     if from_order < 0:
         raise ValueError("tail order must be nonnegative")
     if c == 0:
         return 0.0
-    total = 0.0
-    for n in range(from_order + 1, n_max + 1):
-        total += math.comb(p * n, n - 1) / n * c ** n
     if p == 1:
         # Links with one site never overlap, so gamma_n = 1 and the series
         # past the table is exactly geometric in c.
@@ -220,5 +228,9 @@ def _majorant_tail(p: int, c: float, from_order: int, n_max: int) -> float:
         ratio, scale = c * p ** p / (p - 1) ** (p - 1), 1.0 / (p - 1)
     if ratio >= 1.0:
         return math.inf
+    # ratio < 1 puts c below 1: no c^n overflows.
+    total = 0.0
+    for n in range(from_order + 1, n_max + 1):
+        total += math.comb(p * n, n - 1) / n * c ** n
     start = max(from_order, n_max) + 1
     return total + scale * ratio ** start / (1.0 - ratio)

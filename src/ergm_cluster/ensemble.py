@@ -253,20 +253,8 @@ def partition_normalized(K: Interaction, force: bool = False) -> float:
     return _log_w(K.n, *_link_classes(K))
 
 
-def _table_log_w(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> float:
-    """log W of build_interaction's K, read from K's value on each class of the
-    memoized link table without building K link by link.
-
-    The classes with equal values merge and the zero ones drop, which is the
-    class structure _link_classes finds in that K, so both reach the same
-    histogram entry and the same bits.
-    """
-    table, values = _class_couplings(motifs, betas, n)
-    return _log_w(n, *_merge_by_value(table.classes, values))
-
-
 def _log_w(n: int, classes: LinkClasses, values: Sequence[float]) -> float:
-    """log W from K's value classes on K_n, for partition_normalized and _table_log_w."""
+    """log W from K's value classes on K_n, for partition_normalized and ensemble_result."""
     if not classes:
         return 0.0
     sites = n * (n - 1) // 2
@@ -313,12 +301,16 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                     force: bool = False) -> EnsembleResult:
     """Run both exact pipelines for one parameter point.
 
-    log W comes from _table_log_w, without building K.  One pass over the
+    log W reads K's value on each class of the memoized link table, not K:
+    with equal values merged and zeros dropped, these are the classes
+    _link_classes finds in build_interaction's K, so partition_normalized of
+    that K reaches the same histogram entry and bits.  One pass over the
     statistic histogram serves psi_n and the expectations.
     """
     check_guard(n, force, least=2)
     check_alignment(motifs, betas)
-    log_w = _table_log_w(motifs, betas, n)
+    table, values = _class_couplings(motifs, betas, n)
+    log_w = _log_w(n, *_merge_by_value(table.classes, values))
     psi, expectations = _ensemble_sums(motifs, betas, n)
     return EnsembleResult(
         n=n,

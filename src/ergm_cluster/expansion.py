@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .coefficients import _majorant_tail, _validate_base, optimal_M, radius_and_tail, region_bound
-from .ensemble import _table_log_w
+from .ensemble import partition_normalized
 from .graphs import (TABLE_SITES, GuardExceeded, Motif, all_edge_sites, check_alignment,
                      check_guard, mask_sites, site_mask)
 from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
@@ -87,10 +87,10 @@ def _connected_item_sets(adj: Sequence[int], max_size: int,
             yield tuple(prefix)
 
 
-def _expm1(x: float) -> float:
-    """math.expm1, or inf past the float range."""
+def _or_inf(f: Callable[..., float], *args: float) -> float:
+    """f(*args), or inf past the float range."""
     try:
-        return math.expm1(x)
+        return f(*args)
     except OverflowError:
         return math.inf
 
@@ -109,8 +109,8 @@ def _polymer_sums(sys: _LinkSystem, depth: int) -> tuple[np.ndarray, np.ndarray,
     site_count = len(sys.sites)
     dtype = np.int64 if site_count < 64 else object
     columns = [(np.array(sys.masks, dtype=dtype), np.bitwise_or, 0),
-               (np.array([_expm1(v) for v in sys.values]), np.multiply, 1.0),
-               (np.array([_expm1(abs(v)) for v in sys.values]), np.multiply, 1.0)]
+               (np.array([_or_inf(math.expm1, v) for v in sys.values]), np.multiply, 1.0),
+               (np.array([_or_inf(math.expm1, abs(v)) for v in sys.values]), np.multiply, 1.0)]
     # Sums sit at their mask in a table up to the sweeps' ceiling, in dicts
     # beyond it, where only kp_certify and polymer_table reach.
     dense = site_count <= TABLE_SITES
@@ -282,11 +282,12 @@ def _certify(sites: Sequence[tuple[int, int]], masks: np.ndarray, bounds: np.nda
     """kp_certify from the bounds of the polymers of at most head_links links.
 
     Each polymer puts bound * M^|N| on every site of N, in polymer order, so
-    each site's head is the same float sum a loop over the polymers gives."""
+    each site's head is the same float sum a loop over the polymers gives.
+    A power of M past the float range is inf, as is then the head or tail."""
     heads = np.zeros(len(sites))
     if len(masks):
         sizes = [mask.bit_count() for mask in masks.tolist()]
-        terms = bounds * np.array([M ** k for k in range(max(sizes) + 1)])[sizes]
+        terms = bounds * np.array([_or_inf(pow, M, k) for k in range(max(sizes) + 1)])[sizes]
         words = masks[:, None] if masks.dtype == np.int64 else \
             _words(masks.tolist(), (len(sites) + 63) // 64)
         rows = CHUNK // 8
@@ -305,7 +306,7 @@ def _certify(sites: Sequence[tuple[int, int]], masks: np.ndarray, bounds: np.nda
     else:
         # coefficient_tail of abar_recursion(p, norm, M, TABLE_ORDER), bit for
         # bit, without the table's exact rationals.
-        tail = _majorant_tail(p, 2.0 * norm * float(M) ** p, head_links, TABLE_ORDER)
+        tail = _majorant_tail(p, 2.0 * norm * _or_inf(pow, float(M), p), head_links, TABLE_ORDER)
         if math.isinf(tail):
             reason = ("tail series divergent: 2 norm (M p)^p reaches "
                       "(p-1)^(p-1) at this norm")
@@ -325,8 +326,8 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4) -> KPCertificate:
     its bound v_N times M^|N| on each site of its support N.  Everything
     longer is dominated by the coefficient tail, which requires the
     interaction norm at or below 1/2 and a convergent majorant series.  Both
-    failure modes return a failing certificate with a reason instead of
-    raising.
+    failure modes, and an M whose powers pass the float range, return a
+    failing certificate with a reason instead of raising.
     """
     _validate_base(M)
     if head_links < 0:
@@ -366,8 +367,8 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
 
     The certificate's exact head reaches max_links links, and its weight base
     M is the region-optimal one for the family's maximal edge count (2.0 for
-    single-edge families, which have no optimum).  The exact log W is the
-    reference for every order's gap.
+    single-edge families, which have no optimum).  The exact log W,
+    partition_normalized of the same K, is the reference for every order's gap.
     """
     check_alignment(motifs, betas)
     _check_order(order)
@@ -385,7 +386,7 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     masks, activities, bounds = _polymer_sums(sys, max_links)
     cert = _certify(sys.sites, masks, bounds, M, max_links, norm, p)
     partials = _partials(sys, masks, activities, order)
-    exact = _table_log_w(motifs, betas, n)
+    exact = partition_normalized(K, force=force)
     tail_fn: Callable[[int], float] | None = None
     if p >= 2 and norm > 0:
         _, tail_fn = radius_and_tail(p, norm, M)

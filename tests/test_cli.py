@@ -90,6 +90,14 @@ class TestWriteArtifact:
         assert target.read_text() == "two\n"
         assert [p.name for p in target.parent.iterdir()] == ["doc.json"]
 
+    def test_failed_write_leaves_the_target_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "doc.json"
+        write_artifact(target, "one\n")
+        with pytest.raises(TypeError):
+            write_artifact(target, b"two\n")  # a text file takes no bytes
+        assert target.read_text() == "one\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
 
 class TestDensity:
     def test_hom_variant(self, fig_file, capsys):
@@ -614,7 +622,14 @@ class TestFailureModes:
          "abar_3 = gamma_3 c^3 is past the float range at c = 4.990417356897768e+102"),
         ("coeffs --p 2 --norm 1e200 --M 1.5 --n-max 3",
          "abar_2 = gamma_2 c^2 is past the float range at c = 4.5e+200"),
-    ], ids=["expand-600", "expand-10000", "coeffs-1.2e102", "coeffs-1e200"])
+        ("region --p 2 --m 3 --M 1e300",
+         "(M p)^p is past the float range at M = 1e+300, p = 2"),
+        ("coeffs --p 2 --norm 0.1 --M 1e300",
+         "(M p)^p is past the float range at M = 1e+300, p = 2"),
+        ("coeffs --p 200 --norm 0.001",
+         "(M p)^p is past the float range at M = 1.0030992434091761, p = 200"),
+    ], ids=["expand-600", "expand-10000", "coeffs-1.2e102", "coeffs-1e200", "region-M1e300",
+            "coeffs-M1e300", "coeffs-p200"])
     def test_overflow_exits_2_before_any_output(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -192,11 +193,16 @@ class TestCoefficientTail:
         norm = (p - 1) ** (p - 1) / (2 * (M * p) ** p)
         table = abar_recursion(p, norm, M, n_max=8)
         assert math.isinf(coefficient_tail(table, 3))
+        # c^2 is past the float range at c = 4.5e200: divergent before any power.
+        assert coefficient_tail(abar_recursion(2, 1e200, 1.5, 3), 1) == math.inf
 
     def test_validation(self):
         table = abar_recursion(2, 0.01, 1.5, n_max=5)
         with pytest.raises(ValueError):
             coefficient_tail(table, -1)
+        _, tail = radius_and_tail(2, 0.01, 1.5)
+        with pytest.raises(ValueError, match="^tail order must be nonnegative$"):
+            tail(-1)
 
     def test_huge_p_overflows_before_the_exact_powers(self):
         # p^p fits a float up to p = 143; at p = 10^6 the exact integers p^p
@@ -217,10 +223,28 @@ class TestTableGuards:
             abar_recursion(2, 0.1, 1.5, n_max=0)
         with pytest.raises(ValueError):
             abar_recursion(2, 0.1, 1.5, n_max=65)
+        table = abar_recursion(2, 0.1, 1.5, n_max=3)
+        for n in (0, 4):
+            with pytest.raises(ValueError, match=rf"^order {n} outside table 1\.\.3$"):
+                table.abar(n)
+        with pytest.raises(ValueError, match="^order must be positive$"):
+            gamma_closed_form(2, 0)
+        with pytest.raises(ValueError, match="^edge count p must be a positive integer, got 0$"):
+            abar_recursion(0, 0.1, 1.5)
 
     def test_negative_norm(self):
         with pytest.raises(ValueError):
             abar_recursion(2, -0.1, 1.5)
+
+    # (M p)^p overflows in the power at M = 1e300, in the product M p at
+    # M = 1.7e308, and at every M > 1 from p = 144 on.
+    @pytest.mark.parametrize("p, M", [(2, 1e300), (2, 1.7e308), (144, 1.0001)], ids=str)
+    def test_majorant_scale_past_the_float_range_named(self, p, M):
+        message = "^" + re.escape(f"(M p)^p is past the float range at M = {M!r}, p = {p}") + "$"
+        with pytest.raises(OverflowError, match=message):
+            region_bound(p, 3, M)
+        with pytest.raises(OverflowError, match=message):
+            radius_and_tail(p, 0.001, M)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=str)
     def test_non_finite_norm_refused(self, x):

@@ -606,6 +606,17 @@ class TestCertificate:
             cert = kp_certify(K, 3.0, head_links=1)
         assert not cert.verdict and cert.per_site_sums[(0, 1)] == math.inf
 
+    # At M = 1e300 the head's M^k and the tail's M^p are past the float
+    # range; at M = 1e20 only the tail's powers c^n would be.
+    @pytest.mark.parametrize("M", [1e20, 1e300])
+    def test_weight_base_past_the_float_range_fails_without_a_warning(self, two_star, M):
+        K = build_interaction([two_star], [0.001], 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = kp_certify(K, M)
+        assert not cert.verdict and cert.tail == math.inf
+        assert cert.reason.startswith("tail series divergent")
+
     def test_half_budget_passes(self, two_star):
         K = build_interaction([two_star], [HALF_BUDGET], 4)
         cert = kp_certify(K, optimal_M(2))

@@ -67,6 +67,10 @@ class TestSitesAndGraphs:
             make_graph(3, [(0, 3)])
         with pytest.raises(ValueError):
             make_graph(3, [(1, 1)])
+        with pytest.raises(ValueError, match=r"^vertex pair \(0, 1\.0\) must be integers$"):
+            make_graph(3, [(0, 1.0)])
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            make_graph(-1, [])
 
     def test_mask_round_trip(self):
         # Every link of every built-in motif at n <= 6 decodes back to itself.
@@ -150,7 +154,8 @@ class TestMotifs:
         doc = {"name": "path-3", "m": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
         H = motif_from_json(json.dumps(doc))
         assert H.name == "path-3" and H.m == 4 and H.p == 3
-        with pytest.raises(ValueError):
+        # The edges go through make_graph, and so does its refusal.
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\) after canonicalization$"):
             motif_from_json({"name": "x", "m": 2, "edges": [[0, 1], [1, 0]]})
         with pytest.raises(ValueError):
             motif_from_json({"name": "x", "m": 2})
@@ -174,6 +179,10 @@ class TestMotifs:
         check_alignment([H], [0.5])
         with pytest.raises(ValueError):
             check_alignment([H], [0.5, 0.1])
+        with pytest.raises(ValueError, match="^empty motif family$"):
+            check_alignment([], [])
+        with pytest.raises(ValueError, match="^not a motif: 'edge'$"):
+            check_alignment(["edge"], [0.5])
 
 
 class TestRecordSemantics:
@@ -211,6 +220,7 @@ class TestRecordSemantics:
         K = Interaction(n=3, k_map={((0, 1),): 0.5}, p_max=1)
         assert repr(K) == "Interaction(n=3, k_map={((0, 1),): 0.5}, p_max=1)"
         assert K == Interaction(3, {((0, 1),): 0.5}, 1) != Interaction(3, {((0, 1),): 0.5}, 2)
+        assert K != (3, {((0, 1),): 0.5}, 1) and K.__eq__(K.k_map) is NotImplemented
         with pytest.raises(TypeError):
             hash(K)
 
@@ -241,6 +251,10 @@ class TestHomCounting:
     def test_empty_graph_kills_motifs(self, triangle):
         assert hom_count(triangle, empty_graph(5)) == 0
         assert hom_density(triangle, empty_graph(5)) == 0
+        # hom_count is 0 on the empty vertex set, but n^m is 0 too.
+        assert hom_count(triangle, empty_graph(0)) == 0
+        with pytest.raises(ValueError, match="^homomorphism density needs at least one vertex$"):
+            hom_density(triangle, empty_graph(0))
 
     def test_complete_graph_closed_forms(self, edge, two_star, triangle):
         # maps only need adjacent motif vertices distinct in K_n

@@ -144,6 +144,10 @@ class TestRepresentation:
     def test_needs_a_vertex(self, edge):
         with pytest.raises(ValueError, match="need at least one vertex"):
             representation_check(edge, empty_graph(0))
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            exact_density(edge, (), 0)
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            support_families(edge, 0)
 
 
 class TestPinnedDensity:
