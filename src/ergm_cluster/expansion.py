@@ -96,9 +96,9 @@ def _or_inf(f: Callable[..., float], *args: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _polymer_sums(sys: _LinkSystem, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(masks, activities, bounds): the polymers built from at most depth
-    links, in sorted mask order, from one walk over the connected link sets.
+def _polymer_sums(sys: _LinkSystem, depth: int) -> tuple[np.ndarray, ...]:
+    """(masks, sizes |N|, activities, bounds) of the polymers built from at most
+    depth links, in sorted mask order, from one walk over the connected link sets.
 
     Each set adds its product of expm1(K) to its support's activity and its
     product of expm1(|K|) to its bound, in walk order: np.add.at adds in
@@ -133,8 +133,8 @@ def _polymer_sums(sys: _LinkSystem, depth: int) -> tuple[np.ndarray, np.ndarray,
         activities, bounds = (np.array([acc[m] for m in masks.tolist()]) for acc in sums)
     # The activity carries the 2^-|N| spin normalization; the bound, by its
     # definition, does not (it dominates |w_N| all the more).
-    counts = np.array([m.bit_count() for m in masks.tolist()], dtype=np.int64)
-    return masks, np.ldexp(activities, -counts), bounds
+    sizes = np.array([m.bit_count() for m in masks.tolist()], dtype=np.int64)
+    return masks, sizes, np.ldexp(activities, -sizes), bounds
 
 
 def enumerate_connected_hypergraphs(K: Interaction,
@@ -167,7 +167,7 @@ def polymer_table(K: Interaction, max_links: int) -> list[Polymer]:
     """
     _check_max_links(max_links)
     sys = _LinkSystem(K)
-    masks, activities, bounds = _polymer_sums(sys, max_links)
+    masks, _, activities, bounds = _polymer_sums(sys, max_links)
     return [Polymer(mask_sites(sys.n, mask), w, v)
             for mask, w, v in zip(masks.tolist(), activities.tolist(), bounds.tolist())]
 
@@ -234,7 +234,7 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
         exc.hint = f"expansion_report(..., force=True) runs the same series at n={K.n}"
         raise
     sys = _LinkSystem(K)
-    masks, activities, _ = _polymer_sums(sys, max_links)
+    masks, _, activities, _ = _polymer_sums(sys, max_links)
     return _partials(sys, masks, activities, order)
 
 
@@ -276,25 +276,25 @@ class KPCertificate(NamedTuple):
         return next((site for site, v in self.per_site_sums.items() if v == top), None)
 
 
-@np.errstate(over="ignore")
-def _certify(sites: Sequence[tuple[int, int]], masks: np.ndarray, bounds: np.ndarray,
-             M: float, head_links: int, norm: float, p: int) -> KPCertificate:
+@np.errstate(over="ignore", invalid="ignore")
+def _certify(sites: Sequence[tuple[int, int]], masks: np.ndarray, sizes: np.ndarray,
+             bounds: np.ndarray, M: float, head_links: int, norm: float, p: int) -> KPCertificate:
     """kp_certify from the bounds of the polymers of at most head_links links.
 
     Each polymer puts bound * M^|N| on every site of N, in polymer order, so
     each site's head is the same float sum a loop over the polymers gives.
-    A power of M past the float range is inf, as is then the head or tail."""
+    A power of M past the float range is inf, as is then the head or tail; a
+    NaN term (0.0 bound times inf, or a NaN bound) counts as +inf, failing safe."""
     heads = np.zeros(len(sites))
-    if len(masks):
-        sizes = [mask.bit_count() for mask in masks.tolist()]
-        terms = bounds * np.array([_or_inf(pow, M, k) for k in range(max(sizes) + 1)])[sizes]
-        words = masks[:, None] if masks.dtype == np.int64 else \
-            _words(masks.tolist(), (len(sites) + 63) // 64)
-        rows = CHUNK // 8
-        for lo in range(0, len(masks), rows):
-            bits = np.unpackbits(words[lo:lo + rows].view(np.uint8), axis=1, bitorder="little")
-            polymer, site = np.divmod(np.flatnonzero(bits), bits.shape[1])
-            np.add.at(heads, site, terms[lo + polymer])
+    powers = [_or_inf(pow, M, k) for k in range(sizes.max(initial=0) + 1)]
+    terms = bounds * np.array(powers)[sizes]
+    terms[np.isnan(terms)] = math.inf
+    rows = CHUNK // 8
+    for lo in range(0, len(masks), rows):
+        words = _words(masks[lo:lo + rows].tolist(), (len(sites) + 63) // 64)
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        polymer, site = np.divmod(np.flatnonzero(bits), bits.shape[1])
+        np.add.at(heads, site, terms[lo + polymer])
     heads = heads.tolist()
     reason = ""
     if norm == 0.0:
@@ -333,8 +333,8 @@ def kp_certify(K: Interaction, M: float, head_links: int = 4) -> KPCertificate:
     if head_links < 0:
         raise ValueError("head_links cannot be negative")
     sys = _LinkSystem(K)
-    masks, _, bounds = _polymer_sums(sys, head_links)
-    return _certify(sys.sites, masks, bounds, M, head_links, banach_norm(K), K.p_max)
+    masks, sizes, _, bounds = _polymer_sums(sys, head_links)
+    return _certify(sys.sites, masks, sizes, bounds, M, head_links, banach_norm(K), K.p_max)
 
 
 class OrderRow(NamedTuple):
@@ -383,8 +383,8 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     # One walk over the connected link sets serves the series and the
     # certificate head.
     sys = _LinkSystem(K)
-    masks, activities, bounds = _polymer_sums(sys, max_links)
-    cert = _certify(sys.sites, masks, bounds, M, max_links, norm, p)
+    masks, sizes, activities, bounds = _polymer_sums(sys, max_links)
+    cert = _certify(sys.sites, masks, sizes, bounds, M, max_links, norm, p)
     partials = _partials(sys, masks, activities, order)
     exact = partition_normalized(K, force=force)
     tail_fn: Callable[[int], float] | None = None

@@ -5,6 +5,7 @@ size, in depth-first order, building each level from the one above for all
 roots together in numpy chunks; `_family_totals` sums the products of weights
 over families of pairwise-disjoint polymers, one site-mask block at a time.
 Both bound every temporary by CHUNK, or by a share of the table they fill.
+Masks of any width enter numpy through one codec, `_words`.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ DEFAULT_MAX_COUNT = 5_000_000
 CHUNK = 1024
 # Set bits of every byte value.
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-_WORD = (1 << 64) - 1
 
 
 def _words(values: Sequence[int], width: int) -> np.ndarray:
-    """Non-negative ints as rows of `width` 64-bit words, lowest first, in
-    int64 (two's complement), the one dtype of every mask in the walk."""
-    words = [[v >> 64 * j & _WORD for j in range(width)] for v in values]
-    rows = [[w - (w >> 63 << 64) for w in row] for row in words]
-    return np.array(rows, dtype=np.int64).reshape(len(values), width)
+    """Non-negative ints as read-only rows of `width` 64-bit words, lowest
+    first, in int64 (two's complement): the one codec of masks of any width."""
+    raw = b"".join(v.to_bytes(8 * width, "little") for v in values)
+    return np.frombuffer(raw, dtype="<i8").reshape(len(values), width)
 
 
 def _popcounts(words: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
 Most compute a quantity the library also computes, by a slower and more
-literal route: the connected sets one recursive step each, the recursive walk
-that carries supports and products down in batches, and the polymer sums
+literal route: mask words by shifts and two's complement, the connected sets
+one recursive step each, the recursive walk that carries supports and
+products down in batches, and the polymer sums
 recomputed from every set, the literal spin sum behind a polymer activity,
 per-support hypergraph sums, signed connected-graph (Ursell) coefficients,
 the polymer-gas sums by one pass over all 2^C(n,2) site masks per polymer,
@@ -164,6 +165,14 @@ def activity_bound(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
     return total
 
 
+def words_by_shifts(values: Sequence[int], width: int) -> np.ndarray:
+    """Non-negative ints as rows of `width` int64 words, lowest first: each
+    64-bit word cut out by shift and mask, then read as two's complement."""
+    words = [[v >> 64 * j & (1 << 64) - 1 for j in range(width)] for v in values]
+    rows = [[w - (w >> 63 << 64) for w in row] for row in words]
+    return np.array(rows, dtype=np.int64).reshape(len(values), width)
+
+
 def connected_sets_one_by_one(adj: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]:
     """Every connected subset of at most max_size items, one generator step each.
 
@@ -276,7 +285,7 @@ def polymer_sums_by_set(sys: _LinkSystem, depth: int) -> tuple[dict[int, float],
 
 def polymer_sum_dicts(sys: _LinkSystem, depth: int) -> tuple[dict[int, float], dict[int, float]]:
     """The library's polymer sums as two dicts, mask to activity and mask to bound."""
-    masks, activities, bounds = _polymer_sums(sys, depth)
+    masks, _, activities, bounds = _polymer_sums(sys, depth)
     return (dict(zip(masks.tolist(), activities.tolist())),
             dict(zip(masks.tolist(), bounds.tolist())))
 
@@ -714,7 +723,7 @@ def pinned_cluster_abs_sum(K: Interaction, N: Sequence[Sequence[int]], order: in
     check_guard(K.n)
     sys = _LinkSystem(K)
     X = freeze_sites(N, K.n)
-    masks, activities, _ = _polymer_sums(sys, max_links)
+    masks, _, activities, _ = _polymer_sums(sys, max_links)
     masks = masks.tolist()
     if site_mask(K.n, X) not in masks:
         raise ValueError(f"{X} is not a realizable polymer support here")
@@ -734,7 +743,7 @@ def cluster_partition_sum(K: Interaction) -> float:
     check_guard(K.n)
     sys = _LinkSystem(K)
     site_count = len(sys.sites)
-    masks, activities, _ = _polymer_sums(sys, len(sys.links))
+    masks, _, activities, _ = _polymer_sums(sys, len(sys.links))
     table = _family_sweep(site_count, masks.tolist(), activities.tolist(), site_count)
     return float(np.sum(table))
 

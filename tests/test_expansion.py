@@ -35,11 +35,12 @@ from ergm_cluster.expansion import (
 )
 from ergm_cluster.graphs import check_guard, site_mask
 from ergm_cluster.lattice import Interaction, freeze_sites
+from ergm_cluster.subsets import _words
 
 import oracles
 from oracles import _connected_batches, _pinned_abs_sums, _spin_sum, activity_bound, \
     cluster_partition_sum, connected_sets_one_by_one, exact_log_series, pinned_cluster_abs_sum, \
-    polymer_activity, ursell_coefficient
+    polymer_activity, ursell_coefficient, words_by_shifts
 
 HALF_BUDGET = region_bound(2, 3, optimal_M(2)) / 2
 
@@ -87,6 +88,18 @@ def random_adjacencies(seed, count, max_items):
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         yield adj
+
+
+class TestMaskCodec:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_matches_the_shift_reference(self, width):
+        rng = random.Random(width)
+        top = (1 << 64 * width) - 1
+        values = [0, 1, (1 << 63) - 1, 1 << 63, top, *(rng.randint(0, top) for _ in range(200))]
+        got, want = _words(values, width), words_by_shifts(values, width)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.int64, (205, width))
+        assert got.tolist() == want.tolist()
+        assert _words([], width).shape == words_by_shifts([], width).shape == (0, width)
 
 
 class TestConnectedSets:
@@ -277,10 +290,11 @@ class TestActivities:
     def test_one_motif_past_the_mask_table_matches_the_per_set_loop(self, name, beta, n,
                                                                     max_links):
         sys = _LinkSystem(build_interaction([BUILTIN_MOTIFS[name]], [beta], n))
-        masks, activities, bounds = _polymer_sums(sys, max_links)
+        masks, sizes, activities, bounds = _polymer_sums(sys, max_links)
         want_w, want_v = oracles.polymer_sums_by_set(sys, max_links)
         assert masks.dtype == (np.int64 if n == 8 else object)
         assert masks.tolist() == list(want_w) == list(want_v)
+        assert sizes.tolist() == [m.bit_count() for m in want_w]
         assert [x.hex() for x in activities.tolist()] == [x.hex() for x in want_w.values()]
         assert [x.hex() for x in bounds.tolist()] == [x.hex() for x in want_v.values()]
 
@@ -606,6 +620,17 @@ class TestCertificate:
             cert = kp_certify(K, 3.0, head_links=1)
         assert not cert.verdict and cert.per_site_sums[(0, 1)] == math.inf
 
+    def test_nan_head_term_counts_as_inf(self):
+        # The pair's bound 1e-200 * 1e-200 underflows to 0.0, and its 3-site
+        # support meets M^3 = inf: 0.0 * inf is NaN, which must fail safe.
+        K = Interaction(3, {((0, 1), (0, 2)): 1e-200, ((0, 2), (1, 2)): 1e-200}, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = kp_certify(K, 1e300, head_links=2)
+        assert not cert.verdict
+        assert set(cert.per_site_sums.values()) == {math.inf}
+        assert cert.margin == -math.inf and cert.worst_site == (0, 1)
+
     # At M = 1e300 the head's M^k and the tail's M^p are past the float
     # range; at M = 1e20 only the tail's powers c^n would be.
     @pytest.mark.parametrize("M", [1e20, 1e300])
@@ -703,14 +728,18 @@ class TestCertificate:
         for site, got in cert.per_site_sums.items():
             assert got - cert.tail == pytest.approx(want[site], rel=1e-13)
 
-    @pytest.mark.parametrize("n", [4, 8, 12, 17])
-    def test_head_is_the_per_polymer_loop(self, triangle, n):
-        # 6, 28, 66 and 136 sites: one, one, two and three words of site bits
+    # The triangle at 6, 28, 66 and 136 sites: one, one, two and three words
+    # of site bits; two-star+triangle with 957 and 14 798 polymers.
+    @pytest.mark.parametrize("names, betas, n, links", [
+        *(pytest.param(("triangle",), (0.0005,), n, 2, id=str(n)) for n in (4, 8, 12, 17)),
+        *(pytest.param(("two-star", "triangle"), (0.0005, 0.0004), n, 4,
+                       id=f"two-star+triangle-{n}") for n in (5, 6))])
+    def test_head_is_the_per_polymer_loop(self, names, betas, n, links):
         M = optimal_M(3)
-        K = build_interaction([triangle], [0.0005], n)
-        cert = kp_certify(K, M, head_links=2)
+        K = build_interaction([BUILTIN_MOTIFS[name] for name in names], betas, n)
+        cert = kp_certify(K, M, head_links=links)
         heads = dict.fromkeys(cert.per_site_sums, 0.0)
-        for p in polymer_table(K, 2):
+        for p in polymer_table(K, links):
             for site in p.support:
                 heads[site] += p.bound * M ** len(p.support)
         assert {site: head + cert.tail for site, head in heads.items()} == cert.per_site_sums
