@@ -197,7 +197,10 @@ def cmd_density(ns: argparse.Namespace) -> int:
         raise ValueError(f"need n >= 1 vertices, got n={n}")
     if ns.sites is not None:
         pairs = json.loads(ns.sites) if isinstance(ns.sites, str) else ns.sites
-        X = freeze_sites([tuple(int(v) for v in e) for e in pairs], n)
+        if not (isinstance(pairs, list) and all(isinstance(e, list) and len(e) == 2
+                                                for e in pairs)):
+            raise ValueError(f"--sites must be a JSON list of vertex pairs, got {ns.sites!r}")
+        X = freeze_sites(pairs, n)
         num, kind = exact_hom_count(H, X, n), "exact"
     else:
         num, kind = hom_count(H, G), "hom"

@@ -72,13 +72,18 @@ def region_bound(p: int, m: int, M: float) -> float:
     return min(rhs, 0.5) / (m * (m - 1))
 
 
+def _or_inf(f: Callable[..., float], *args: float) -> float:
+    """f(*args), or inf past the float range, here and in the expansion."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 def _majorant_scale(p: int, M: float) -> float:
     """(M p)^p for region_bound and radius_and_tail.  Past the float range, as
     at every p >= 144, OverflowError names it before any exact (p-1)^p is built."""
-    try:
-        scale = (M * p) ** p
-    except OverflowError:
-        scale = math.inf
+    scale = _or_inf(pow, M * p, p)
     if scale == math.inf:
         raise OverflowError(f"(M p)^p is past the float range at M = {M!r}, p = {p}")
     return scale
@@ -117,10 +122,7 @@ class CoefficientTable(NamedTuple):
         """gamma_n c^n; OverflowError where it is not a finite float."""
         if not 1 <= n <= self.n_max:
             raise ValueError(f"order {n} outside table 1..{self.n_max}")
-        try:
-            value = float(self.gamma[n]) * self.c ** n
-        except OverflowError:
-            value = math.inf
+        value = _or_inf(lambda: float(self.gamma[n]) * self.c ** n)
         if math.isinf(value):
             raise OverflowError(f"abar_{n} = gamma_{n} c^{n} is past the float range "
                                 f"at c = {self.c!r}")

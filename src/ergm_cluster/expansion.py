@@ -36,7 +36,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .coefficients import _majorant_tail, _validate_base, optimal_M, radius_and_tail, region_bound
+from .coefficients import (_majorant_tail, _or_inf, _validate_base, optimal_M, radius_and_tail,
+                           region_bound)
 from .ensemble import partition_normalized
 from .graphs import (TABLE_SITES, GuardExceeded, Motif, all_edge_sites, check_alignment,
                      check_guard, mask_sites, site_mask)
@@ -85,14 +86,6 @@ def _connected_item_sets(adj: Sequence[int], max_size: int,
             del prefix[size - 1:]
             prefix.append(item)
             yield tuple(prefix)
-
-
-def _or_inf(f: Callable[..., float], *args: float) -> float:
-    """f(*args), or inf past the float range."""
-    try:
-        return f(*args)
-    except OverflowError:
-        return math.inf
 
 
 @np.errstate(over="ignore", invalid="ignore")

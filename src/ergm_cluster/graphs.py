@@ -67,8 +67,9 @@ def check_guard(n: int, force: bool = False, least: int = 1) -> None:
 
 
 def canonical_edge(u: int, v: int, n: int) -> tuple[int, int]:
-    """Validate one vertex pair against n and return it as (min, max)."""
-    if not (isinstance(u, int) and isinstance(v, int)):
+    """Validate one vertex pair against n and return it as (min, max).  A
+    vertex is an int and not a bool, so JSON's true does not read as 1."""
+    if not (type(u) is int and type(v) is int):
         raise ValueError(f"vertex pair ({u!r}, {v!r}) must be integers")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex pair ({u}, {v}) out of range for n={n}")
@@ -165,6 +166,8 @@ def make_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
 
     Pairs are canonicalized to (min, max); duplicates after that are rejected.
     """
+    if type(n) is not int:
+        raise ValueError(f"vertex count {n!r} must be an integer")
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         e = canonical_edge(u, v, n)
@@ -212,15 +215,15 @@ BUILTIN_MOTIFS: dict[str, Motif] = {
 
 def motif_from_json(doc: str | dict) -> Motif:
     """Parse a motif document {"name": ..., "m": ..., "edges": [[u, v], ...]};
-    the edges go through make_graph on m vertices."""
+    m and the edges go through make_graph as given."""
     data = json.loads(doc) if isinstance(doc, str) else doc
     try:
         name = str(data["name"])
-        m = int(data["m"])
+        m = data["m"]
         raw = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"motif document must carry name, m, edges: {exc}") from exc
-    return Motif(name, m, make_graph(m, [(int(u), int(v)) for u, v in raw]).edges)
+    return Motif(name, m, make_graph(m, raw).edges)
 
 
 def load_motif(source: str) -> Motif:
@@ -235,14 +238,15 @@ def load_motif(source: str) -> Motif:
 
 
 def graph_from_json(doc: str | dict) -> SimpleGraph:
-    """Parse a graph document {"n": ..., "edges": [[u, v], ...]}."""
+    """Parse a graph document {"n": ..., "edges": [[u, v], ...]}; n and the
+    edges go through make_graph as given."""
     data = json.loads(doc) if isinstance(doc, str) else doc
     try:
-        n = int(data["n"])
+        n = data["n"]
         raw = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"graph document must carry n and edges: {exc}") from exc
-    return make_graph(n, [(int(u), int(v)) for u, v in raw])
+    return make_graph(n, raw)
 
 
 def check_alignment(motifs: Sequence[Motif], betas: Sequence) -> None:
@@ -262,35 +266,26 @@ def check_alignment(motifs: Sequence[Motif], betas: Sequence) -> None:
 def _traversal_order(H: Motif) -> tuple[list[list[int]], int]:
     """Backtracking order over the non-isolated motif vertices.
 
-    Breadth-first inside each component so that every vertex after a component
-    root has an already-placed neighbor (which is what makes the incremental
-    candidate pruning bite).  Returns (earlier, isolated_count): earlier[i]
-    lists the positions of the already-placed motif neighbors of the i-th
-    placed vertex, so every motif edge appears in it exactly once.
+    Greedy: the next vertex is the lowest unplaced non-isolated one with a
+    placed neighbour, or, when there is none, the lowest unplaced one, which
+    roots a new component.  So every vertex after a component root has an
+    already-placed neighbour (which is what makes the incremental candidate
+    pruning bite).  Returns (earlier, isolated_count): earlier[i] lists the
+    positions of the already-placed motif neighbours of the i-th placed
+    vertex, so every motif edge appears in it exactly once.
     """
     adj = adjacency(H.m, H.edges)
-    seen: set[int] = set()
+    rest = [v for v in range(H.m) if adj[v]]
     order: list[int] = []
-    isolated = 0
-    for start in range(H.m):
-        if start in seen:
-            continue
-        if adj[start] == 0:
-            isolated += 1
-            seen.add(start)
-            continue
-        queue = [start]
-        seen.add(start)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in _bits(adj[v]):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
+    placed = 0
+    while rest:
+        v = next((u for u in rest if adj[u] & placed), rest[0])
+        rest.remove(v)
+        order.append(v)
+        placed |= 1 << v
     pos = {v: i for i, v in enumerate(order)}
     earlier = [[pos[u] for u in _bits(adj[v]) if pos[u] < i] for i, v in enumerate(order)]
-    return earlier, isolated
+    return earlier, H.m - len(order)
 
 
 def _maps(H: Motif, adj: Sequence[int],

@@ -224,7 +224,8 @@ def _class_couplings(motifs: Sequence[Motif], betas: Sequence[float],
     every class has an integer numerator, so cancellations are exact; the one
     rounding is the correctly rounded int/int division per class.  A zero
     numerator gives 0.0; a nonzero one that rounds to zero raises ValueError,
-    with the class's first link: K is nonzero there but no float holds it.
+    and one past the float range OverflowError, each with the class's first
+    link: K is nonzero there but no float holds it.
     The caller checks the alignment.
     """
     table = _link_table(tuple(motifs), n)
@@ -232,7 +233,13 @@ def _class_couplings(motifs: Sequence[Motif], betas: Sequence[float],
     denom = math.lcm(1, *(d * n ** H.m for (_, d), H in zip(ratios, motifs)))
     scales = [a * denom // (d * n ** H.m) for (a, d), H in zip(ratios, motifs)]
     nums = [sum(map(mul, scales, vec)) for vec in table.vectors]
-    values = [n * n * v / denom for v in nums]
+    values = []
+    for c, v in zip(table.classes, nums):
+        try:
+            values.append(n * n * v / denom)
+        except OverflowError:
+            raise OverflowError(f"the exact K of the class of {c[0]} is past the float "
+                                "range") from None
     lost = 0.0 in values and [c[0] for c, v, k in zip(table.classes, nums, values) if v and not k]
     if lost:
         raise ValueError(f"the exact K of the class of {min(lost)} is nonzero "
@@ -256,16 +263,15 @@ def banach_norm(K: Interaction) -> float:
     """sup over edge sites e of sum_{X contains e} |K(X)|; 0 when K is empty.
 
     Bounded above by m(m-1) * sum_i |beta_i| for an interaction built from
-    motifs on at most m vertices.
+    motifs on at most m vertices.  The links are summed in sorted order, which
+    fixes each site's rounding; the max of the non-negative sums needs no order.
     """
     per_site: dict[tuple[int, int], float] = defaultdict(float)
     for X, v in sorted(K.k_map.items()):
         a = abs(v)
         for e in X:
             per_site[e] += a
-    if not per_site:
-        return 0.0
-    return max(per_site[e] for e in sorted(per_site))
+    return max(per_site.values(), default=0.0)
 
 
 def interaction_dump(K: Interaction) -> list[dict]:

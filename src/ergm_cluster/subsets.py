@@ -48,7 +48,7 @@ def _ranges(cost: np.ndarray) -> Iterator[tuple[int, int]]:
 
 
 class _ItemGraph:
-    """Item adjacency as rows of 64-bit words, and one level of the walk.
+    """Item adjacency as rows of 64-bit words, and a level's additions and growth.
 
     A level is a block of rows, each a set held as (ext, cov, root): the
     items it may still add, the items it or its neighbours cover, and its
@@ -87,15 +87,6 @@ class _ItemGraph:
         root, cov = root[rows], cov[rows]
         grown = self.adj_x[items] & self.above[root]
         return (ext[rows] & self.above_x[items]) | (grown & ~cov), cov | grown, root
-
-    def step(self, ext: np.ndarray, cov: np.ndarray, root: np.ndarray,
-             values: list[np.ndarray], tables: list[tuple[np.ndarray, Callable]], a: int,
-             b: int, last: bool) -> tuple[list[np.ndarray], tuple | None]:
-        """Rows a..b-1, each as itself and then grown by each item it may
-        add: their column values and, short of the last level, their state."""
-        rows, items = self.additions(ext, a, b, itself=True)
-        out = [op(col[rows], table[items]) for col, (table, op) in zip(values, tables)]
-        return out, None if last else self.grow(ext, cov, root, rows, items)
 
 
 def _connected_walk(adj: Sequence[int], max_size: int,
@@ -163,13 +154,15 @@ def _level_steps(graph: _ItemGraph, max_size: int, level: int, ext: np.ndarray,
         # no row grows: the block is already in the walk's order
         yield values
         return
-    last = level + 1 == max_size
     for a, b in _ranges(cost):
-        if last:
-            yield graph.step(ext, cov, root, values, tables, a, b, last)[0]
+        # each row as itself, then grown by each item it may add
+        rows, items = graph.additions(ext, a, b, itself=True)
+        out = [op(col[rows], table[items]) for col, (table, op) in zip(values, tables)]
+        if level + 1 == max_size:
+            yield out
         else:
-            out, below = graph.step(ext, cov, root, values, tables, a, b, last)
-            yield from _level_steps(graph, max_size, level + 1, *below, out, tables)
+            yield from _level_steps(graph, max_size, level + 1,
+                                    *graph.grow(ext, cov, root, rows, items), out, tables)
 
 
 def _subset_table(bits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -628,12 +628,43 @@ class TestFailureModes:
          "(M p)^p is past the float range at M = 1e+300, p = 2"),
         ("coeffs --p 200 --norm 0.001",
          "(M p)^p is past the float range at M = 1.0030992434091761, p = 200"),
+        ("exact --motifs edge --betas 1e308 --n 3",
+         "the exact K of the class of ((0, 1),) is past the float range"),
+        ("expand --motifs edge --betas 1e308 --n 3",
+         "the exact K of the class of ((0, 1),) is past the float range"),
     ], ids=["expand-600", "expand-10000", "coeffs-1.2e102", "coeffs-1e200", "region-M1e300",
-            "coeffs-M1e300", "coeffs-p200"])
+            "coeffs-M1e300", "coeffs-p200", "exact-K1e308", "expand-K1e308"])
     def test_overflow_exits_2_before_any_output(self, argv, message, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": message, "kind": "invalid-config"}
+
+    @pytest.mark.parametrize("argv,message", [
+        ("density --motif triangle --n 3 --sites [[0.5,1],[1,2],[0,2]]",
+         "vertex pair (0.5, 1) must be integers"),
+        ("density --motif triangle --graph g1.json", "vertex pair (0.9, 1) must be integers"),
+        ("density --motif m.json --n 3 --sites [[0,1]]", "vertex pair (0, 1.7) must be integers"),
+        ("density --motif triangle --graph g2.json", "vertex count '3' must be an integer"),
+        ("density --motif triangle --graph g3.json", "vertex count 3.9 must be an integer"),
+        ("density --motif triangle --n 3 --sites 5",
+         "--sites must be a JSON list of vertex pairs, got '5'"),
+        ("density --motif triangle --n 3 --sites [[0,1,2]]",
+         "--sites must be a JSON list of vertex pairs, got '[[0,1,2]]'"),
+    ], ids=["sites-0.5", "graph-0.9", "motif-1.7", "graph-strings", "graph-n3.9", "sites-int",
+            "sites-triple"])
+    def test_json_vertex_ids_are_not_truncated(self, argv, message, tmp_path, monkeypatch,
+                                               capsys):
+        # Each of these once read a float, string or bool as a truncated int and exited 0.
+        monkeypatch.chdir(tmp_path)
+        for name, doc in [("g1", {"n": 3, "edges": [[0.9, 1], [1, 2], [0, 2]]}),
+                          ("g2", {"n": "3", "edges": [["0", "1"], [True, 2]]}),
+                          ("g3", {"n": 3.9, "edges": [[0.9, 1]]}),
+                          ("m", {"name": "m", "m": 3, "edges": [[0, 1.7], [1, 2]]})]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": message, "kind": "invalid-config"}

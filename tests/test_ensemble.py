@@ -284,6 +284,10 @@ ORACLE_MOTIFS = [
     _motif("triangle", 3, [(0, 1), (0, 2), (1, 2)]),
     _motif("diamond", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
     _motif("K4", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    # C4 and the house: the map walk places their vertices in a greedy
+    # order, not breadth-first.
+    _motif("C4", 4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    _motif("house", 5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)]),
     _motif("P4", 4, [(0, 1), (1, 2), (2, 3)]),
     _motif("two-edges", 4, [(0, 1), (2, 3)]),
     _motif("edge+isolated", 3, [(0, 1)]),

@@ -29,8 +29,8 @@ from ergm_cluster import (
     truncated_log_partition,
 )
 from ergm_cluster.ensemble import motif_hom_table
-from ergm_cluster.graphs import MAP_BUDGET, _maps, all_edge_sites, canonical_edge, \
-    check_alignment, edge_index, mask_sites, site_mask
+from ergm_cluster.graphs import MAP_BUDGET, _maps, _traversal_order, all_edge_sites, \
+    canonical_edge, check_alignment, edge_index, mask_sites, site_mask
 
 from oracles import complete_graph, empty_graph, enumerate_graphs, graph_from_mask, graph_mask, \
     weighted_density
@@ -173,6 +173,25 @@ class TestMotifs:
         assert G.n == 3 and G.edges == frozenset({(0, 1), (1, 2)})
         with pytest.raises(ValueError):
             graph_from_json('{"edges": []}')
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{"n": 3.9, "edges": [[0.9, 1]]}', "vertex count 3.9 must be an integer"),
+        ('{"n": 3, "edges": [[0.9, 1], [1, 2], [0, 2]]}',
+         r"vertex pair \(0.9, 1\) must be integers"),
+        ('{"n": "3", "edges": [["0", "1"], [true, 2]]}', "vertex count '3' must be an integer"),
+        ('{"n": 3, "edges": [[0, 1], [true, 2]]}', r"vertex pair \(True, 2\) must be integers"),
+        ('{"n": true, "edges": []}', "vertex count True must be an integer"),
+    ], ids=["n3.9", "vertex-0.9", "strings", "vertex-true", "n-true"])
+    def test_graph_json_is_taken_as_given(self, doc, message):
+        # make_graph refuses what is not an int, a bool included; nothing is truncated.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            graph_from_json(doc)
+
+    def test_motif_json_is_taken_as_given(self):
+        with pytest.raises(ValueError, match=r"^vertex pair \(0, 1.7\) must be integers$"):
+            motif_from_json({"name": "x", "m": 3, "edges": [[0, 1.7], [1, 2]]})
+        with pytest.raises(ValueError, match="^vertex count 3.0 must be an integer$"):
+            motif_from_json({"name": "x", "m": 3.0, "edges": [[0, 1]]})
 
     def test_check_alignment(self):
         H = BUILTIN_MOTIFS["edge"]
@@ -365,6 +384,17 @@ class TestMapBudget:
     def test_isolated_vertices_are_free(self):
         H = Motif("edge+10", 12, frozenset({(0, 1)}))
         assert hom_count(H, make_graph(100, [(0, 1)])) == 2 * 100 ** 10
+
+
+class TestTraversalOrder:
+    @pytest.mark.parametrize("edges,earlier", [
+        ([(0, 1), (1, 2), (2, 3), (0, 3)], [[], [0], [1], [0, 2]]),
+        ([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)], [[], [0], [1], [0, 2], [0, 1]]),
+        ([(0, 2), (3, 4)], [[], [0], [], [2]]),
+    ], ids=["C4", "house", "two-components"])
+    def test_lowest_vertex_with_a_placed_neighbour_comes_next(self, edges, earlier):
+        m = 1 + max(v for e in edges for v in e)
+        assert _traversal_order(Motif("H", m, frozenset(edges))) == (earlier, m - len(earlier))
 
 
 class TestWeightedDensity:

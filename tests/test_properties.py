@@ -5,7 +5,8 @@ with two or more edges, at n = 3 or 4, with couplings whose absolute sum stays
 inside half the certified region budget for the family's (p, m).  Each hom
 table example, and each example of the one vertex-map walk, is a random motif
 on at most 5 vertices with at least one edge, isolated vertices and several
-components allowed, at n <= 5; each histogram example is one to three such
+components allowed, at n <= 5, and so is each example of the walk's placement
+order; each histogram example is one to three such
 motifs on at most 4 vertices, at n <= 5, and each link-histogram example adds
 couplings that may be zero or equal.  Each interaction example is one to
 three motifs, repeats allowed, drawn from the built-in ones, the diamond, K4
@@ -25,7 +26,7 @@ derandomized, so every run checks the same ones.
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ from ergm_cluster.ensemble import (
     motif_hom_table,
 )
 from ergm_cluster.expansion import _cluster_sums, _connected_item_sets, _LinkSystem, _log_series
-from ergm_cluster.graphs import GuardExceeded, all_edge_sites, edge_index, site_mask
+from ergm_cluster.graphs import GuardExceeded, _traversal_order, all_edge_sites, edge_index, \
+    site_mask
 
 from oracles import _family_sweep, distinct_columns_by_sort, exact_log_series, \
     graph_from_mask, image_counts_by_subset_differences, interaction_by_fractions, \
@@ -145,6 +147,26 @@ def motifs(draw, max_m=5):
     pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
     edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
     return Motif("drawn", m, frozenset(edges))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(motifs())
+def test_traversal_order_places_every_vertex_next_to_a_placed_one(H):
+    # Some order of the non-isolated vertices sends the positions in earlier
+    # onto the motif's edges, each edge once.  Each position joins at most one
+    # earlier part, so every part is a whole component, rooted at its first.
+    earlier, isolated = _traversal_order(H)
+    touched = sorted({v for e in H.edges for v in e})
+    assert isolated == H.m - len(touched) == H.m - len(earlier)
+    pairs = [(j, i) for i, js in enumerate(earlier) for j in js]
+    assert len(pairs) == H.p and all(j < i for j, i in pairs)
+    assert any({(min(o[j], o[i]), max(o[j], o[i])) for j, i in pairs} == H.edges
+               for o in permutations(touched))
+    part: list[int] = []
+    for i, js in enumerate(earlier):
+        joined = {part[j] for j in js}
+        assert len(joined) <= 1
+        part.append(joined.pop() if joined else i)
 
 
 @PROPERTY_SETTINGS
