@@ -21,12 +21,6 @@ if TYPE_CHECKING:
 COEFFICIENT_GUARD = 64
 
 
-def _validate_pm(p: int, M: float) -> None:
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"edge count p must be a positive integer, got {p!r}")
-    _validate_base(M)
-
-
 def _validate_base(M: float) -> None:
     if not math.isfinite(M):
         raise ValueError(f"weight base M must be finite, got {M!r}")
@@ -65,7 +59,7 @@ def region_bound(p: int, m: int, M: float) -> float:
         raise ValueError(f"region bound needs p >= 2, got {p!r}")
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"vertex count m must be an integer >= 2, got {m!r}")
-    _validate_pm(p, M)
+    _validate_base(M)
     log_m = math.log(M)
     scale = _majorant_scale(p, M)
     rhs = log_m * (p - 1) ** p / (2.0 * scale * (1.0 + (p - 1) * log_m))
@@ -131,7 +125,9 @@ class CoefficientTable(NamedTuple):
 
 def abar_recursion(p: int, norm: float, M: float, n_max: int = 30) -> CoefficientTable:
     """Tabulate the majorant coefficients for one (p, norm, M) triple."""
-    _validate_pm(p, M)
+    if not isinstance(p, int) or p < 1:
+        raise ValueError(f"edge count p must be a positive integer, got {p!r}")
+    _validate_base(M)
     _validate_norm(norm)
     if not 1 <= n_max <= COEFFICIENT_GUARD:
         raise ValueError(f"n_max must lie in 1..{COEFFICIENT_GUARD}")
@@ -181,7 +177,7 @@ def radius_and_tail(p: int, norm: float, M: float) -> tuple[float, Callable[[int
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"radius/tail need p >= 2, got {p!r}")
-    _validate_pm(p, M)
+    _validate_base(M)
     _validate_norm(norm)
     if norm == 0:
         return math.inf, lambda n0: 0.0

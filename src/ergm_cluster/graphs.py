@@ -118,13 +118,17 @@ def adjacency(size: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 class _ValueType:
     """Equality of a validated NamedTuple: only with its own type, as for a
     frozen dataclass, while hashing stays tuple's own.  _make, and with it
-    _replace, goes through the validating constructor."""
+    _replace, and copying and unpickling at every protocol go through the
+    validating constructor."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -149,6 +153,8 @@ class SimpleGraph(_ValueType, _GraphFields):
     __slots__ = ()
 
     def __new__(cls, n: int, edges: frozenset[tuple[int, int]]) -> SimpleGraph:
+        if type(n) is not int:
+            raise ValueError(f"vertex count {n!r} must be an integer")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         for u, v in edges:
@@ -192,6 +198,8 @@ class Motif(_ValueType, _MotifFields):
     __slots__ = ()
 
     def __new__(cls, name: str, m: int, edges: frozenset[tuple[int, int]]) -> Motif:
+        if type(m) is not int:
+            raise ValueError(f"motif vertex count {m!r} must be an integer")
         if m < 2:
             raise ValueError("a motif needs at least two vertices")
         if not edges:

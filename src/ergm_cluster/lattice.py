@@ -32,6 +32,7 @@ from .graphs import (
     check_alignment,
     edge_index,
     hom_density,
+    _ValueType,
     _edge_images,
 )
 
@@ -137,17 +138,24 @@ def pinned_density(H: Motif, G: SimpleGraph, e: Sequence[int]) -> Fraction:
     return sum((exact_density(H, X, G.n) for X in _images_in(H, G) if site in X), Fraction(0))
 
 
-class Interaction:
+class _InteractionFields(NamedTuple):
+    n: int
+    k_map: Mapping[EdgeSubset, float]
+    p_max: int
+
+
+class Interaction(_ValueType, _InteractionFields):
     """Sparse finite-body interaction on the edge sites of K_n.
 
     k_map sends canonical site tuples X to real values K(X); exact zeros are
     never stored, and no stored X has more than p_max sites.  The fields are
     read-only; equal fields make equal interactions, which are unhashable.
+    len(K) counts the links; iterating or indexing K gives its three fields.
     """
 
-    __slots__ = ("n", "k_map", "p_max")
+    __slots__ = ()
 
-    def __init__(self, n: int, k_map: Mapping[EdgeSubset, float], p_max: int) -> None:
+    def __new__(cls, n: int, k_map: Mapping[EdgeSubset, float], p_max: int) -> Interaction:
         idx = edge_index(n)
         for X, v in k_map.items():
             if not X:
@@ -161,25 +169,7 @@ class Interaction:
                 raise ValueError(f"exact zero stored at {X}")
             if not abs(v) <= sys.float_info.max:
                 raise ValueError(f"non-finite value {v} stored at {X}")
-        for name, value in zip(self.__slots__, (n, k_map, p_max)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Interaction, (self.n, self.k_map, self.p_max)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.n, self.k_map, self.p_max) == (other.n, other.k_map, other.p_max)
-
-    def __repr__(self) -> str:
-        return f"Interaction(n={self.n!r}, k_map={self.k_map!r}, p_max={self.p_max!r})"
+        return tuple.__new__(cls, (n, k_map, p_max))
 
     def links(self) -> list[EdgeSubset]:
         """Stored subsets in canonical sorted order."""

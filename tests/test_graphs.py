@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import struct
 import time
 from fractions import Fraction
 
@@ -205,8 +206,8 @@ class TestMotifs:
 
 
 class TestRecordSemantics:
-    """What a frozen dataclass gave the record types, kept by their NamedTuple
-    and slotted forms."""
+    """What a frozen dataclass gave the record types, kept by their validated
+    NamedTuple forms."""
 
     def test_fields_cannot_be_assigned_or_added(self):
         H = Motif("pair", 2, frozenset({(0, 1)}))
@@ -255,6 +256,38 @@ class TestRecordSemantics:
             H._replace(m=2)
         with pytest.raises(ValueError):
             SimpleGraph._make((1, frozenset({(0, 1)})))
+
+    def test_interaction_counts_links_and_validates_its_copies(self):
+        K = build_interaction([BUILTIN_MOTIFS["triangle"]], [0.1], 4)
+        # len counts the links; iterating or indexing gives the three fields.
+        assert len(K) == len(K.k_map) > 3 and len(Interaction(3, {}, 1)) == 0
+        assert tuple(K) == (K[0], K[1], K[2]) == (4, K.k_map, 3) and K != tuple(K)
+        assert max(map(len, K.k_map)) == 3
+        with pytest.raises(ValueError, match=r"has more than p_max=0 sites$"):
+            K._replace(p_max=0)
+        with pytest.raises(ValueError, match=r"^exact zero stored at \(\(0, 1\),\)$"):
+            Interaction._make((3, {((0, 1),): 0.0}, 1))
+
+    def test_unpickling_validates_at_every_protocol(self):
+        K = Interaction(3, {((0, 1),): 0.5}, 1)
+        half, zero = struct.pack(">d", 0.5), struct.pack(">d", 0.0)
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(K, proto)
+            # The text and the binary float opcodes of 0.5, made 0.0.
+            bad = data.replace(b"F0.5\n", b"F0.0\n").replace(b"G" + half, b"G" + zero)
+            assert bad != data and pickle.loads(data) == K
+            with pytest.raises(ValueError, match="^exact zero stored at"):
+                pickle.loads(bad)
+
+    def test_sizes_must_be_integers(self):
+        # A float size would fail later, inside the counting code, as a TypeError.
+        for build in (lambda: Motif("x", 3.0, frozenset({(0, 1)})),
+                      lambda: Motif("x", True, frozenset({(0, 1)})),
+                      lambda: BUILTIN_MOTIFS["triangle"]._replace(m=3.0),
+                      lambda: SimpleGraph(4.5, frozenset({(0, 1)})),
+                      lambda: SimpleGraph(True, frozenset())):
+            with pytest.raises(ValueError, match=r"vertex count \S+ must be an integer$"):
+                build()
 
 
 class TestHomCounting:
