@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 # peak RSS only above its own, and a numpy-free start-up stays below it.
 from .ensemble import ensemble_result
 from .graphs import GuardExceeded, Motif, SimpleGraph, graph_from_json, hom_count, load_motif
-from .lattice import exact_hom_count, freeze_sites, representation_check
+from .lattice import exact_hom_count, representation_check
 
 
 def _fmt(x: float) -> str:
@@ -200,8 +200,7 @@ def cmd_density(ns: argparse.Namespace) -> int:
         if not (isinstance(pairs, list) and all(isinstance(e, list) and len(e) == 2
                                                 for e in pairs)):
             raise ValueError(f"--sites must be a JSON list of vertex pairs, got {ns.sites!r}")
-        X = freeze_sites(pairs, n)
-        num, kind = exact_hom_count(H, X, n), "exact"
+        num, kind = exact_hom_count(H, pairs, n), "exact"
     else:
         num, kind = hom_count(H, G), "hom"
     den = n ** H.m

@@ -176,8 +176,7 @@ LinkClasses = tuple[tuple[EdgeSubset, ...], ...]
 
 def _link_classes(K: Interaction) -> tuple[LinkClasses, Sequence[float]]:
     """K's links grouped by value, and the values: two aligned sequences."""
-    links = sorted(K.k_map)
-    return _merge_by_value(tuple((X,) for X in links), [K.k_map[X] for X in links])
+    return _merge_by_value(tuple((X,) for X in K.k_map), list(K.k_map.values()))
 
 
 def _merge_by_value(classes: LinkClasses, values: Sequence[float]

@@ -55,8 +55,8 @@ class _LinkSystem:
     def __init__(self, K: Interaction):
         self.n = K.n
         self.sites = all_edge_sites(K.n)
-        self.links: tuple[EdgeSubset, ...] = tuple(sorted(K.k_map))
-        self.values = tuple(float(K.k_map[X]) for X in self.links)
+        self.links: tuple[EdgeSubset, ...] = tuple(K.k_map)
+        self.values = tuple(K.k_map.values())
         self.masks = tuple(site_mask(K.n, X) for X in self.links)
         # Link overlap graph: adjacency bitmasks over link indices, each link
         # the union of the links on its sites, itself left out.

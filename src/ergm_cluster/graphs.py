@@ -158,7 +158,7 @@ class SimpleGraph(_ValueType, _GraphFields):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         for u, v in edges:
-            if not (0 <= u < v < n):
+            if canonical_edge(u, v, n) != (u, v):
                 raise ValueError(f"edge {(u, v)} is not canonical for n={n}")
         return tuple.__new__(cls, (n, edges))
 
@@ -205,7 +205,7 @@ class Motif(_ValueType, _MotifFields):
         if not edges:
             raise ValueError("a motif needs at least one edge")
         for u, v in edges:
-            if not (0 <= u < v < m):
+            if canonical_edge(u, v, m) != (u, v):
                 raise ValueError(f"motif edge {(u, v)} is not canonical for m={m}")
         return tuple.__new__(cls, (name, m, edges))
 

@@ -30,7 +30,6 @@ from .graphs import (
     adjacency,
     canonical_edge,
     check_alignment,
-    edge_index,
     hom_density,
     _ValueType,
     _edge_images,
@@ -147,8 +146,9 @@ class _InteractionFields(NamedTuple):
 class Interaction(_ValueType, _InteractionFields):
     """Sparse finite-body interaction on the edge sites of K_n.
 
-    k_map sends canonical site tuples X to real values K(X); exact zeros are
-    never stored, and no stored X has more than p_max sites.  The fields are
+    k_map, K's own copy of the given mapping sorted by link with float values,
+    sends each X with freeze_sites(X, n) == X to K(X).  Exact zeros are never
+    stored, and no stored X has more than p_max sites.  The fields are
     read-only; equal fields make equal interactions, which are unhashable.
     len(K) counts the links; iterating or indexing K gives its three fields.
     """
@@ -156,24 +156,24 @@ class Interaction(_ValueType, _InteractionFields):
     __slots__ = ()
 
     def __new__(cls, n: int, k_map: Mapping[EdgeSubset, float], p_max: int) -> Interaction:
-        idx = edge_index(n)
+        if type(n) is not int:
+            raise ValueError(f"vertex count {n!r} must be an integer")
         for X, v in k_map.items():
             if not X:
                 raise ValueError("empty subsets cannot carry interaction")
             if len(X) > p_max:
                 raise ValueError(f"{X} has more than p_max={p_max} sites")
-            for e in X:
-                if e not in idx:
-                    raise ValueError(f"site {e} outside the edge set of K_{n}")
-            if v == 0:
-                raise ValueError(f"exact zero stored at {X}")
+            if freeze_sites(X, n) != X:
+                raise ValueError(f"{X} is not a sorted tuple of distinct sites")
             if not abs(v) <= sys.float_info.max:
                 raise ValueError(f"non-finite value {v} stored at {X}")
-        return tuple.__new__(cls, (n, k_map, p_max))
+            if float(v) == 0.0:
+                raise ValueError(f"exact zero stored at {X}")
+        return tuple.__new__(cls, (n, {X: float(k_map[X]) for X in sorted(k_map)}, p_max))
 
     def links(self) -> list[EdgeSubset]:
         """Stored subsets in canonical sorted order."""
-        return sorted(self.k_map)
+        return list(self.k_map)
 
     def __len__(self) -> int:
         return len(self.k_map)
@@ -241,11 +241,11 @@ def build_interaction(motifs: Sequence[Motif], betas: Sequence[float], n: int) -
     """K(X) = n^2 * sum_i beta_i d(H_i, X), assembled exactly and rounded once per class.
 
     Links with equal count vectors share one value, computed by
-    _class_couplings; exact zeros are dropped, and the links are sorted.
+    _class_couplings; exact zeros are dropped.
     """
     check_alignment(motifs, betas)
     table, values = _class_couplings(motifs, betas, n)
-    k_map = dict(sorted((X, v) for c, v in zip(table.classes, values) if v for X in c))
+    k_map = {X: v for c, v in zip(table.classes, values) if v for X in c}
     return Interaction(n=n, k_map=k_map, p_max=max(H.p for H in motifs))
 
 
@@ -257,7 +257,7 @@ def banach_norm(K: Interaction) -> float:
     fixes each site's rounding; the max of the non-negative sums needs no order.
     """
     per_site: dict[tuple[int, int], float] = defaultdict(float)
-    for X, v in sorted(K.k_map.items()):
+    for X, v in K.k_map.items():
         a = abs(v)
         for e in X:
             per_site[e] += a
@@ -266,7 +266,7 @@ def banach_norm(K: Interaction) -> float:
 
 def interaction_dump(K: Interaction) -> list[dict]:
     """Dump format: a JSON-ready list of {sites, value}, canonically sorted."""
-    return [{"sites": [list(e) for e in X], "value": K.k_map[X]} for X in K.links()]
+    return [{"sites": [list(e) for e in X], "value": v} for X, v in K.k_map.items()]
 
 
 def interaction_from_dump(n: int, p_max: int, terms: Iterable[dict]) -> Interaction:

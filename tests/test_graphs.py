@@ -289,6 +289,14 @@ class TestRecordSemantics:
             with pytest.raises(ValueError, match=r"vertex count \S+ must be an integer$"):
                 build()
 
+    def test_edge_vertices_must_be_integers(self):
+        # A float vertex would fail later, inside hom_density, as a TypeError;
+        # a bool one would read as 0 or 1.
+        for build in (lambda: SimpleGraph(3, frozenset({(0.5, 1)})),
+                      lambda: Motif("x", 3, frozenset({(True, 2)}))):
+            with pytest.raises(ValueError, match=r"^vertex pair \(\S+, \S+\) must be integers$"):
+                build()
+
 
 class TestHomCounting:
     def test_figure_example(self, fig_graph, two_star):

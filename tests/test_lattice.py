@@ -17,9 +17,11 @@ from ergm_cluster import (
     hom_density,
     interaction_dump,
     interaction_from_dump,
+    partition_normalized,
     pinned_density,
     representation_check,
     support_families,
+    truncated_log_partition,
 )
 from ergm_cluster.graphs import all_edge_sites
 from ergm_cluster.lattice import _images_in, freeze_sites
@@ -221,6 +223,38 @@ class TestInteraction:
             Interaction(3, {((0, 5),): 1.0}, 2)
         with pytest.raises(ValueError):
             Interaction(3, {((0, 1),): 0.0}, 2)
+
+    # The same link written in two orders, a repeated site, a float and a
+    # bool vertex that hash like ints, and a vertex count that is no int.
+    @pytest.mark.parametrize("n,k_map", [
+        (3, {((0, 1), (0, 2)): 0.1, ((0, 2), (0, 1)): 0.1}),
+        (3, {((0, 1), (0, 1)): 0.1}),
+        (3, {((0.0, 1),): 0.1}),
+        (3, {((True, 2),): 0.1}),
+        (3.5, {((0, 1),): 0.1}),
+    ], ids=["two-orders", "repeated-site", "float-vertex", "bool-vertex", "float-n"])
+    def test_non_canonical_links_refused(self, n, k_map):
+        with pytest.raises(ValueError):
+            Interaction(n, k_map, 2)
+
+    def test_values_are_stored_as_floats(self):
+        # Both routes read the float K(X): a Fraction 1/3 is the float 1/3.
+        third = Interaction(2, {((0, 1),): Fraction(1, 3)}, 1)
+        K = Interaction(2, {((0, 1),): 1 / 3}, 1)
+        assert third == K and type(third.k_map[((0, 1),)]) is float
+        log_w = partition_normalized(K)
+        assert partition_normalized(third).hex() == log_w.hex()
+        series = truncated_log_partition(third, 8)
+        assert series == truncated_log_partition(K, 8)
+        assert abs(series[-1] - log_w) < 1e-7
+
+    def test_owns_its_links(self):
+        d = {((0, 2),): 0.5, ((0, 1),): 0.25}
+        K = Interaction(3, d, 1)
+        d[((0, 1),)] = math.nan
+        d[((1, 2),)] = 1.0
+        assert list(K.k_map.items()) == [(((0, 1),), 0.25), (((0, 2),), 0.5)]
+        assert math.isfinite(partition_normalized(K))
 
     # An int past the float range is refused like inf, not by OverflowError.
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 10**400, -10**400],

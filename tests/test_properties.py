@@ -19,8 +19,10 @@ int64 range.  Each polymer-sum example draws such a family with random
 couplings and two walk depths in 0..4, and is kept when its walk has at most
 WALK_CAP connected sets, which bounds its running time.  Each polymer-gas example is up to ten distinct
 nonempty site masks on at most six sites, in any order, with weights of
-either sign in [-1, 1], and an order in 1..4.  The examples are
-derandomized, so every run checks the same ones.
+either sign in [-1, 1], and an order in 1..4.  Each link-order example is one
+to three random motifs on at most 4 vertices at n = 2..4, with couplings in
+[-1, 1], and K's links in a drawn order.  The examples are derandomized, so
+every run checks the same ones.
 """
 
 import math
@@ -35,12 +37,15 @@ from hypothesis import strategies as st
 
 from ergm_cluster import (
     BUILTIN_MOTIFS,
+    Interaction,
     Motif,
+    banach_norm,
     build_interaction,
     ensemble_result,
     exact_hom_count,
     expansion_report,
     hom_count,
+    kp_certify,
     optimal_M,
     partition_normalized,
     polymer_table,
@@ -273,6 +278,24 @@ def test_interaction_is_the_fraction_sum_rounded_once(family, n, betas):
         return
     want = partition_normalized(build_interaction(family, betas, n))
     assert ensemble_result(family, betas, n).log_w_normalized.hex() == want.hex()
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(motifs(max_m=4), min_size=1, max_size=3), st.integers(2, 4), st.data())
+def test_interaction_fixes_its_link_order(family, n, data):
+    # K from its links in any order is K: sorted keys, and the same bits from
+    # the exact route, the norm and the certificate's per-site sums.
+    betas = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(family),
+                               max_size=len(family)))
+    K = build_interaction(family, betas, n)
+    shuffled = Interaction(n, dict(data.draw(st.permutations(list(K.k_map.items())))), K.p_max)
+    assert shuffled == K and list(shuffled.k_map) == sorted(K.k_map)
+    assert partition_normalized(shuffled).hex() == partition_normalized(K).hex()
+    assert banach_norm(shuffled).hex() == banach_norm(K).hex()
+    M = optimal_M(max(2, K.p_max))
+    sums = [[(e, v.hex()) for e, v in kp_certify(L, M, 2).per_site_sums.items()]
+            for L in (shuffled, K)]
+    assert sums[0] == sums[1]
 
 
 INT64 = (-1 << 63, (1 << 63) - 1)
