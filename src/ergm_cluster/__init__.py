@@ -32,8 +32,7 @@ _EXPORTS = {
     ),
     "lattice": (
         "Interaction", "banach_norm", "build_interaction", "exact_density", "exact_hom_count",
-        "interaction_dump", "interaction_from_dump", "pinned_density", "representation_check",
-        "support_families",
+        "pinned_density", "representation_check", "support_families",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

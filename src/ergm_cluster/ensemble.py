@@ -4,19 +4,21 @@ Everything here sums over all 2^C(n,2) graphs: the exact normalized partition
 function of an interaction, the finite-size free energies psi_n and phi_n,
 and model expectations of motif densities.
 
-Both routes sum over histograms, not graphs.  psi_n and the expectations go
-through raw homomorphism counts, reduced once per (motifs, n) to the distinct
-statistic columns (hom(H_i, G))_i and their graph counts.  partition_normalized
-goes through the sparse interaction: its links are grouped by value, and a
-configuration's energy is fixed by how many links of each class it contains,
-so the distinct class-count columns and their configuration counts are
-reduced once per class structure.  The two pipelines share only the beta-free
-edge-image counts c(H, X) of lattice._support_counts: the hom tables are their
-subset sums, and K is n^2 sum_i beta_i c(H_i, X) / n^m_i.  No K, link class,
-histogram or weight is shared, which is what keeps the identity
-psi_n = (C(n,2) log 2 + log W) / n^2 a cross-check: the hom tables never read
-build_interaction or the link table, and log W reads only the lattice side:
-K, or the beta-free link table and K's value on each of its classes.
+The sums run over histograms, not graphs.  A configuration's energy is fixed
+by how many links of each value class of K it contains, so
+partition_normalized reduces the configurations, once per class structure,
+to their distinct class-count columns and configuration counts
+(_link_histogram).  For a motif family, the beta-free link table of
+lattice groups the links of K_n by their count vectors (c(H_i, X))_i, and
+hom(H_i, G) = sum_c vectors[c][i] r_c(G), where r_c(G) counts the links of
+class c inside E(G).  So the one histogram of the link table's classes,
+built once per (motifs, n), serves the whole exact route: psi_n and the
+expectations weigh its columns mapped to the statistic columns
+(hom(H_i, G))_i (_statistic_histogram), and log W reads it whenever the
+class values are distinct and nonzero.  The identity
+psi_n = (C(n,2) log 2 + log W) / n^2 therefore checks neither side; the
+tests compare both with sums graph by graph over hom tables of their own.
+motif_hom_table, hom(H, G) for every graph by bitmask, is no part of it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .graphs import Motif, check_alignment, check_guard, site_mask
-from .lattice import EdgeSubset, Interaction, _class_couplings, _support_counts
+from .lattice import EdgeSubset, Interaction, _class_couplings, _link_table, _support_counts
 
 
 def _subset_sums(table: np.ndarray) -> np.ndarray:
@@ -46,16 +48,29 @@ def _subset_sums(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _count_table(n: int, counts: dict[EdgeSubset, int]) -> np.ndarray:
+def _count_dtype(total: int) -> np.dtype:
+    """The smallest unsigned dtype of at most 32 bits that holds total, else int64."""
+    return np.min_scalar_type(total) if total < 1 << 32 else np.dtype(np.int64)
+
+
+def _count_table(n: int, counts: dict[EdgeSubset, int], dtype: np.dtype) -> np.ndarray:
     """The sum of counts[X] over the X inside each of the 2^C(n,2) site masks,
-    by one subset-sum transform.  No entry exceeds the sum of the counts, so
-    the table takes the smallest unsigned dtype of at most 32 bits that holds
-    that sum, else int64."""
-    total = sum(counts.values())
-    dtype = np.min_scalar_type(total) if total < 1 << 32 else np.int64
+    by one subset-sum transform.  No entry exceeds the sum of the counts, so a
+    dtype that holds that sum holds every partial sum."""
     table = np.zeros(1 << n * (n - 1) // 2, dtype=dtype)
     table[[site_mask(n, X) for X in counts]] = list(counts.values())
     return _subset_sums(table)
+
+
+def _hom_dtype(H: Motif, n: int) -> np.dtype:
+    """The dtype of H's hom table on K_n: the _count_dtype of its largest
+    entry, hom(H, K_n) = sum_X c(H, X).  Past the int64 range OverflowError,
+    before any table is built."""
+    total = sum(_support_counts(H, n).values()) if n else 0
+    if total >= 1 << 63:
+        raise OverflowError(f"hom({H.name}, K_{n}) = {total} exceeds the int64 "
+                            "range of the hom table")
+    return _count_dtype(total)
 
 
 @lru_cache(maxsize=None)
@@ -63,19 +78,17 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     """hom_count(H, G) for every graph G on n vertices, indexed by bitmask.
 
     hom(H, G) sums c(H, X), the number of vertex maps whose edge image is
-    exactly X, over X inside E(G): the _count_table of lattice._support_counts.
-    Past the table ceiling GuardExceeded is raised before any map is walked,
-    and past the int64 range OverflowError before any table is built.
-    Memoized per (motif, n); the exact array is read-only because it is shared.
+    exactly X, over X inside E(G): the _count_table of lattice._support_counts
+    in the _hom_dtype.  Past the table ceiling GuardExceeded is raised before
+    any map is walked, and past the int64 range OverflowError before any table
+    is built.  Memoized per (motif, n); the exact array is read-only because it
+    is shared.  The exact route never reads it: _statistic_histogram gives the
+    hom counts of every graph.
     """
     check_guard(n, force=True, least=0)
+    dtype = _hom_dtype(H, n)
     # No map reaches the empty vertex set: its one graph has hom 0.
-    counts = _support_counts(H, n) if n else {}
-    total = sum(counts.values())
-    if total >= 1 << 63:
-        raise OverflowError(f"hom({H.name}, K_{n}) = {total} exceeds the int64 "
-                            "range of the hom table")
-    table = _count_table(n, counts)
+    table = _count_table(n, _support_counts(H, n) if n else {}, dtype)
     table.flags.writeable = False
     return table
 
@@ -131,12 +144,32 @@ def _distinct_columns(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
 
 @lru_cache(maxsize=None)
 def _statistic_histogram(motifs: tuple[Motif, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, counts): the distinct columns of the stacked motif_hom_tables.
+    """(rows, counts): the distinct statistic columns (hom(H_i, G))_i, in lexsort order.
 
     rows[i, c] is hom(H_i, G) for each of the counts[c] graphs G of column c,
-    exact, in the tables' common dtype.
+    exact, in the common dtype of the motifs' hom tables, column-major and
+    read-only as _distinct_columns returns them.  Each column of the link
+    table's _link_histogram maps, in Python ints, to the column
+    sum_c vectors[c][i] r_c; columns that map to one merge, counts summed.  An
+    empty link table (n = 1, or the triangle at n = 2) gives one zero column.
+    A hom total past the int64 range raises OverflowError before any table.
     """
-    return _distinct_columns([motif_hom_table(H, n) for H in motifs])
+    dtype = np.result_type(*(_hom_dtype(H, n) for H in motifs))
+    table = _link_table(motifs, n)
+    if not table.classes:
+        histogram = {(0,) * len(motifs): 1 << n * (n - 1) // 2}
+    else:
+        histogram = defaultdict(int)
+        rows, counts = _link_histogram(n, table.classes)
+        homs = list(zip(*table.vectors))
+        for col, count in zip(rows.T.tolist(), counts.tolist()):
+            histogram[tuple(sum(map(mul, col, h)) for h in homs)] += count
+    # The last motif is the most significant, as in _distinct_columns' key.
+    columns = sorted(histogram, key=lambda col: col[::-1])
+    rows = np.array(columns, dtype=dtype).T
+    counts = np.array([histogram[col] for col in columns], dtype=np.int64)
+    rows.flags.writeable = counts.flags.writeable = False
+    return rows, counts
 
 
 def _ensemble_sums(motifs: Sequence[Motif], betas: Sequence[float],
@@ -206,7 +239,8 @@ def _link_histogram(n: int, classes: LinkClasses) -> tuple[np.ndarray, np.ndarra
     configurations of column j, from one _count_table per class.  The cache is
     bounded: an interaction without repeated values has one class per link.
     """
-    return _distinct_columns([_count_table(n, dict.fromkeys(links, 1)) for links in classes])
+    return _distinct_columns([_count_table(n, dict.fromkeys(links, 1), _count_dtype(len(links)))
+                              for links in classes])
 
 
 def _column_energies(rows: np.ndarray, values: Sequence[float]) -> list[float]:
@@ -298,13 +332,14 @@ class EnsembleResult(NamedTuple):
 
 def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
                     force: bool = False) -> EnsembleResult:
-    """Run both exact pipelines for one parameter point.
+    """Run the exact route for one parameter point.
 
     log W reads K's value on each class of the memoized link table, not K:
     with equal values merged and zeros dropped, these are the classes
     _link_classes finds in build_interaction's K, so partition_normalized of
     that K reaches the same histogram entry and bits.  One pass over the
-    statistic histogram serves psi_n and the expectations.
+    statistic histogram, read off the link table's class histogram, serves
+    psi_n and the expectations.
     """
     check_guard(n, force, least=2)
     check_alignment(motifs, betas)

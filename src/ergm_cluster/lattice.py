@@ -263,21 +263,3 @@ def banach_norm(K: Interaction) -> float:
             per_site[e] += a
     return max(per_site.values(), default=0.0)
 
-
-def interaction_dump(K: Interaction) -> list[dict]:
-    """Dump format: a JSON-ready list of {sites, value}, canonically sorted."""
-    return [{"sites": [list(e) for e in X], "value": v} for X, v in K.k_map.items()]
-
-
-def interaction_from_dump(n: int, p_max: int, terms: Iterable[dict]) -> Interaction:
-    """Rebuild an Interaction from its dump plus the (n, p_max) envelope."""
-    k_map: dict[EdgeSubset, float] = {}
-    for term in terms:
-        X = freeze_sites(term["sites"], n)
-        if X in k_map:
-            raise ValueError(f"duplicate subset {X} in dump")
-        try:
-            k_map[X] = float(term["value"])
-        except OverflowError:  # an int no float holds: Interaction names it as given
-            k_map[X] = term["value"]
-    return Interaction(n=n, k_map=k_map, p_max=p_max)

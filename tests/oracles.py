@@ -15,7 +15,7 @@ columns of stacked tables by one lexsort, the energy of
 every configuration by one masking pass per interaction link and by one
 float subset-sum transform, the interaction accumulated in Fractions, and
 psi_n and the motif expectations summed graph by graph over one log-weight
-per graph, the hom tables by a numpy walk that grows every vertex map at
+per graph from those numpy-walk tables, the hom tables by a numpy walk that grows every vertex map at
 once, and the exact-image counts c(H, X) by inverting that table.
 Three check quantities the library never needs: the absolute cluster mass
 pinned to one polymer, which the Kotecky-Preiss condition bounds, W resummed
@@ -25,7 +25,8 @@ match the motif expectation.  The last few are small graph helpers the
 library never calls: empty and complete graphs, a graph from its site mask
 and back, every graph on n vertices (under the library's size guard), the
 weighted density sum_i beta_i t(H_i, G), one site's absolute interaction
-sum, and the Hamiltonian of one graph.
+sum, and the Hamiltonian of one graph.  The interaction's JSON dump and its
+reader serve only tests as well.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from ergm_cluster.expansion import (
     _log_series,
     _polymer_sums,
 )
-from ergm_cluster.ensemble import _subset_sums, expectation_densities, motif_hom_table, psi_n
+from ergm_cluster.ensemble import _subset_sums, expectation_densities, psi_n
 from ergm_cluster.graphs import (
     GuardExceeded,
     Motif,
@@ -594,14 +595,34 @@ def interaction_by_fractions(motifs: Sequence[Motif], betas: Sequence[float],
     return Interaction(n=n, k_map=k_map, p_max=max(H.p for H in motifs))
 
 
+def interaction_dump(K: Interaction) -> list[dict]:
+    """A JSON-ready list of {sites, value}, one per link, in K's sorted order."""
+    return [{"sites": [list(e) for e in X], "value": v} for X, v in K.k_map.items()]
+
+
+def interaction_from_dump(n: int, p_max: int, terms: Iterable[dict]) -> Interaction:
+    """Rebuild an Interaction from its dump plus the (n, p_max) envelope.
+
+    Each value goes to Interaction as given, which refuses a non-finite one
+    and a string, so a dump must carry numbers."""
+    k_map: dict[EdgeSubset, float] = {}
+    for term in terms:
+        X = freeze_sites(term["sites"], n)
+        if X in k_map:
+            raise ValueError(f"duplicate subset {X} in dump")
+        k_map[X] = term["value"]
+    return Interaction(n=n, k_map=k_map, p_max=p_max)
+
+
 def graph_log_weights(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> np.ndarray:
-    """n^2 * T(G) for every graph by bitmask, T(G) = sum_i beta_i t(H_i, G)."""
+    """n^2 * T(G) for every graph by bitmask, T(G) = sum_i beta_i t(H_i, G),
+    from the hom tables of hom_table_by_numpy_walk."""
     check_alignment(motifs, betas)
     weights = np.zeros(1 << n * (n - 1) // 2, dtype=np.float64)
     n2 = float(n * n)
     for H, b in zip(motifs, betas):
         if b != 0:
-            weights += (n2 * float(b) / n ** H.m) * motif_hom_table(H, n)
+            weights += (n2 * float(b) / n ** H.m) * hom_table_by_numpy_walk(H, n)
     return weights
 
 
@@ -618,7 +639,7 @@ def expectations_by_graph(motifs: Sequence[Motif], betas: Sequence[float],
     weights = graph_log_weights(motifs, betas, n)
     probs = np.exp(weights - np.max(weights))
     probs /= np.sum(probs)
-    return [float(np.sum(motif_hom_table(H, n) * probs)) / n ** H.m for H in motifs]
+    return [float(np.sum(hom_table_by_numpy_walk(H, n) * probs)) / n ** H.m for H in motifs]
 
 
 def derivative_check(motifs: Sequence[Motif], betas: Sequence[float], n: int,

@@ -35,7 +35,6 @@ from ergm_cluster.ensemble import (
     motif_hom_table,
 )
 from ergm_cluster.graphs import all_edge_sites, edge_index
-from ergm_cluster.lattice import interaction_dump, interaction_from_dump
 
 from oracles import (
     derivative_check,
@@ -46,6 +45,8 @@ from oracles import (
     graph_from_mask,
     hamiltonian,
     hom_table_by_numpy_walk,
+    interaction_dump,
+    interaction_from_dump,
     psi_by_graph,
 )
 
@@ -469,23 +470,33 @@ class TestEnergies:
                 want = -hamiltonian(K, graph_from_mask(n, mask))
                 assert abs(got[mask] - want) <= _sum_bound(K), mask
 
-    def test_hom_route_reads_no_interaction(self, monkeypatch, two_star, triangle):
-        motifs, betas = [two_star, triangle], [0.04, -0.03]
-        want = psi_n(motifs, betas, 5), expectation_densities(motifs, betas, 5)
+    @pytest.mark.parametrize("names,betas,n", [
+        (("two-star", "triangle"), [0.04, -0.03], 5),
+        (("edge", "two-star", "triangle", "diamond", "K4"), [0.3, -0.2, 0.1, 0.05, -0.02], 6),
+        (("triangle",), [0.7], 2),
+    ])
+    def test_exact_route_reads_no_hom_table(self, monkeypatch, names, betas, n):
+        motifs = _family(*names)
+
+        def bits():
+            res = ensemble_result(motifs, betas, n)
+            return (psi_n(motifs, betas, n).hex(),
+                    [e.hex() for e in expectation_densities(motifs, betas, n)],
+                    res.psi.hex(), res.log_w_normalized.hex(), res.phi.hex(),
+                    [e.hex() for e in res.expectations])
+
+        want = bits()
 
         def refuse(*args, **kwargs):
-            raise AssertionError("psi_n and the expectations must not read the interaction")
+            raise AssertionError("the exact route must not read a hom table")
 
-        monkeypatch.setattr(lattice, "build_interaction", refuse)
-        monkeypatch.setattr(lattice, "support_families", refuse)
-        monkeypatch.setattr(lattice, "_link_table", refuse)
-        monkeypatch.setattr(ensemble, "_link_histogram", refuse)
-        # Rebuild the memoized tables under the patch, so the check is not
-        # answered from a cache filled before it.
-        _statistic_histogram.cache_clear()
-        motif_hom_table.cache_clear()
-        assert psi_n(motifs, betas, 5) == want[0]
-        assert expectation_densities(motifs, betas, 5) == want[1]
+        monkeypatch.setattr(ensemble, "motif_hom_table", refuse)
+        # Rebuild the memoized tables and histograms under the patch, so the
+        # check is not answered from a cache filled before it.
+        for cached in (motif_hom_table, _statistic_histogram, _link_histogram,
+                       lattice._link_table, lattice._support_counts):
+            cached.cache_clear()
+        assert bits() == want
 
     def test_log_w_reads_no_hom_table(self, monkeypatch, two_star, triangle):
         K = build_interaction([two_star, triangle], [0.04, -0.03], 5)
@@ -596,6 +607,44 @@ class TestHistogram:
             assert abs(float((res.psi - psi) / psi)) <= 1e-14, betas
             for got, want in zip(res.expectations, expect):
                 assert abs(float((got - want) / want)) <= 1e-14, betas
+
+
+ZERO = (0.0).hex()
+
+
+class TestEmptyLinkTable:
+    # No motif has a link at n = 1, nor the triangle at n = 2: every graph has
+    # hom 0 there, so psi_n is C(n,2) log 2 / n^2 and each expectation is 0.
+    @pytest.mark.parametrize("names", [(name,) for name in BUILTIN_MOTIFS]
+                             + [tuple(BUILTIN_MOTIFS)], ids="+".join)
+    @pytest.mark.parametrize("beta", [0.3, -2.0])
+    def test_one_vertex(self, names, beta):
+        motifs = [BUILTIN_MOTIFS[x] for x in names]
+        betas = [beta] * len(motifs)
+        assert lattice._link_table(tuple(motifs), 1).classes == ()
+        assert psi_n(motifs, betas, 1).hex() == ZERO
+        assert [e.hex() for e in expectation_densities(motifs, betas, 1)] == [ZERO] * len(motifs)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            ensemble_result(motifs, betas, 1)
+
+    @pytest.mark.parametrize("names,betas,psi,log_w,expectations", [
+        (("triangle",), [0.3], "0x1.62e42fefa39efp-3", ZERO, [ZERO]),
+        (("triangle",), [-5.0], "0x1.62e42fefa39efp-3", ZERO, [ZERO]),
+        (("edge", "triangle"), [0.05, 0.02], "0x1.7d218f1c8904fp-3", "0x1.a3d5f2ce56602p-5",
+         ["0x1.0cca12729afb8p-2", ZERO]),
+        (("edge", "triangle"), [-1.5, 4.0], "0x1.8e070fc0456f2p-7", "-0x1.4a03bef39f47fp-1",
+         ["0x1.848343c905446p-6", ZERO]),
+    ])
+    def test_two_vertices(self, names, betas, psi, log_w, expectations):
+        motifs = [BUILTIN_MOTIFS[x] for x in names]
+        if names == ("triangle",):
+            assert lattice._link_table(tuple(motifs), 2).classes == ()
+            assert float.fromhex(psi) == math.log(2) / 4
+        res = ensemble_result(motifs, betas, 2)
+        assert (res.psi.hex(), res.log_w_normalized.hex(), res.phi.hex()) == (psi, log_w, log_w)
+        assert [e.hex() for e in res.expectations] == expectations
+        assert psi_n(motifs, betas, 2).hex() == psi
+        assert [e.hex() for e in expectation_densities(motifs, betas, 2)] == expectations
 
 
 def _mp_log_w(K):

@@ -15,8 +15,6 @@ from ergm_cluster import (
     exact_density,
     exact_hom_count,
     hom_density,
-    interaction_dump,
-    interaction_from_dump,
     partition_normalized,
     pinned_density,
     representation_check,
@@ -32,6 +30,8 @@ from oracles import (
     graph_from_mask,
     hamiltonian,
     interaction_by_fractions,
+    interaction_dump,
+    interaction_from_dump,
     pinned_abs_sum,
     weighted_density,
 )

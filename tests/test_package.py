@@ -76,8 +76,9 @@ def test_every_export_resolves_and_is_listed():
                  "kinds = {name: type(getattr(e, name)).__name__ for name in e.__all__}\n"
                  "print(json.dumps([e.__all__, listed, kinds, e.__version__]))")
     names, listed, kinds, version = out
-    assert len(names) == 45 and names == sorted(set(names))
-    assert not {"report_jsonable", "results_csv"} & set(names)
+    assert len(names) == 43 and names == sorted(set(names))
+    assert not {"report_jsonable", "results_csv", "interaction_dump",
+                "interaction_from_dump"} & set(names)
     assert set(names) <= set(listed) and listed == sorted(listed)
     assert set(kinds) == set(names) and "module" not in kinds.values()
     assert version == "0.1.0"

@@ -24,6 +24,8 @@ from ergm_cluster import (
 )
 from ergm_cluster.lattice import _link_table
 
+from oracles import expectations_by_graph, psi_by_graph
+
 GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
 
 FAMILIES = [(("edge", "triangle"), 6), (("two-star", "triangle"), 5),
@@ -109,6 +111,26 @@ def test_ladder_covers_merges_zeros_and_both_branches(family):
         shifted += log_w < -1.0 or sum(K.k_map.values()) > 800.0
         plain += log_w > -0.5 and sum(map(abs, K.k_map.values())) < 600.0
     assert min(merged, zero, shifted, plain) >= 2, (merged, zero, shifted, plain)
+
+
+@pytest.mark.parametrize("family", range(len(FAMILIES)))
+def test_psi_and_expectations_match_the_per_graph_oracles(family):
+    # psi and log W read one histogram, so the identity between them checks
+    # neither; the per-graph sums over the numpy-walk hom tables share no
+    # table with the library.  Their weights are the library's floats, so
+    # only the sums differ: psi within 1e-14 relative plus 1e-15 / n^2 for
+    # log z near 0, each expectation, a sum of positive terms, within 1e-14
+    # relative.
+    entry = _golden()[family]
+    motifs, n = _motifs(entry["motifs"]), entry["n"]
+    for point in entry["points"]:
+        betas = [float.fromhex(b) for b in point["betas"]]
+        psi = float.fromhex(point["psi"])
+        want = psi_by_graph(motifs, betas, n)
+        assert abs(psi - want) <= 1e-14 * abs(want) + 1e-15 / (n * n), betas
+        got = [float.fromhex(e) for e in point["expectations"]]
+        for e, w in zip(got, expectations_by_graph(motifs, betas, n)):
+            assert abs(e - w) <= 1e-14 * abs(w), betas
 
 
 def main():
