@@ -48,11 +48,6 @@ def _subset_sums(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _count_dtype(total: int) -> np.dtype:
-    """The smallest unsigned dtype of at most 32 bits that holds total, else int64."""
-    return np.min_scalar_type(total) if total < 1 << 32 else np.dtype(np.int64)
-
-
 def _count_table(n: int, counts: dict[EdgeSubset, int], dtype: np.dtype) -> np.ndarray:
     """The sum of counts[X] over the X inside each of the 2^C(n,2) site masks,
     by one subset-sum transform.  No entry exceeds the sum of the counts, so a
@@ -63,14 +58,14 @@ def _count_table(n: int, counts: dict[EdgeSubset, int], dtype: np.dtype) -> np.n
 
 
 def _hom_dtype(H: Motif, n: int) -> np.dtype:
-    """The dtype of H's hom table on K_n: the _count_dtype of its largest
-    entry, hom(H, K_n) = sum_X c(H, X).  Past the int64 range OverflowError,
-    before any table is built."""
+    """The dtype of H's hom table on K_n: the smallest unsigned one of at most
+    32 bits that holds its largest entry, hom(H, K_n) = sum_X c(H, X), else
+    int64.  Past the int64 range OverflowError, before any table is built."""
     total = sum(_support_counts(H, n).values()) if n else 0
     if total >= 1 << 63:
         raise OverflowError(f"hom({H.name}, K_{n}) = {total} exceeds the int64 "
                             "range of the hom table")
-    return _count_dtype(total)
+    return np.min_scalar_type(total) if total < 1 << 32 else np.dtype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +77,7 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     in the _hom_dtype.  Past the table ceiling GuardExceeded is raised before
     any map is walked, and past the int64 range OverflowError before any table
     is built.  Memoized per (motif, n); the exact array is read-only because it
-    is shared.  The exact route never reads it: _statistic_histogram gives the
-    hom counts of every graph.
+    is shared.  No route reads it.
     """
     check_guard(n, force=True, least=0)
     dtype = _hom_dtype(H, n)
@@ -239,8 +233,8 @@ def _link_histogram(n: int, classes: LinkClasses) -> tuple[np.ndarray, np.ndarra
     configurations of column j, from one _count_table per class.  The cache is
     bounded: an interaction without repeated values has one class per link.
     """
-    return _distinct_columns([_count_table(n, dict.fromkeys(links, 1), _count_dtype(len(links)))
-                              for links in classes])
+    return _distinct_columns([_count_table(n, dict.fromkeys(links, 1),
+                                           np.min_scalar_type(len(links))) for links in classes])
 
 
 def _column_energies(rows: np.ndarray, values: Sequence[float]) -> list[float]:

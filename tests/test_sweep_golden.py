@@ -125,11 +125,10 @@ def test_psi_and_expectations_match_the_per_graph_oracles(family):
     motifs, n = _motifs(entry["motifs"]), entry["n"]
     for point in entry["points"]:
         betas = [float.fromhex(b) for b in point["betas"]]
-        psi = float.fromhex(point["psi"])
+        res = ensemble_result(motifs, betas, n)
         want = psi_by_graph(motifs, betas, n)
-        assert abs(psi - want) <= 1e-14 * abs(want) + 1e-15 / (n * n), betas
-        got = [float.fromhex(e) for e in point["expectations"]]
-        for e, w in zip(got, expectations_by_graph(motifs, betas, n)):
+        assert abs(res.psi - want) <= 1e-14 * abs(want) + 1e-15 / (n * n), betas
+        for e, w in zip(res.expectations, expectations_by_graph(motifs, betas, n), strict=True):
             assert abs(e - w) <= 1e-14 * abs(w), betas
 
 
