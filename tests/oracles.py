@@ -15,8 +15,9 @@ columns of stacked tables by one lexsort, the energy of
 every configuration by one masking pass per interaction link and by one
 float subset-sum transform, the interaction accumulated in Fractions, and
 psi_n and the motif expectations summed graph by graph over one log-weight
-per graph from those numpy-walk tables, the hom tables by a numpy walk that grows every vertex map at
-once, and the exact-image counts c(H, X) by inverting that table.
+per graph, the hom tables that those sums read by a numpy walk that grows
+every vertex map at once, and the exact-image counts c(H, X) by inverting
+that table.
 Three check quantities the library never needs: the absolute cluster mass
 pinned to one polymer, which the Kotecky-Preiss condition bounds, W resummed
 over every family of disjoint polymers, which must equal the exact partition

@@ -117,8 +117,8 @@ def test_ladder_covers_merges_zeros_and_both_branches(family):
 def test_psi_and_expectations_match_the_per_graph_oracles(family):
     # psi and log W read one histogram, so the identity between them checks
     # neither; the per-graph sums over the numpy-walk hom tables share no
-    # table with the library.  Their weights are the library's floats, so
-    # only the sums differ: psi within 1e-14 relative plus 1e-15 / n^2 for
+    # table with the library.  They form each log-weight as the library does,
+    # so only the sums differ: psi within 1e-14 relative plus 1e-15 / n^2 for
     # log z near 0, each expectation, a sum of positive terms, within 1e-14
     # relative.
     entry = _golden()[family]
