@@ -26,9 +26,9 @@ _EXPORTS = {
         "expansion_report", "kp_certify", "polymer_table", "truncated_log_partition",
     ),
     "graphs": (
-        "BUILTIN_MOTIFS", "ENSEMBLE_GUARD", "GuardExceeded", "Motif", "SimpleGraph",
-        "all_edge_sites", "graph_from_json", "hom_count", "hom_density", "load_motif",
-        "make_graph", "motif_from_json",
+        "BUILTIN_MOTIFS", "GuardExceeded", "Motif", "SimpleGraph", "all_edge_sites",
+        "graph_from_json", "hom_count", "hom_density", "load_motif", "make_graph",
+        "motif_from_json",
     ),
     "lattice": (
         "Interaction", "banach_norm", "build_interaction", "exact_density", "exact_hom_count",

@@ -18,9 +18,10 @@ Exit codes: 0 success (including negative certificate verdicts, which are
 valid results), 2 invalid configuration (non-finite numbers and inputs whose
 arithmetic overflows included: a partial sum or majorant coefficient past
 the float range exits 2 before anything is printed), 3 a guard refused the
-job: the n <= 6 size guard without --force, the n <= 7 ceiling with it (exact
-and expand only), the 2^24 vertex-map budget of a motif walk, or the
-connected-set budget.
+job before its work: the n <= 7 ceiling (exact and expand only), the 2^24
+vertex-map budget of a motif walk, the connected-set budget, or the 2^26
+budget on the entries one sweep over the site masks may touch.  No option
+lifts a guard.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 # The options with a built-in value; a flag beats the --config file, which beats these.
-DEFAULTS = {"format": "json", "order": 4, "max_links": 4, "n_max": 30, "force": False}
+DEFAULTS = {"format": "json", "order": 4, "max_links": 4, "n_max": 30}
 
 
 def _merge_config(ns: argparse.Namespace) -> None:
@@ -122,14 +123,13 @@ def _merge_config(ns: argparse.Namespace) -> None:
 
 
 def _as_flag(action: argparse.Action, value):
-    """A config value through its flag's checks.  A switch takes a JSON boolean,
-    a list option a non-empty list, and a typed option what its type parses
-    from the value's text: 3.7 is no --n, true no --betas."""
+    """A config value through its flag's checks.  A list option takes a
+    non-empty list, and a typed option what its type parses from the value's
+    text: 3.7 is no --n, true no --betas."""
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"unknown {action.dest} {value!r}")
     many = action.nargs == "+"
-    ok = (isinstance(value, bool) if action.nargs == 0 else
-          not many or isinstance(value, list) and len(value) > 0)
+    ok = not many or isinstance(value, list) and len(value) > 0
     if ok and action.type is not None:
         try:
             value = [action.type(str(v)) for v in value] if many else action.type(str(value))
@@ -233,7 +233,7 @@ def cmd_exact(ns: argparse.Namespace) -> int:
     motifs = _motifs(ns)
     betas = _betas(ns)
     n = _need_int(ns, "n")
-    res = ensemble_result(motifs, betas, n, force=ns.force)
+    res = ensemble_result(motifs, betas, n)
     print(f"psi_{n} = {_fmt(res.psi)}")
     print(f"phi_{n} = {_fmt(res.phi)}")
     for H, e in zip(motifs, res.expectations):
@@ -253,8 +253,7 @@ def cmd_expand(ns: argparse.Namespace) -> int:
     motifs = _motifs(ns)
     betas = _betas(ns)
     n = _need_int(ns, "n")
-    report = expansion_report(motifs, betas, n, order=ns.order, max_links=ns.max_links,
-                              force=ns.force)
+    report = expansion_report(motifs, betas, n, order=ns.order, max_links=ns.max_links)
     for row in report.orders:
         print(f"order {row.order}: partial = {_fmt(row.partial_sum)}, "
               f"gap = {_fmt(row.gap_to_exact)}, tail bound = {_cell(row.tail_bound) or 'n/a'}")
@@ -332,14 +331,11 @@ def cmd_coeffs(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, force: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="artifact path (written atomically)")
     sub.add_argument("--format", choices=("csv", "json"),
                      help="artifact format (default json)")
     sub.add_argument("--config", help="JSON config file; flags override it")
-    if force:
-        sub.add_argument("--force", action="store_true", default=None,
-                         help="run past the n <= 6 size guard, up to n = 7")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--motifs", "--motif", nargs="+", dest="motifs")
     s.add_argument("--betas", "--beta", nargs="+", type=float, dest="betas")
     s.add_argument("--n", type=int)
-    _add_common(s, force=True)
+    _add_common(s)
     s.set_defaults(func=cmd_exact)
 
     s = subs.add_parser("expand",
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--order", type=int, help="truncation order (default 4)")
     s.add_argument("--max-links", type=int, dest="max_links",
                    help="largest hypergraph used to build polymers (default 4)")
-    _add_common(s, force=True)
+    _add_common(s)
     s.set_defaults(func=cmd_expand)
 
     s = subs.add_parser("region", help="convergence budget in parameter space")

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Motif, check_alignment, check_guard, site_mask
+from .graphs import SWEEP_BUDGET, GuardExceeded, Motif, check_alignment, check_guard, site_mask
 from .lattice import EdgeSubset, Interaction, _class_couplings, _link_table, _support_counts
 
 
@@ -79,7 +79,7 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     is built.  Memoized per (motif, n); the exact array is read-only because it
     is shared.  No route reads it.
     """
-    check_guard(n, force=True, least=0)
+    check_guard(n, least=0)
     dtype = _hom_dtype(H, n)
     # No map reaches the empty vertex set: its one graph has hom 0.
     table = _count_table(n, _support_counts(H, n) if n else {}, dtype)
@@ -191,9 +191,9 @@ def _ensemble_sums(motifs: Sequence[Motif], betas: Sequence[float],
     return (hi + math.log(z)) / (n * n), expectations
 
 
-def psi_n(motifs: Sequence[Motif], betas: Sequence[float], n: int, force: bool = False) -> float:
+def psi_n(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> float:
     """Finite-size free energy (1/n^2) log sum_G exp(n^2 T(G))."""
-    check_guard(n, force)
+    check_guard(n)
     check_alignment(motifs, betas)
     return _ensemble_sums(motifs, betas, n)[0]
 
@@ -232,7 +232,14 @@ def _link_histogram(n: int, classes: LinkClasses) -> tuple[np.ndarray, np.ndarra
     rows[c, j] is the number of links of classes[c] inside each of the counts[j]
     configurations of column j, from one _count_table per class.  The cache is
     bounded: an interaction without repeated values has one class per link.
+    Past SWEEP_BUDGET count-table entries GuardExceeded is raised before any
+    table is built.
     """
+    entries = len(classes) << n * (n - 1) // 2
+    if entries > SWEEP_BUDGET:
+        raise GuardExceeded(f"the link histogram of {len(classes)} classes at n={n} needs "
+                            f"{entries} count-table entries, past the budget of {SWEEP_BUDGET}",
+                            hint="use fewer motifs or distinct link values, or a smaller --n")
     return _distinct_columns([_count_table(n, dict.fromkeys(links, 1),
                                            np.min_scalar_type(len(links))) for links in classes])
 
@@ -267,7 +274,7 @@ def _column_energies(rows: np.ndarray, values: Sequence[float]) -> list[float]:
     return energies
 
 
-def partition_normalized(K: Interaction, force: bool = False) -> float:
+def partition_normalized(K: Interaction) -> float:
     """log W for W = 2^-C(n,2) sum over configurations of exp(sum K(X) sigma_X).
 
     A configuration's energy depends only on how many links of each value class
@@ -276,7 +283,7 @@ def partition_normalized(K: Interaction, force: bool = False) -> float:
     log1p(mean expm1(E)) keeps full relative precision while mean exp(E) >= 1/2
     and exp(E) is finite, else log-sum-exp.
     """
-    check_guard(K.n, force)
+    check_guard(K.n)
     return _log_w(K.n, *_link_classes(K))
 
 
@@ -296,16 +303,16 @@ def _log_w(n: int, classes: LinkClasses, values: Sequence[float]) -> float:
     return hi + math.log(shifted) - math.log(1 << sites)
 
 
-def phi_n(K: Interaction, force: bool = False) -> float:
+def phi_n(K: Interaction) -> float:
     """Per-site free energy log W / C(n,2); refused at n < 2, where it is 0/0."""
-    check_guard(K.n, force, least=2)
-    return partition_normalized(K, force=force) / (K.n * (K.n - 1) // 2)
+    check_guard(K.n, least=2)
+    return partition_normalized(K) / (K.n * (K.n - 1) // 2)
 
 
-def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float], n: int,
-                          force: bool = False) -> list[float]:
+def expectation_densities(motifs: Sequence[Motif], betas: Sequence[float],
+                          n: int) -> list[float]:
     """Model expectations E[t(H_i, G)] under the exponential family weights."""
-    check_guard(n, force)
+    check_guard(n)
     check_alignment(motifs, betas)
     return _ensemble_sums(motifs, betas, n)[1]
 
@@ -324,8 +331,7 @@ class EnsembleResult(NamedTuple):
     expectations: tuple[float, ...]
 
 
-def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
-                    force: bool = False) -> EnsembleResult:
+def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int) -> EnsembleResult:
     """Run the exact route for one parameter point.
 
     log W reads K's value on each class of the memoized link table, not K:
@@ -333,13 +339,14 @@ def ensemble_result(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     _link_classes finds in build_interaction's K, so partition_normalized of
     that K reaches the same histogram entry and bits.  One pass over the
     statistic histogram, read off the link table's class histogram, serves
-    psi_n and the expectations.
+    psi_n and the expectations.  It runs before log W, so a hom total past
+    the int64 range raises OverflowError before any histogram is built.
     """
-    check_guard(n, force, least=2)
+    check_guard(n, least=2)
     check_alignment(motifs, betas)
     table, values = _class_couplings(motifs, betas, n)
-    log_w = _log_w(n, *_merge_by_value(table.classes, values))
     psi, expectations = _ensemble_sums(motifs, betas, n)
+    log_w = _log_w(n, *_merge_by_value(table.classes, values))
     return EnsembleResult(
         n=n,
         betas=tuple(map(float, betas)),

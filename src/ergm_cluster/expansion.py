@@ -39,8 +39,8 @@ import numpy as np
 from .coefficients import (_majorant_tail, _or_inf, _validate_base, optimal_M, radius_and_tail,
                            region_bound)
 from .ensemble import partition_normalized
-from .graphs import (TABLE_SITES, GuardExceeded, Motif, all_edge_sites, check_alignment,
-                     check_guard, mask_sites, site_mask)
+from .graphs import (TABLE_SITES, Motif, all_edge_sites, check_alignment, check_guard,
+                     mask_sites, site_mask)
 from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
 from .subsets import CHUNK, DEFAULT_MAX_COUNT, _connected_walk, _family_totals, _words
 
@@ -220,12 +220,7 @@ def truncated_log_partition(K: Interaction, order: int, max_links: int = 4) -> l
     """
     _check_order(order)
     _check_max_links(max_links)
-    try:
-        check_guard(K.n)
-    except GuardExceeded as exc:
-        check_guard(K.n, force=True)  # the ceiling keeps its own hint
-        exc.hint = f"expansion_report(..., force=True) runs the same series at n={K.n}"
-        raise
+    check_guard(K.n)
     sys = _LinkSystem(K)
     masks, _, activities, _ = _polymer_sums(sys, max_links)
     return _partials(sys, masks, activities, order)
@@ -355,7 +350,7 @@ class ExpansionReport(NamedTuple):
 
 
 def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
-                     order: int = 4, max_links: int = 4, force: bool = False) -> ExpansionReport:
+                     order: int = 4, max_links: int = 4) -> ExpansionReport:
     """Run the whole expansion pipeline for one parameter point.
 
     The certificate's exact head reaches max_links links, and its weight base
@@ -366,7 +361,7 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     check_alignment(motifs, betas)
     _check_order(order)
     _check_max_links(max_links)
-    check_guard(n, force)
+    check_guard(n)
     site_count = n * (n - 1) // 2
     p = max(H.p for H in motifs)
     m = max(H.m for H in motifs)
@@ -379,7 +374,7 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     masks, sizes, activities, bounds = _polymer_sums(sys, max_links)
     cert = _certify(sys.sites, masks, sizes, bounds, M, max_links, norm, p)
     partials = _partials(sys, masks, activities, order)
-    exact = partition_normalized(K, force=force)
+    exact = partition_normalized(K)
     tail_fn: Callable[[int], float] | None = None
     if p >= 2 and norm > 0:
         _, tail_fn = radius_and_tail(p, norm, M)

@@ -27,14 +27,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequ
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# The hom tables, log W and the series sweep all tabulate the 2^C(n,2)
-# edge-site masks.  From n = 6 (2^15 masks) to n = 7 (2^21), exact edge+triangle
-# went from 2 to 77 ms, and expand two-star+triangle at order 4 with three-link
-# polymers from 0.2 s and 31 MB to 8.5 s and 124 MB (2-CPU box, Python 3.11).
-ENSEMBLE_GUARD = 6
-# The largest site-mask table any route builds, force or not: 2^21 entries at
-# n = 7.  At n = 8 one float64 table over the 2^28 masks would take 2 GB.
+# The largest site-mask table any route builds: 2^21 entries at n = 7.  At
+# n = 8 one float64 table over the 2^28 masks would take 2 GB.
 TABLE_SITES = 21
+# The most table entries one pass over the site masks may touch: the
+# polymer-gas sweep's (polymer, subset) pairs over its orders past the first,
+# or the link histogram's count-table entries.  Every n <= 6 sweep fits (all
+# 2^15 - 1 masks at order 8: 5.0e7 pairs); at n = 7 the largest admitted
+# series take about 2 s on a 2-CPU box.
+SWEEP_BUDGET = 1 << 26
 # The most vertex maps _maps walks (leaf calls, for a leaf that only reads its
 # candidate mask): a 10-vertex path into K_6 (11.7 M maps) takes about 8 s on a
 # 2-CPU box; an 11-vertex path (58.6 M) would take minutes.
@@ -42,28 +43,23 @@ MAP_BUDGET = 1 << 24
 
 
 class GuardExceeded(RuntimeError):
-    """A job refused before it starts.  force=True (CLI --force) lifts the size
-    guard n <= ENSEMBLE_GUARD up to the TABLE_SITES ceiling, but neither the
-    ceiling, nor the vertex-map budget, nor the series' connected-set budget,
-    whose hints name what does help instead."""
+    """A job refused before it starts: past the TABLE_SITES ceiling, the
+    vertex-map budget, the series' connected-set budget or SWEEP_BUDGET.  No
+    option lifts any of them; the hint names what does help."""
 
-    def __init__(self, message: str, hint: str = "pass --force to override"):
+    def __init__(self, message: str, hint: str):
         super().__init__(message)
         self.hint = hint
 
 
-def check_guard(n: int, force: bool = False, least: int = 1) -> None:
-    """Refuse a sweep over the 2^C(n,2) site masks past n = ENSEMBLE_GUARD, and
-    past TABLE_SITES sites even with force."""
+def check_guard(n: int, least: int = 1) -> None:
+    """Refuse a sweep over the 2^C(n,2) site masks past TABLE_SITES sites."""
     if n < least:
         raise ValueError(f"need n >= {least} vertices, got n={n}")
     if n * (n - 1) // 2 > TABLE_SITES:
         raise GuardExceeded(f"exhaustive sweep over the 2^C(n,2) site masks at n={n} "
                             f"exceeds the ceiling of {TABLE_SITES} sites",
                             hint="no option lifts the ceiling: use n <= 7")
-    if n > ENSEMBLE_GUARD and not force:
-        raise GuardExceeded(f"exhaustive sweep over the 2^C(n,2) site masks at n={n} "
-                            f"exceeds guard n<={ENSEMBLE_GUARD}")
 
 
 def canonical_edge(u: int, v: int, n: int) -> tuple[int, int]:
@@ -323,9 +319,8 @@ def _maps(H: Motif, adj: Sequence[int],
         what = "vertex maps" if walk_last else "partial vertex maps"
         raise GuardExceeded(f"{H.name} has up to {bound} {what} into the host, "
                             f"past the budget of {MAP_BUDGET}",
-                            hint="--force does not lift the map budget: use a motif "
-                                 "with fewer vertices, a smaller --n, or a smaller "
-                                 "or sparser --graph")
+                            hint="use a motif with fewer vertices, a smaller --n, "
+                                 "or a smaller or sparser --graph")
     last = len(earlier) - 1
     images = [0] * last
     everyone = (1 << len(adj)) - 1

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import GuardExceeded
+from .graphs import SWEEP_BUDGET, GuardExceeded
 
 # Enumeration stops with GuardExceeded after this many connected sets.
 DEFAULT_MAX_COUNT = 5_000_000
@@ -123,7 +123,7 @@ def _connected_walk(adj: Sequence[int], max_size: int,
             count += more
             if count > max_count:
                 raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
-                                    hint="lower --max-links; --force does not lift this budget")
+                                    hint="lower --max-links")
     values = [v for v, _, _ in columns]
     tables = []
     for v, op, identity in columns:
@@ -195,16 +195,22 @@ def _family_totals(site_count: int, masks: Sequence[int], weights: Sequence[floa
     w_P t[k-1, R] is added at P + R.  Polymers with the same number of such
     subsets go together as a (polymer, R) grid, in chunks of CHUNK pairs or,
     for larger tables, of at most a 32nd of the table's entries.  Xi_k is the
-    (pairwise) sum of t[k].
+    (pairwise) sum of t[k].  Pairs past SWEEP_BUDGET over the orders past the
+    first raise GuardExceeded before the table is allocated.
     """
-    t = np.zeros((order + 1, 1 << site_count))
-    t[0, 0] = 1.0
     masks = np.asarray(masks, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    np.add.at(t[1], masks, weights)
     top = np.array([m.bit_length() - 1 for m in masks.tolist()], dtype=np.int64)
     free = ((1 << top) - 1) & ~masks
     sizes = _popcounts(free[:, None])
+    pairs = int(np.sum(1 << sizes)) * (order - 1)
+    if pairs > SWEEP_BUDGET:
+        raise GuardExceeded(f"the polymer-gas sweep through order {order} visits {pairs} "
+                            f"(polymer, subset) pairs, past the budget of {SWEEP_BUDGET}",
+                            hint="lower --order or --max-links, or use a smaller --n")
+    t = np.zeros((order + 1, 1 << site_count))
+    t[0, 0] = 1.0
+    weights = np.asarray(weights, dtype=np.float64)
+    np.add.at(t[1], masks, weights)
     key = top * 64 + sizes
     by_key = np.array(sorted(range(len(key)), key=key.tolist().__getitem__), dtype=np.int64)
     key, sizes, free = key[by_key], sizes[by_key], free[by_key]

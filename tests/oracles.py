@@ -24,7 +24,7 @@ over every family of disjoint polymers, which must equal the exact partition
 function, and the central difference of psi_n in one coupling, which must
 match the motif expectation.  The last few are small graph helpers the
 library never calls: empty and complete graphs, a graph from its site mask
-and back, every graph on n vertices (under the library's size guard), the
+and back, every graph on n vertices (under the library's table ceiling), the
 weighted density sum_i beta_i t(H_i, G), one site's absolute interaction
 sum, and the Hamiltonian of one graph.  The interaction's JSON dump and its
 reader serve only tests as well.
@@ -86,7 +86,8 @@ def _spin_sum(values: Sequence[float], masks: Sequence[int], nmask: int) -> floa
         site_bits.append(bit)
     s = len(site_bits)
     if s > SPIN_GUARD:
-        raise GuardExceeded(f"spin sum over {s} sites exceeds guard {SPIN_GUARD}")
+        raise GuardExceeded(f"spin sum over {s} sites exceeds guard {SPIN_GUARD}",
+                            hint="use a support of fewer sites")
     total = 0.0
     for occ in range(1 << s):
         sigma = 0
@@ -240,7 +241,7 @@ def _connected_batches(adj: Sequence[int], max_size: int, masks: Sequence[int],
         budget -= 1 + leaves.bit_count()
         if budget < 0:
             raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
-                                hint="lower --max-links; --force does not lift this budget")
+                                hint="lower --max-links")
         yield sub, support, w, v, leaves
         if full:
             return
@@ -362,7 +363,8 @@ def ursell_coefficient(supports: Sequence[Sequence[Sequence[int]]]) -> int:
     if k == 0:
         raise ValueError("the empty tuple has no coefficient")
     if k > URSELL_GUARD:
-        raise GuardExceeded(f"tuple size {k} exceeds guard {URSELL_GUARD}")
+        raise GuardExceeded(f"tuple size {k} exceeds guard {URSELL_GUARD}",
+                            hint="use fewer polymers")
     sets = [frozenset(tuple(e) for e in X) for X in supports]
     mask = 0
     for bit, (i, j) in enumerate(combinations(range(k), 2)):
@@ -380,7 +382,8 @@ def _blowup_ursell(r: int, pattern: int, comp: tuple[int, ...]) -> int:
     """
     total = sum(comp)
     if total > URSELL_GUARD:
-        raise GuardExceeded(f"cluster size {total} exceeds guard {URSELL_GUARD}")
+        raise GuardExceeded(f"cluster size {total} exceeds guard {URSELL_GUARD}",
+                            hint="use fewer polymers")
     group = []
     for j, kj in enumerate(comp):
         group.extend([j] * kj)
@@ -644,7 +647,7 @@ def expectations_by_graph(motifs: Sequence[Motif], betas: Sequence[float],
 
 
 def derivative_check(motifs: Sequence[Motif], betas: Sequence[float], n: int,
-                     i: int, h: float = 1e-4, force: bool = False) -> tuple[float, float]:
+                     i: int, h: float = 1e-4) -> tuple[float, float]:
     """Central difference of psi_n in beta_i against the motif expectation.
 
     Returns (finite_difference, expectation); the two agree to O(h^2) because
@@ -659,8 +662,8 @@ def derivative_check(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     dn = list(betas)
     up[i] += h
     dn[i] -= h
-    fd = (psi_n(motifs, up, n, force) - psi_n(motifs, dn, n, force)) / (2 * h)
-    return fd, expectation_densities(motifs, betas, n, force)[i]
+    fd = (psi_n(motifs, up, n) - psi_n(motifs, dn, n)) / (2 * h)
+    return fd, expectation_densities(motifs, betas, n)[i]
 
 
 def hom_table_by_numpy_walk(H: Motif, n: int) -> np.ndarray:
@@ -790,13 +793,13 @@ def graph_mask(G: SimpleGraph) -> int:
     return site_mask(G.n, G.edges)
 
 
-def enumerate_graphs(n: int, force: bool = False) -> Iterator[SimpleGraph]:
+def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     """All 2^C(n,2) labeled graphs on n vertices, in increasing bitmask order.
 
-    Guarded at n <= ENSEMBLE_GUARD unless force is given; the guard fires at
-    the call, before the first graph is asked for.
+    Refused past the TABLE_SITES ceiling at the call, before the first graph
+    is asked for.
     """
-    check_guard(n, force, least=0)
+    check_guard(n, least=0)
     return (graph_from_mask(n, mask) for mask in range(1 << len(all_edge_sites(n))))
 
 

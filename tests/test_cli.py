@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -435,11 +434,11 @@ class TestConfigPrecedence:
     def test_expand_options_from_the_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"motifs": ["two-star"], "betas": [0.001], "n": 7,
-                                   "order": 2, "max_links": 1, "force": True}))
+                                   "order": 2, "max_links": 1}))
         out = tmp_path / "report.json"
         assert main(["expand", "--config", str(cfg), "--out", str(out)]) == 0
         assert_carries(json.loads(out.read_text()), expansion_report(
-            [BUILTIN_MOTIFS["two-star"]], [0.001], 7, order=2, max_links=1, force=True))
+            [BUILTIN_MOTIFS["two-star"]], [0.001], 7, order=2, max_links=1))
         assert main(["expand", "--config", str(cfg), "--order", "1", "--out", str(out)]) == 0
         assert [row["order"] for row in json.loads(out.read_text())["orders"]] == [1]
 
@@ -450,13 +449,11 @@ class TestConfigPrecedence:
         assert capsys.readouterr().out == "2/64\n"
 
     def test_values_parse_as_the_flags_parse_them(self, tmp_path, capsys):
-        # Text parses as the flag's text would; a JSON false is no --force.
+        # Text parses as the flag's text would.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"motifs": ["edge"], "betas": ["0"], "n": "4", "force": false}')
+        cfg.write_text('{"motifs": ["edge"], "betas": ["0"], "n": "4"}')
         assert main(["exact", "--config", str(cfg)]) == 0
         assert "psi_4 = 0.25993019270997947" in capsys.readouterr().out
-        assert main(["exact", "--config", str(cfg), "--n", "7"]) == 3
-        assert json.loads(capsys.readouterr().err)["kind"] == "guard"
 
     def test_null_leaves_an_option_unset(self, tmp_path, capsys):
         # A null falls through to the built-in default, or to the missing-option
@@ -476,6 +473,9 @@ class TestConfigPrecedence:
         ("expand", {"head_links": 2}),
         ("expand", {"M": 2.0}),
         ("expand", {"help": True}),
+        # No option lifts a guard, so a config file cannot either.
+        ("exact", {"force": False}),
+        ("expand", {"force": True}),
     ])
     def test_keys_naming_no_option_are_refused(self, tmp_path, monkeypatch, capsys,
                                                command, extra):
@@ -497,51 +497,71 @@ class TestConfigPrecedence:
 
 
 class TestFailureModes:
-    def test_guard_exit_code(self, capsys):
-        rc = main(["exact", "--motifs", "edge", "--betas", "0.1", "--n", "7"])
-        assert rc == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "guard"
-        assert "--force" in err["hint"]
-
-    def test_force_overrides_guard(self, capsys):
+    def test_series_runs_at_n7_inside_the_budget(self, capsys):
         rc = main(["expand", "--motifs", "edge", "--betas", "0.1", "--n", "7",
-                   "--max-links", "2", "--order", "2", "--force"])
+                   "--max-links", "2", "--order", "2"])
         assert rc == 0
-        # the exact reference was actually computed past the guard
+        # the exact reference was computed at n = 7 too
         assert "gap = n/a" not in capsys.readouterr().out
 
-    def test_force_only_where_a_guard_can_fire(self):
-        subs = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-        forced = {name for name, sub in subs.choices.items()
-                  if any("--force" in a.option_strings for a in sub._actions)}
-        assert forced == {"exact", "expand"}
+    def test_exact_at_n7(self, tmp_path, capsys):
+        # The bits the command printed and wrote when n = 7 needed --force.
+        out = tmp_path / "n7.json"
+        rc = main(["exact", "--motifs", "edge", "triangle", "--betas", "0.05", "0.02",
+                   "--n", "7", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == ("psi_7 = 0.32083646621467499\n"
+                                           "phi_7 = 0.05547124060762975\n"
+                                           "E[edge] = 0.45515340087171335\n"
+                                           "E[triangle] = 0.092391158500180925\n")
+        assert json.loads(out.read_text()) == {
+            "n": 7, "motifs": ["edge", "triangle"], "betas": [0.05, 0.02],
+            "psi_n": 0.32083646621467499, "phi_n": 0.05547124060762975,
+            "log_w_normalized": 1.1648960527602248,
+            "expectations": [0.45515340087171335, 0.092391158500180925]}
+
+    def test_sweep_budget_refuses_before_the_sweep(self, capsys):
+        # Two-star+triangle at n = 7 visits 1.1e9 (polymer, subset) pairs per
+        # order past the first: 3.3e9 through order 4, which ran 34.5 s.
+        start = time.perf_counter()
+        rc = main(["expand", "--motifs", "two-star", "triangle", "--betas", "0.001", "0.001",
+                   "--n", "7", "--order", "4"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err == {"error": "the polymer-gas sweep through order 4 visits 3290627349 "
+                                "(polymer, subset) pairs, past the budget of 67108864",
+                       "kind": "guard",
+                       "hint": "lower --order or --max-links, or use a smaller --n"}
 
     @pytest.mark.parametrize("argv", [
         ["density", "--motif", "edge", "--n", "4", "--sites", "[[0, 1]]"],
         ["represent", "--motif", "edge", "--graph", "fig.json"],
+        ["exact", "--motifs", "edge", "--betas", "0.1", "--n", "7"],
+        ["expand", "--motifs", "edge", "--betas", "0.1", "--n", "7"],
         ["region", "--p", "2", "--m", "3"],
         ["coeffs", "--p", "2", "--norm", "0.01"],
     ])
-    def test_force_rejected_where_no_guard_fires(self, argv, capsys):
+    def test_force_is_no_option(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--force"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
 
     def test_budget_hint_names_the_real_remedy(self, monkeypatch, capsys):
         walk = expansion._connected_walk
         monkeypatch.setattr(expansion, "_connected_walk",
                             lambda adj, size, *columns: walk(adj, size, *columns, max_count=10))
-        for force in ([], ["--force"]):
-            start = time.perf_counter()
-            rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4",
-                       "--order", "1", "--max-links", "2", *force])
-            assert time.perf_counter() - start < 1.0
-            assert rc == 3
-            err = json.loads(capsys.readouterr().err)
-            assert err["kind"] == "guard"
-            assert err["hint"] == "lower --max-links; --force does not lift this budget"
+        start = time.perf_counter()
+        rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4",
+                   "--order", "1", "--max-links", "2"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "guard"
+        assert err["hint"] == "lower --max-links"
 
     def test_expand_n6_runs_inside_tail_bounds(self, tmp_path):
         # the site-mask table at n = 6 is inside the guard: no exit 3
@@ -556,15 +576,16 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("command", ["exact", "expand"])
     @pytest.mark.parametrize("n", ["8", "100000"])
-    def test_force_stops_at_the_ceiling(self, command, n, capsys):
+    def test_ceiling_refuses_before_work(self, command, n, capsys):
         start = time.perf_counter()
-        rc = main([command, "--motifs", "edge", "--betas", "0.1", "--n", n, "--force"])
+        rc = main([command, "--motifs", "edge", "--betas", "0.1", "--n", n])
         assert time.perf_counter() - start < 1.0
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         err = json.loads(captured.err)
-        assert err["kind"] == "guard" and "--force" not in err["hint"]
+        assert err["kind"] == "guard"
+        assert err["hint"] == "no option lifts the ceiling: use n <= 7"
 
     def test_underflowing_coupling_named(self, capsys):
         # K's exact value on the two-star's single sites is below the least
@@ -678,10 +699,9 @@ class TestFailureModes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["kind"] == "invalid-config"
 
-    @pytest.mark.parametrize("links", [["--max-links", "-1"],
-                                       ["--max-links", "-1", "--force"]])
-    def test_negative_max_links_refused(self, links, capsys):
-        rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4", *links])
+    def test_negative_max_links_refused(self, capsys):
+        rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4",
+                   "--max-links", "-1"])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -723,7 +743,6 @@ class TestFailureModes:
         (["expand", "--motifs", "edge", "--betas", "0.1", "--n", "3"], {"order": [2]}),
         (["coeffs", "--p", "2"], {"norm": [0.1]}),
         # The flags refuse each of these, so the file must too.
-        (["exact", "--motifs", "edge", "--betas", "0.1", "--n", "7"], {"force": "no"}),
         (["exact", "--motifs", "edge", "--betas", "0.1"], {"n": 3.7}),
         (["expand", "--motifs", "edge", "--betas", "0.1", "--n", "3"], {"order": 2.9}),
         (["exact", "--motifs", "edge", "--n", "3"], {"betas": [True]}),
@@ -779,16 +798,16 @@ class TestFailureModes:
         path = tmp_path / "p11.json"
         path.write_text(json.dumps({"name": "P11", "m": 11,
                                     "edges": [[i, i + 1] for i in range(10)]}))
-        for force in ([], ["--force"]):
-            start = time.perf_counter()
-            rc = main(["exact", "--motifs", str(path), "--betas", "0.01", "--n", "6", *force])
-            assert time.perf_counter() - start < 1.0
-            assert rc == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            err = json.loads(captured.err)
-            assert err["kind"] == "guard" and "58593750" in err["error"]
-            assert "--force does not lift" in err["hint"]
+        start = time.perf_counter()
+        rc = main(["exact", "--motifs", str(path), "--betas", "0.01", "--n", "6"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["kind"] == "guard" and "58593750" in err["error"]
+        assert err["hint"] == ("use a motif with fewer vertices, a smaller --n, "
+                               "or a smaller or sparser --graph")
 
     def test_map_budget_admits_a_dense_graph_file(self, tmp_path, capsys):
         # hom_count on K_300 walks 300 * 299 placements of a two-star's first

@@ -70,12 +70,28 @@ class TestPartition:
                 assert partition_normalized(K) == pytest.approx(
                     edge_log_w(n, beta), abs=1e-12)
 
-    def test_guard_raise_and_force(self, edge):
+    def test_edge_model_at_n7(self, edge):
         K = build_interaction([edge], [0.3], 7)
-        with pytest.raises(GuardExceeded):
+        assert partition_normalized(K) == pytest.approx(edge_log_w(7, 0.3), abs=1e-11)
+
+    @pytest.mark.parametrize("count", [33, 231])
+    def test_link_budget_refuses_before_any_table(self, monkeypatch, count):
+        # The 21 sites and 210 site pairs of K_7, each link with a value of its
+        # own: 231 count tables of 2^21 entries ran 16.2 s at a 1.5 GB peak.
+        sites = all_edge_sites(7)
+        links = [(e,) for e in sites] + list(combinations(sites, 2))
+        K = Interaction(7, {X: 1e-3 * (i + 1) for i, X in enumerate(links[:count])}, 2)
+
+        def refuse(*args):
+            raise AssertionError("a count table was built")
+
+        monkeypatch.setattr(ensemble, "_count_table", refuse)
+        with pytest.raises(GuardExceeded) as info:
             partition_normalized(K)
-        got = partition_normalized(K, force=True)
-        assert got == pytest.approx(edge_log_w(7, 0.3), abs=1e-11)
+        assert str(info.value) == (f"the link histogram of {count} classes at n=7 needs "
+                                   f"{count << 21} count-table entries, past the budget "
+                                   f"of {1 << 26}")
+        assert info.value.hint == "use fewer motifs or distinct link values, or a smaller --n"
 
     def test_deterministic_bitwise(self, two_star, triangle):
         K = build_interaction([two_star, triangle], [0.04, -0.03], 4)
@@ -166,6 +182,14 @@ class TestOverflow:
         monkeypatch.setattr(ensemble, "_statistic_histogram", refuse)
         with pytest.raises(ValueError, match=f"^weight 1 is {bad}, not a finite number$"):
             run([edge, triangle], [0.1, bad], 4)
+
+    def test_hom_total_past_int64_refused_before_any_histogram(self):
+        # hom(H, K_6) = 30 * 6^23 for an edge with 23 isolated vertices.
+        H = Motif("edge+23", 25, frozenset({(0, 1)}))
+        _link_histogram.cache_clear()
+        with pytest.raises(OverflowError, match="int64"):
+            ensemble_result([H], [1e-20], 6)
+        assert _link_histogram.cache_info().misses == 0
 
     def test_minus_inf_weights_are_empty_columns(self, edge):
         # each term is finite; their sum is -inf on every graph but the empty one

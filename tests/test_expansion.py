@@ -24,8 +24,9 @@ from ergm_cluster import (
     region_bound,
     truncated_log_partition,
 )
-from ergm_cluster import cli, expansion
+from ergm_cluster import cli, expansion, subsets
 from ergm_cluster.expansion import (
+    ORDER_GUARD,
     _cluster_sums,
     _connected_item_sets,
     _connected_walk,
@@ -33,9 +34,9 @@ from ergm_cluster.expansion import (
     _LinkSystem,
     _polymer_sums,
 )
-from ergm_cluster.graphs import check_guard, site_mask
+from ergm_cluster.graphs import SWEEP_BUDGET, check_guard, site_mask
 from ergm_cluster.lattice import Interaction, freeze_sites
-from ergm_cluster.subsets import _words
+from ergm_cluster.subsets import _family_totals, _words
 
 import oracles
 from oracles import _connected_batches, _pinned_abs_sums, _spin_sum, activity_bound, \
@@ -147,7 +148,7 @@ class TestConnectedSets:
                 with pytest.raises(GuardExceeded) as exc:
                     list(_connected_item_sets(adj, max_size, count - 1))
                 assert str(exc.value) == f"connected-set enumeration exceeded {count - 1} sets"
-                assert exc.value.hint == "lower --max-links; --force does not lift this budget"
+                assert exc.value.hint == "lower --max-links"
                 with pytest.raises(GuardExceeded):
                     next(_connected_walk(adj, max_size, sizes, count - 1))
 
@@ -520,10 +521,9 @@ class TestLogSeriesOracles:
 
 class TestSweepGuard:
     def test_limits(self):
-        check_guard(6)  # n = 6, C(6,2) = 15 sites
+        check_guard(7)  # n = 7, C(7,2) = 21 sites
         with pytest.raises(GuardExceeded):
-            check_guard(7)  # n = 7, C(7,2) = 21 sites
-        check_guard(7, force=True)
+            check_guard(8)  # n = 8, C(8,2) = 28 sites
 
     def test_report_refuses_before_work(self, two_star, triangle):
         start = time.perf_counter()
@@ -531,29 +531,56 @@ class TestSweepGuard:
             expansion_report([two_star, triangle], [0.001, 0.001], 7, order=2)
         assert time.perf_counter() - start < 1.0
 
-    def test_library_entry_points_refuse(self, edge):
-        K = build_interaction([edge], [0.1], 7)
+    def test_library_entry_points_refuse(self, two_star, triangle):
+        K = build_interaction([two_star, triangle], [0.001, 0.001], 7)
         with pytest.raises(GuardExceeded) as info:
-            truncated_log_partition(K, 1, max_links=1)
-        assert info.value.hint == \
-            "expansion_report(..., force=True) runs the same series at n=7"
-        with pytest.raises(GuardExceeded):
-            pinned_cluster_abs_sum(K, [(0, 1)], 1, max_links=1)
-
-
-    def test_truncation_hint_names_a_remedy_that_runs(self, edge):
-        # The forced report runs the same series at n = 7; the ceiling at
-        # n = 8 keeps its own hint.
-        report = expansion_report([edge], [0.1], 7, order=2, max_links=1, force=True)
-        assert len(report.orders) == 2
+            truncated_log_partition(K, 2)
+        assert info.value.hint == "lower --order or --max-links, or use a smaller --n"
+        # the hint names remedies that run: one order, or one-link polymers
+        assert len(truncated_log_partition(K, 1)) == 1
+        assert len(truncated_log_partition(K, 2, max_links=1)) == 2
         with pytest.raises(GuardExceeded) as info:
-            truncated_log_partition(build_interaction([edge], [0.1], 8), 1, max_links=1)
+            truncated_log_partition(build_interaction([two_star], [0.001], 8), 1, max_links=1)
         assert info.value.hint == "no option lifts the ceiling: use n <= 7"
+        with pytest.raises(GuardExceeded):
+            pinned_cluster_abs_sum(build_interaction([two_star], [0.001], 8), [(0, 1)], 1,
+                                   max_links=1)
+
+
+class TestSweepBudget:
+    # Every nonempty mask over the 15 sites of K_6 as a polymer: each subset R
+    # of the sites below P's highest outside P is one pair, (3^15 - 1)/2 in all.
+    MASKS = range(1, 1 << 15)
+    PAIRS = (3 ** 15 - 1) // 2
+
+    def test_every_n6_sweep_fits(self):
+        assert self.PAIRS * (ORDER_GUARD - 1) <= SWEEP_BUDGET
+        weights = [1e-3] * len(self.MASKS)
+        xi = _family_totals(15, self.MASKS, weights, ORDER_GUARD)
+        assert len(xi) == ORDER_GUARD + 1
+
+    def test_refused_before_the_table(self, monkeypatch):
+        # One order past what fits: 10 orders past the first, 7.2e7 pairs.
+        order = SWEEP_BUDGET // self.PAIRS + 2
+
+        class NoTables:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                raise AssertionError("the sweep allocated its table")
+
+        monkeypatch.setattr(subsets, "np", NoTables())
+        with pytest.raises(GuardExceeded) as info:
+            _family_totals(15, self.MASKS, [1e-3] * len(self.MASKS), order)
+        assert str(info.value) == (f"the polymer-gas sweep through order {order} visits "
+                                   f"{self.PAIRS * (order - 1)} (polymer, subset) pairs, "
+                                   f"past the budget of {SWEEP_BUDGET}")
 
 
 class TestFamilySweep:
-    def test_forced_edge_model_at_n7(self, edge):
-        # 21 one-site polymers over 2^21 site masks, past the size guard
+    def test_edge_model_at_n7(self, edge):
+        # 21 one-site polymers over 2^21 site masks
         K = build_interaction([edge], [0.1], 7)
         sys = _LinkSystem(K)
         masks, ws = sys.masks, [math.expm1(v) / 2 for v in sys.values]
@@ -562,7 +589,7 @@ class TestFamilySweep:
         # the per-mask sweep adds 2^21 column entries one by one: float-oracle tolerance
         table = oracles._family_sweep(len(sys.sites), masks, ws, 2)
         assert_close(got, oracles._log_series(table.sum(axis=0).tolist()), 1e-11)
-        rep = expansion_report([edge], [0.1], 7, order=2, max_links=2, force=True)
+        rep = expansion_report([edge], [0.1], 7, order=2, max_links=2)
         assert [row.partial_sum for row in rep.orders] == list(accumulate(got))
 
 

@@ -101,40 +101,32 @@ class TestSitesAndGraphs:
 EDGE = BUILTIN_MOTIFS["edge"]
 
 # Every exhaustive entry point, and the oracles' graph enumeration, run on the
-# edge model at vertex count n; truncated_log_partition takes no force.
+# edge model at vertex count n.
 SWEEPS = {
-    "enumerate_graphs": lambda n, **kw: next(enumerate_graphs(n, **kw)),
-    "psi_n": lambda n, **kw: psi_n([EDGE], [0.1], n, **kw),
-    "expectation_densities": lambda n, **kw: expectation_densities([EDGE], [0.1], n, **kw),
-    "partition_normalized":
-        lambda n, **kw: partition_normalized(build_interaction([EDGE], [0.1], n), **kw),
-    "phi_n": lambda n, **kw: phi_n(build_interaction([EDGE], [0.1], n), **kw),
-    "ensemble_result": lambda n, **kw: ensemble_result([EDGE], [0.1], n, **kw),
+    "enumerate_graphs": lambda n: next(enumerate_graphs(n)),
+    "psi_n": lambda n: psi_n([EDGE], [0.1], n),
+    "expectation_densities": lambda n: expectation_densities([EDGE], [0.1], n),
+    "partition_normalized": lambda n: partition_normalized(build_interaction([EDGE], [0.1], n)),
+    "phi_n": lambda n: phi_n(build_interaction([EDGE], [0.1], n)),
+    "ensemble_result": lambda n: ensemble_result([EDGE], [0.1], n),
     "truncated_log_partition":
-        lambda n, **kw: truncated_log_partition(build_interaction([EDGE], [0.1], n), 1,
-                                                max_links=1, **kw),
-    "expansion_report":
-        lambda n, **kw: expansion_report([EDGE], [0.1], n, order=1, max_links=1, **kw),
+        lambda n: truncated_log_partition(build_interaction([EDGE], [0.1], n), 1, max_links=1),
+    "expansion_report": lambda n: expansion_report([EDGE], [0.1], n, order=1, max_links=1),
 }
 
 
-class TestSizeGuard:
+class TestCeiling:
     @pytest.mark.parametrize("name", sorted(SWEEPS))
-    def test_one_limit_for_every_sweep(self, name):
+    def test_one_ceiling_for_every_sweep(self, name):
         run = SWEEPS[name]
         run(6)
+        run(7)
+        # the table ceiling refuses before any work
         start = time.perf_counter()
-        with pytest.raises(GuardExceeded):
-            run(7)
+        with pytest.raises(GuardExceeded) as exc:
+            run(8)
         assert time.perf_counter() - start < 1.0
-        if name != "truncated_log_partition":
-            run(7, force=True)
-            # force stops at the table ceiling, before any work
-            start = time.perf_counter()
-            with pytest.raises(GuardExceeded) as exc:
-                run(8, force=True)
-            assert time.perf_counter() - start < 1.0
-            assert "--force" not in exc.value.hint
+        assert exc.value.hint == "no option lifts the ceiling: use n <= 7"
 
 
 class TestMotifs:
@@ -391,7 +383,8 @@ class TestMapBudget:
         with pytest.raises(GuardExceeded, match=f"up to {bound} vertex maps") as info:
             _reach(H, n)
         assert time.perf_counter() - start < 1.0
-        assert "--force does not lift" in info.value.hint
+        assert info.value.hint == ("use a motif with fewer vertices, a smaller --n, "
+                                   "or a smaller or sparser --graph")
 
     @pytest.mark.parametrize("H,n,bound", [
         (_path(10), 6, 6 * 5 ** 9),

@@ -12,7 +12,7 @@ couplings that may be zero or equal.  Each interaction example is one to
 three motifs, repeats allowed, drawn from the built-in ones, the diamond, K4
 and random motifs on at most 4 vertices, at n <= 7, with couplings that may be
 0, -0.0 or the smallest subnormal, or of any magnitude from 1e-320 to 1e5; its
-log W is checked where the exact ensemble runs without force, n = 2..6.  Each
+log W is checked where the exact ensemble is quick, n = 2..6.  Each
 distinct-columns example is one to five tables of 1 to 40 entries, all uint8
 or all int64, each with its own value range, from a single value to the whole
 int64 range.  Each polymer-sum example draws such a family with random
@@ -265,7 +265,7 @@ def _interaction_or_error(build, family, betas, n):
        st.sampled_from(range(1, 8)), st.lists(COUPLINGS, min_size=3, max_size=3))
 def test_interaction_is_the_fraction_sum_rounded_once(family, n, betas):
     # Same keys in the same order, the same float.hex, or the same refusal;
-    # where the exact ensemble runs without force, its log W from the link
+    # where the exact ensemble is quick, n = 2..6, its log W from the link
     # table's classes is partition_normalized of that K, bit for bit.
     betas = betas[:len(family)]
     got = _interaction_or_error(build_interaction, family, betas, n)
