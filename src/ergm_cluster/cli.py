@@ -19,9 +19,8 @@ valid results), 2 invalid configuration (non-finite numbers and inputs whose
 arithmetic overflows included: a partial sum or majorant coefficient past
 the float range exits 2 before anything is printed), 3 a guard refused the
 job before its work: the n <= 7 ceiling (exact and expand only), the 2^24
-vertex-map budget of a motif walk, the connected-set budget, or the 2^26
-budget on the entries one sweep over the site masks may touch.  No option
-lifts a guard.
+vertex-map budget of a motif walk, the connected-set budget or the 2^26
+sweep budget.  No option lifts a guard.
 """
 
 from __future__ import annotations
