@@ -549,7 +549,7 @@ class TestSweepGuard:
 
 class TestSweepBudget:
     # Every nonempty mask over the 15 sites of K_6 as a polymer: each subset R
-    # of the sites below P's highest outside P is one pair, (3^15 - 1)/2 in all.
+    # of the sites below P's highest outside P is one pair: (3^15 - 1)/2 per order.
     MASKS = range(1, 1 << 15)
     PAIRS = (3 ** 15 - 1) // 2
 
