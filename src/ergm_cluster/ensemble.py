@@ -87,62 +87,13 @@ def motif_hom_table(H: Motif, n: int) -> np.ndarray:
     return table
 
 
-def _distinct_columns(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, counts): the distinct columns of the stacked tables, in lexsort order.
-
-    rows[i, c] is tables[i][x] for each of the counts[c] masks x of column c,
-    in the tables' common dtype; read-only, because the memoized histograms
-    share them.  Each table is unsigned of at most 32 bits, or int64.  The
-    tables fold, last one most significant, into one int64 mixed-radix key per
-    mask, so ascending keys are lexsort order, and np.bincount counts the keys
-    (an int32 key would cost more: np.bincount casts it to intp).  A fold
-    that would take the key past twice the table length re-ranks the key
-    densely first; if even the dense key cannot take the next table, that
-    table and then the key are ranked by sorting, as a last resort.  Each
-    column's row is then read from the tables at one mask with its key.
-    """
-    size = len(tables[0])
-    key, span = np.zeros(size, dtype=np.int64), 1
-    for t in reversed(tables):
-        lo = int(t.min())
-        radix = int(t.max()) - lo + 1
-        if span * radix > 2 * size:
-            seen = np.bincount(key, minlength=span) != 0
-            key = (np.cumsum(seen) - 1)[key]
-            span = int(np.count_nonzero(seen))
-        if span * radix <= 2 * size:
-            key *= radix
-            key += t
-            key -= lo
-            span *= radix
-        else:
-            values, digits = np.unique(t, return_inverse=True)
-            key *= len(values)
-            key += digits
-            keys, key = np.unique(key, return_inverse=True)
-            span = len(keys)
-    counts = np.bincount(key, minlength=span)
-    codes = np.flatnonzero(counts)
-    # Any mask of each key will do, as its masks share one column.  Blocks of
-    # 4096 masks keep the index arrays small: a fresh key-length one costs RSS.
-    at = np.empty(span, dtype=np.int64)
-    for lo in range(0, size, 4096):
-        at[key[lo:lo + 4096]] = np.arange(lo, min(size, lo + 4096))
-    at = at[codes]
-    # Column-major, so _column_energies reads rows.T contiguously.
-    rows = np.stack([t[at] for t in tables], axis=1).T
-    counts = counts[codes]
-    rows.flags.writeable = counts.flags.writeable = False
-    return rows, counts
-
-
 @lru_cache(maxsize=None)
 def _statistic_histogram(motifs: tuple[Motif, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, counts): the distinct statistic columns (hom(H_i, G))_i, in lexsort order.
 
     rows[i, c] is hom(H_i, G) for each of the counts[c] graphs G of column c,
     exact, in the common dtype of the motifs' hom tables, column-major and
-    read-only as _distinct_columns returns them.  Each column of the link
+    read-only as _link_histogram returns its rows.  Each column of the link
     table's _link_histogram maps, in Python ints, to the column
     sum_c vectors[c][i] r_c; columns that map to one merge, counts summed.  An
     empty link table (n = 1, or the triangle at n = 2) gives one zero column.
@@ -158,7 +109,7 @@ def _statistic_histogram(motifs: tuple[Motif, ...], n: int) -> tuple[np.ndarray,
         homs = list(zip(*table.vectors))
         for col, count in zip(rows.T.tolist(), counts.tolist()):
             histogram[tuple(sum(map(mul, col, h)) for h in homs)] += count
-    # The last motif is the most significant, as in _distinct_columns' key.
+    # The last motif is the most significant, as the last class in _link_histogram's key.
     columns = sorted(histogram, key=lambda col: col[::-1])
     rows = np.array(columns, dtype=dtype).T
     counts = np.array([histogram[col] for col in columns], dtype=np.int64)
@@ -230,18 +181,54 @@ def _link_histogram(n: int, classes: LinkClasses) -> tuple[np.ndarray, np.ndarra
     """(rows, counts): the distinct per-class link counts over the 2^C(n,2) configurations.
 
     rows[c, j] is the number of links of classes[c] inside each of the counts[j]
-    configurations of column j, from one _count_table per class.  The cache is
+    configurations of column j, from one _count_table per class, in the tables'
+    common dtype; read-only, because the cache shares them.  The cache is
     bounded: an interaction without repeated values has one class per link.
     Past SWEEP_BUDGET count-table entries GuardExceeded is raised before any
     table is built.
+
+    Columns come in lexsort order.  A class's counts run from 0 to len(links),
+    so the tables fold, last class most significant, into one int64 key per
+    configuration with radix len(links) + 1, which np.bincount counts (an
+    int32 key would cost more: np.bincount casts it to intp).  A fold that
+    would take the key past twice the table length re-ranks the key densely
+    first; if even the dense key cannot take the class, the folded key is
+    ranked by sorting.  Each column's row is read at one of its configurations.
     """
     entries = len(classes) << n * (n - 1) // 2
     if entries > SWEEP_BUDGET:
         raise GuardExceeded(f"the link histogram of {len(classes)} classes at n={n} needs "
                             f"{entries} count-table entries, past the budget of {SWEEP_BUDGET}",
                             hint="use fewer motifs or distinct link values, or a smaller --n")
-    return _distinct_columns([_count_table(n, dict.fromkeys(links, 1),
-                                           np.min_scalar_type(len(links))) for links in classes])
+    tables = [_count_table(n, dict.fromkeys(links, 1), np.min_scalar_type(len(links)))
+              for links in classes]
+    size = len(tables[0])
+    key, span = np.zeros(size, dtype=np.int64), 1
+    for links, t in zip(reversed(classes), reversed(tables)):
+        radix = len(links) + 1
+        if span * radix > 2 * size:
+            seen = np.bincount(key, minlength=span) != 0
+            key = (np.cumsum(seen) - 1)[key]
+            span = int(np.count_nonzero(seen))
+        key *= radix
+        key += t
+        span *= radix
+        if span > 2 * size:
+            keys, key = np.unique(key, return_inverse=True)
+            span = len(keys)
+    counts = np.bincount(key, minlength=span)
+    codes = np.flatnonzero(counts)
+    # Any configuration of each key will do, as they share one column.  Blocks
+    # of 4096 keep the index arrays small: a fresh key-length one costs RSS.
+    at = np.empty(span, dtype=np.int64)
+    for lo in range(0, size, 4096):
+        at[key[lo:lo + 4096]] = np.arange(lo, min(size, lo + 4096))
+    at = at[codes]
+    # Column-major, so _column_energies reads rows.T contiguously.
+    rows = np.stack([t[at] for t in tables], axis=1).T
+    counts = counts[codes]
+    rows.flags.writeable = counts.flags.writeable = False
+    return rows, counts
 
 
 def _column_energies(rows: np.ndarray, values: Sequence[float]) -> list[float]:

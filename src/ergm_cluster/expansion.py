@@ -42,7 +42,7 @@ from .ensemble import partition_normalized
 from .graphs import (TABLE_SITES, Motif, all_edge_sites, check_alignment, check_guard,
                      mask_sites, site_mask)
 from .lattice import EdgeSubset, Interaction, banach_norm, build_interaction
-from .subsets import CHUNK, DEFAULT_MAX_COUNT, _connected_walk, _family_totals, _words
+from .subsets import CHUNK, _connected_walk, _family_totals, _words
 
 ORDER_GUARD = 8
 # Majorant coefficients summed order by order before the geometric tail takes over.
@@ -72,8 +72,7 @@ def _last_item(prefix: np.ndarray, item: np.ndarray) -> np.ndarray:
     return np.where(item > 0, item, prefix)
 
 
-def _connected_item_sets(adj: Sequence[int], max_size: int,
-                         max_count: int = DEFAULT_MAX_COUNT) -> Iterator[tuple[int, ...]]:
+def _connected_item_sets(adj: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]]:
     """The sets of _connected_walk one by one, as tuples of item indices.
 
     In depth-first order a set of k items is the last set of k - 1 items
@@ -81,7 +80,7 @@ def _connected_item_sets(adj: Sequence[int], max_size: int,
     prefix: list[int] = []
     columns = [(np.ones(len(adj), dtype=np.int64), np.add, 0),
                (np.arange(len(adj)), _last_item, 0)]
-    for sizes, last in _connected_walk(adj, max_size, columns, max_count):
+    for sizes, last in _connected_walk(adj, max_size, columns):
         for size, item in zip(sizes.tolist(), last.tolist()):
             del prefix[size - 1:]
             prefix.append(item)
@@ -368,12 +367,12 @@ def expansion_report(motifs: Sequence[Motif], betas: Sequence[float], n: int,
     M = optimal_M(p) if p >= 2 else 2.0
     K = build_interaction(motifs, betas, n)
     norm = banach_norm(K)
-    # One walk over the connected link sets serves the series and the
-    # certificate head.
+    # One walk over the connected link sets serves the series and then the
+    # certificate head, so the series' sweep budget refuses a job first.
     sys = _LinkSystem(K)
     masks, sizes, activities, bounds = _polymer_sums(sys, max_links)
-    cert = _certify(sys.sites, masks, sizes, bounds, M, max_links, norm, p)
     partials = _partials(sys, masks, activities, order)
+    cert = _certify(sys.sites, masks, sizes, bounds, M, max_links, norm, p)
     exact = partition_normalized(K)
     tail_fn: Callable[[int], float] | None = None
     if p >= 2 and norm > 0:

@@ -90,8 +90,8 @@ class _ItemGraph:
 
 
 def _connected_walk(adj: Sequence[int], max_size: int,
-                    columns: Sequence[tuple[np.ndarray, Callable, object]] = (),
-                    max_count: int = DEFAULT_MAX_COUNT) -> Iterator[list[np.ndarray]]:
+                    columns: Sequence[tuple[np.ndarray, Callable, object]] = ()
+                    ) -> Iterator[list[np.ndarray]]:
     """Every connected subset of at most max_size items, exactly once, in
     depth-first order, as chunks of one array per column.
 
@@ -107,9 +107,9 @@ def _connected_walk(adj: Sequence[int], max_size: int,
     level holds the walk's order down to that depth, and rows that stand for
     shallower sets pass through.  Every step builds rows adding up to about
     CHUNK, which bounds every temporary.  GuardExceeded is raised before the
-    first set when more than max_count sets exist: each level's size is the
-    bit count of the extension masks above it, so the deepest level is
-    counted without being built.
+    first set when more than DEFAULT_MAX_COUNT sets exist, read at that
+    point: each level's size is the bit count of the extension masks above
+    it, so the deepest level is counted without being built.
     """
     n = len(adj)
     if max_size <= 0 or n == 0:
@@ -117,12 +117,12 @@ def _connected_walk(adj: Sequence[int], max_size: int,
     graph = _ItemGraph(adj)
     ext = graph.adj & graph.above if max_size > 1 else np.zeros_like(graph.adj)
     start = (ext, graph.covered, np.arange(n))
-    if sum(math.comb(n, k) for k in range(1, min(max_size, n) + 1)) > max_count:
+    if sum(math.comb(n, k) for k in range(1, min(max_size, n) + 1)) > DEFAULT_MAX_COUNT:
         count = n
         for more in _level_sizes(graph, max_size, 1, *start):
             count += more
-            if count > max_count:
-                raise GuardExceeded(f"connected-set enumeration exceeded {max_count} sets",
+            if count > DEFAULT_MAX_COUNT:
+                raise GuardExceeded(f"connected-set enumeration exceeded {DEFAULT_MAX_COUNT} sets",
                                     hint="lower --max-links")
     values = [v for v, _, _ in columns]
     tables = []

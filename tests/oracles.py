@@ -11,9 +11,11 @@ cluster sums as
 a walk over connected multisets of polymers, the same sums in exact rationals,
 the majorant coefficients by their compositions recursion, their
 generating-function identity by powering a truncated series, the distinct
-columns of stacked tables by one lexsort, the energy of
-every configuration by one masking pass per interaction link and by one
-float subset-sum transform, the interaction accumulated in Fractions, and
+columns of stacked tables by one lexsort, the links of each class inside
+every configuration by masking, the energy of every configuration by one
+masking pass per interaction link and by one float subset-sum transform,
+log W by log-sum-exp over exact Fraction energies, the interaction
+accumulated in Fractions, and
 psi_n and the motif expectations summed graph by graph over one log-weight
 per graph, the hom tables that those sums read by a numpy walk that grows
 every vertex map at once, and the exact-image counts c(H, X) by inverting
@@ -40,8 +42,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ergm_cluster import subsets
 from ergm_cluster.expansion import (
-    DEFAULT_MAX_COUNT,
     Polymer,
     _check_order,
     _connected_item_sets,
@@ -119,8 +121,7 @@ def _subsystem(sys: _LinkSystem, nmask: int) -> tuple[list[int], list[int]]:
     return inside, adj
 
 
-def polymer_activity(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
-                     max_count: int = DEFAULT_MAX_COUNT) -> float:
+def polymer_activity(K: Interaction, N: Sequence[Sequence[int]], max_links: int) -> float:
     """w_N: spin-summed weight of all connected hypergraphs with support N.
 
     Only links inside N can participate, so the sum over hypergraphs is finite
@@ -134,7 +135,7 @@ def polymer_activity(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
     nmask = site_mask(K.n, X)
     inside, adj = _subsystem(sys, nmask)
     total = 0.0
-    for idxs in _connected_item_sets(adj, max_links, max_count):
+    for idxs in _connected_item_sets(adj, max_links):
         support = 0
         for j in idxs:
             support |= sys.masks[inside[j]]
@@ -145,8 +146,7 @@ def polymer_activity(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
     return total
 
 
-def activity_bound(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
-                   max_count: int = DEFAULT_MAX_COUNT) -> float:
+def activity_bound(K: Interaction, N: Sequence[Sequence[int]], max_links: int) -> float:
     """v_N: the same hypergraph sum with every factor replaced by expm1(|K(X)|).
 
     Dominates |w_N| term by term."""
@@ -157,7 +157,7 @@ def activity_bound(K: Interaction, N: Sequence[Sequence[int]], max_links: int,
     nmask = site_mask(K.n, X)
     inside, adj = _subsystem(sys, nmask)
     total = 0.0
-    for idxs in _connected_item_sets(adj, max_links, max_count):
+    for idxs in _connected_item_sets(adj, max_links):
         support = 0
         prod = 1.0
         for j in idxs:
@@ -210,8 +210,7 @@ Batch = tuple[tuple[int, ...], int, float, float, int]
 
 
 def _connected_batches(adj: Sequence[int], max_size: int, masks: Sequence[int],
-                       ew: Sequence[float], ev: Sequence[float],
-                       max_count: int = DEFAULT_MAX_COUNT) -> Iterator[Batch]:
+                       ew: Sequence[float], ev: Sequence[float]) -> Iterator[Batch]:
     """Every connected subset of at most max_size items, exactly once, in batches.
 
     Items are graph nodes with adjacency bitmasks.  Depth-first extension
@@ -225,12 +224,12 @@ def _connected_batches(adj: Sequence[int], max_size: int, masks: Sequence[int],
     carried down the recursion.  A set one item short of max_size hands over
     its extension bitmask as leaves: every bit x of it, lowest first, is the
     next set sub + (x,) in the order, with no batch of its own.  leaves is 0
-    on the other batches.  GuardExceeded is
-    raised as soon as the sets counted so far exceed max_count.
+    on the other batches.  GuardExceeded is raised as soon as the sets
+    counted so far exceed subsets.DEFAULT_MAX_COUNT, read when the walk starts.
     """
     if max_size <= 0:
         return
-    budget = max_count
+    budget = max_count = subsets.DEFAULT_MAX_COUNT
     last = max_size - 1
 
     def rec(sub: tuple[int, ...], ext: int, covered: int, above: int,
@@ -413,8 +412,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _cluster_sums(polymers: Sequence[Polymer], order: int, sys: _LinkSystem,
-                  max_count: int = DEFAULT_MAX_COUNT, use_abs: bool = False,
-                  required: int | None = None) -> list[float]:
+                  use_abs: bool = False, required: int | None = None) -> list[float]:
     """Per-size cluster sums S_1..S_order over the given polymer universe.
 
     A cluster is a multiset of polymers with connected overlap graph; ordered
@@ -435,7 +433,7 @@ def _cluster_sums(polymers: Sequence[Polymer], order: int, sys: _LinkSystem,
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     fact = [math.factorial(i) for i in range(order + 1)]
-    for base in _connected_item_sets(adj, order, max_count):
+    for base in _connected_item_sets(adj, order):
         if required is not None and required not in base:
             continue
         r = len(base)
@@ -552,6 +550,15 @@ def distinct_columns_by_sort(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, 
     return rows, counts
 
 
+def class_counts_by_masking(n: int, classes: Sequence[Sequence[EdgeSubset]]) -> list[np.ndarray]:
+    """The links of each class inside every configuration on n vertices, by
+    bitmask: one masking pass per link, in the smallest dtype holding len(c)."""
+    idx = edge_index(n)
+    masks = np.arange(1 << len(idx), dtype=np.int64)
+    bits = [[sum(1 << idx[e] for e in X) for X in c] for c in classes]
+    return [sum((masks & x) == x for x in c).astype(np.min_scalar_type(len(c))) for c in bits]
+
+
 def energies_by_link(K: Interaction) -> np.ndarray:
     """sum K(X) over the stored X inside each configuration, by bitmask.
 
@@ -581,6 +588,21 @@ def energies_by_subset_sums(K: Interaction) -> np.ndarray:
     for X, k in K.k_map.items():
         energies[sum(1 << idx[e] for e in X)] += k
     return _subset_sums(energies)
+
+
+def log_w_by_log_sum_exp(K: Interaction) -> float:
+    """log W by log-sum-exp over every configuration's energy, each summed
+    exactly in Fractions: E* + log sum exp(E - E*) - C(n,2) log 2 about the
+    largest energy E*, rounded once.  Any energy works, however large; the
+    two logs carry an absolute error of a few ulp of C(n,2) log 2, so a small
+    log W has no full relative precision here."""
+    idx = edge_index(K.n)
+    links = [(sum(1 << idx[e] for e in X), Fraction(v)) for X, v in K.k_map.items()]
+    energies = [sum((v for x, v in links if x & mask == x), Fraction(0))
+                for mask in range(1 << len(idx))]
+    top = max(energies)
+    shifted = math.fsum(math.exp(float(e - top)) for e in energies)
+    return float(top + Fraction(math.log(shifted)) - len(idx) * Fraction(math.log(2.0)))
 
 
 def interaction_by_fractions(motifs: Sequence[Motif], betas: Sequence[float],

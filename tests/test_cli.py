@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ergm_cluster import cli, expansion, expansion_report, optimal_M
+from ergm_cluster import cli, expansion, expansion_report, optimal_M, subsets
 from ergm_cluster.cli import build_parser, main, render_json, write_artifact
 from ergm_cluster.graphs import BUILTIN_MOTIFS
 from ergm_cluster.lattice import Interaction
@@ -551,9 +551,7 @@ class TestFailureModes:
         assert "unrecognized arguments: --force" in capsys.readouterr().err
 
     def test_budget_hint_names_the_real_remedy(self, monkeypatch, capsys):
-        walk = expansion._connected_walk
-        monkeypatch.setattr(expansion, "_connected_walk",
-                            lambda adj, size, *columns: walk(adj, size, *columns, max_count=10))
+        monkeypatch.setattr(subsets, "DEFAULT_MAX_COUNT", 10)
         start = time.perf_counter()
         rc = main(["expand", "--motifs", "two-star", "--betas", "0.001", "--n", "4",
                    "--order", "1", "--max-links", "2"])

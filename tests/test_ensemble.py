@@ -37,6 +37,7 @@ from ergm_cluster.ensemble import (
 from ergm_cluster.graphs import all_edge_sites, edge_index
 
 from oracles import (
+    class_counts_by_masking,
     derivative_check,
     distinct_columns_by_sort,
     energies_by_link,
@@ -47,6 +48,7 @@ from oracles import (
     hom_table_by_numpy_walk,
     interaction_dump,
     interaction_from_dump,
+    log_w_by_log_sum_exp,
     psi_by_graph,
 )
 
@@ -422,14 +424,6 @@ def _sum_bound(K):
     return (len(all_edge_sites(K.n)) + len(K.k_map)) * math.ulp(total)
 
 
-def _class_counts(K, classes):
-    """Links of each class inside every configuration, by one masking pass per link."""
-    idx = edge_index(K.n)
-    masks = np.arange(1 << len(idx), dtype=np.int64)
-    bits = [[sum(1 << idx[e] for e in X) for X in c] for c in classes]
-    return [sum(((masks & x) == x).astype(np.int64) for x in c) for c in bits]
-
-
 def _configuration_energies(K):
     """The library's column energy of every configuration, by bitmask."""
     classes, values = _link_classes(K)
@@ -438,7 +432,7 @@ def _configuration_energies(K):
         return np.zeros(1 << sites)
     rows, _ = _link_histogram(K.n, classes)
     column = dict(zip(map(tuple, rows.T.tolist()), _column_energies(rows, values)))
-    counts = [t.tolist() for t in _class_counts(K, classes)]
+    counts = [t.tolist() for t in class_counts_by_masking(K.n, classes)]
     return np.array([column[key] for key in zip(*counts)])
 
 
@@ -591,7 +585,7 @@ class TestHistogram:
         classes, _ = _link_classes(distinct)
         assert len(classes) == len(distinct) == 95
         rows, counts = _link_histogram(6, classes)
-        want_rows, want_counts = distinct_columns_by_sort(_class_counts(distinct, classes))
+        want_rows, want_counts = distinct_columns_by_sort(class_counts_by_masking(6, classes))
         assert rows.dtype == np.uint8 and counts.dtype == want_counts.dtype
         assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
 
@@ -602,8 +596,7 @@ class TestHistogram:
         links = tuple(X for k in (1, 2, 3) for X in combinations(sites, k))
         classes = (links, tuple((e,) for e in sites))
         rows, counts = _link_histogram(6, classes)
-        want_rows, want_counts = distinct_columns_by_sort(
-            _class_counts(Interaction(6, {}, 1), classes))
+        want_rows, want_counts = distinct_columns_by_sort(class_counts_by_masking(6, classes))
         assert rows.dtype == np.uint16 and counts.dtype == want_counts.dtype
         assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
 
@@ -701,6 +694,22 @@ class TestLogWPrecision:
         # sum.  1e-300: log W = 6e-300, which the shifted sum would lose.
         K = build_interaction([edge], [beta], 4)
         assert partition_normalized(K) == float(_mp_log_w(K))
+
+    @pytest.mark.parametrize("n, k_map, p_max", [
+        (2, {((0, 1),): 2e302}, 1),
+        (3, {((0, 1),): 2e302, ((0, 2),): -1.5e302, ((0, 1), (1, 2)): 1e302}, 2),
+    ])
+    def test_values_from_2_to_the_1001_against_log_sum_exp(self, n, k_map, p_max):
+        # Values this large take _column_energies' Python-int branch; the CLI
+        # reaches it with exact --motifs edge --betas 1e302 --n 2, K = 2e302.
+        K = Interaction(n, k_map, p_max)
+        assert partition_normalized(K) == log_w_by_log_sum_exp(K)
+
+    def test_energy_past_the_float_range_raises(self):
+        # Each link's 1.5e308 is a float; the configuration holding both is not.
+        K = Interaction(3, {((0, 1),): 1.5e308, ((0, 2),): 1.5e308}, 1)
+        with pytest.raises(OverflowError, match="too large for a float"):
+            partition_normalized(K)
 
 
 def _relative_error(K):

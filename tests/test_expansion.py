@@ -126,10 +126,11 @@ class TestConnectedSets:
     def test_zero_size_is_empty(self):
         assert list(_connected_item_sets([0, 0], 0)) == []
 
-    def test_count_guard(self):
+    def test_count_guard(self, monkeypatch):
         adj = [0b1110, 0b1101, 0b1011, 0b0111]
+        monkeypatch.setattr(subsets, "DEFAULT_MAX_COUNT", 3)
         with pytest.raises(GuardExceeded):
-            list(_connected_item_sets(adj, 4, max_count=3))
+            list(_connected_item_sets(adj, 4))
 
     def test_order_matches_the_one_by_one_recursion(self):
         for adj in random_adjacencies(seed=11, count=30, max_items=9):
@@ -137,20 +138,22 @@ class TestConnectedSets:
                 want = list(connected_sets_one_by_one(adj, max_size))
                 assert list(_connected_item_sets(adj, max_size)) == want
 
-    def test_guard_fires_exactly_past_the_count(self):
+    def test_guard_fires_exactly_past_the_count(self, monkeypatch):
         for adj in random_adjacencies(seed=13, count=20, max_items=8):
             for max_size in range(1, len(adj) + 1):
                 count = len(list(connected_sets_one_by_one(adj, max_size)))
-                assert len(list(_connected_item_sets(adj, max_size, count))) == count
+                monkeypatch.setattr(subsets, "DEFAULT_MAX_COUNT", count)
+                assert len(list(_connected_item_sets(adj, max_size))) == count
                 sizes = [(np.ones(len(adj), dtype=np.int64), np.add, 0)]
                 assert sum(len(chunk[0]) for chunk in
-                           _connected_walk(adj, max_size, sizes, count)) == count
+                           _connected_walk(adj, max_size, sizes)) == count
+                monkeypatch.setattr(subsets, "DEFAULT_MAX_COUNT", count - 1)
                 with pytest.raises(GuardExceeded) as exc:
-                    list(_connected_item_sets(adj, max_size, count - 1))
+                    list(_connected_item_sets(adj, max_size))
                 assert str(exc.value) == f"connected-set enumeration exceeded {count - 1} sets"
                 assert exc.value.hint == "lower --max-links"
                 with pytest.raises(GuardExceeded):
-                    next(_connected_walk(adj, max_size, sizes, count - 1))
+                    next(_connected_walk(adj, max_size, sizes))
 
     def test_batches_carry_supports_and_products(self):
         # the level walk's columns against the recursive walk that carries
@@ -576,6 +579,16 @@ class TestSweepBudget:
         assert str(info.value) == (f"the polymer-gas sweep through order {order} visits "
                                    f"{self.PAIRS * (order - 1)} (polymer, subset) pairs, "
                                    f"past the budget of {SWEEP_BUDGET}")
+
+    def test_report_refuses_before_the_certificate(self, monkeypatch, two_star, triangle):
+        # Two-star+triangle at n = 7 through order 4 is past the sweep budget;
+        # the report refuses it without computing the certificate.
+        def no_certificate(*args):
+            raise AssertionError("the report computed the certificate")
+
+        monkeypatch.setattr(expansion, "_certify", no_certificate)
+        with pytest.raises(GuardExceeded, match="past the budget of"):
+            expansion_report([two_star, triangle], [0.001, 0.001], 7, order=4)
 
 
 class TestFamilySweep:

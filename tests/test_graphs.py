@@ -271,6 +271,22 @@ class TestRecordSemantics:
             with pytest.raises(ValueError, match="^exact zero stored at"):
                 pickle.loads(bad)
 
+    @pytest.mark.parametrize("cls, fields, message", [
+        (SimpleGraph, (3, frozenset({(1, 0)})), r"^edge \(1, 0\) is not canonical for n=3$"),
+        (Motif, ("x", 3, frozenset({(2, 1)})), r"^motif edge \(2, 1\) is not canonical for m=3$"),
+    ])
+    def test_non_canonical_edges_are_refused(self, cls, fields, message):
+        # Directly, through _replace, and through pickle, which sends an
+        # unvalidated twin back through the constructor.
+        valid = cls(*fields[:-1], frozenset({(0, 1)}))
+        unvalidated = tuple.__new__(cls, fields)
+        with pytest.raises(ValueError, match=message):
+            cls(*fields)
+        with pytest.raises(ValueError, match=message):
+            valid._replace(edges=fields[-1])
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(pickle.dumps(unvalidated))
+
     def test_sizes_must_be_integers(self):
         # A float size would fail later, inside the counting code, as a TypeError.
         for build in (lambda: Motif("x", 3.0, frozenset({(0, 1)})),

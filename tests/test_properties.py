@@ -13,13 +13,13 @@ three motifs, repeats allowed, drawn from the built-in ones, the diamond, K4
 and random motifs on at most 4 vertices, at n <= 7, with couplings that may be
 0, -0.0 or the smallest subnormal, or of any magnitude from 1e-320 to 1e5; its
 log W is checked where the exact ensemble is quick, n = 2..6.  Each
-distinct-columns example is one to five tables of 1 to 40 entries, all uint8
-or all int64, each with its own value range, from a single value to the whole
-int64 range.  Each polymer-sum example draws such a family with random
-couplings and two walk depths in 0..4, and is kept when its walk has at most
-WALK_CAP connected sets, which bounds its running time.  Each polymer-gas example is up to ten distinct
-nonempty site masks on at most six sites, in any order, with weights of
-either sign in [-1, 1], and an order in 1..4.  Each link-order example is one
+link-class example is up to 20 distinct links of one to three sites at
+n = 2..5, split at random into classes.  Each polymer-sum example is one to
+three random motifs on at most 4 vertices at n = 3..5, with random couplings
+and two walk depths in 0..4, and is kept when its walk has at most WALK_CAP
+connected sets, which bounds its running time.  Each polymer-gas example is
+up to ten distinct nonempty site masks on at most six sites, in any order,
+with weights of either sign in [-1, 1], and an order in 1..4.  Each link-order example is one
 to three random motifs on at most 4 vertices at n = 2..4, with couplings in
 [-1, 1], and K's links in a drawn order.  The examples are derandomized, so
 every run checks the same ones.
@@ -53,8 +53,8 @@ from ergm_cluster import (
     support_families,
     truncated_log_partition,
 )
+from ergm_cluster import subsets
 from ergm_cluster.ensemble import (
-    _distinct_columns,
     _link_classes,
     _link_histogram,
     _statistic_histogram,
@@ -64,9 +64,9 @@ from ergm_cluster.expansion import _cluster_sums, _connected_item_sets, _LinkSys
 from ergm_cluster.graphs import GuardExceeded, _traversal_order, all_edge_sites, edge_index, \
     site_mask
 
-from oracles import _family_sweep, distinct_columns_by_sort, exact_log_series, \
-    graph_from_mask, image_counts_by_subset_differences, interaction_by_fractions, \
-    polymer_sum_dicts, polymer_sums_by_set
+from oracles import _family_sweep, class_counts_by_masking, distinct_columns_by_sort, \
+    exact_log_series, graph_from_mask, image_counts_by_subset_differences, \
+    interaction_by_fractions, polymer_sum_dicts, polymer_sums_by_set
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
@@ -298,42 +298,38 @@ def test_interaction_fixes_its_link_order(family, n, data):
     assert sums[0] == sums[1]
 
 
-INT64 = (-1 << 63, (1 << 63) - 1)
-
-
-# The table dtypes that reach _distinct_columns, with the value ranges drawn:
-# the unsigned ones up to their full range, int64 up to all of it (None).
-TABLE_WIDTHS = {np.uint8: [1, 2, 3, 7, 50, 1 << 8], np.uint16: [1, 3, 300, 1 << 16],
-                np.uint32: [1, 3, 70000, 1 << 32], np.int64: [1, 2, 5, 100, 1 << 40, None]}
-
-
 @st.composite
-def stacked_tables(draw):
-    """One to five equal-length tables; each draws its own dtype and value range."""
-    size = draw(st.integers(1, 40))
-    tables = []
-    for _ in range(draw(st.integers(1, 5))):
-        dtype = draw(st.sampled_from(list(TABLE_WIDTHS)))
-        width = draw(st.sampled_from(TABLE_WIDTHS[dtype]))
-        lo = draw(st.integers(-1000, 1000)) if dtype is np.int64 else 0
-        values = st.integers(*INT64) if width is None else st.integers(lo, lo + width - 1)
-        tables.append(np.array(draw(st.lists(values, min_size=size, max_size=size)),
-                               dtype=dtype))
-    return tables
+def link_classes(draw):
+    """n in 2..5 and up to 20 distinct links of one to three sites, split at
+    random into classes; the classes and their links are sorted."""
+    n = draw(st.integers(2, 5))
+    link = st.sets(st.sampled_from(all_edge_sites(n)), min_size=1, max_size=3)
+    links = draw(st.lists(link.map(lambda X: tuple(sorted(X))), min_size=1, max_size=20,
+                          unique=True))
+    labels = draw(st.lists(st.integers(0, len(links) - 1), min_size=len(links),
+                           max_size=len(links)))
+    groups: dict[int, list] = {}
+    for X, label in zip(links, labels):
+        groups.setdefault(label, []).append(X)
+    return n, tuple(sorted(tuple(sorted(c)) for c in groups.values()))
+
+
+# The links of K_3: its three sites alone, and three of its site pairs.
+A, B, C = ((0, 1),), ((0, 2),), ((1, 2),)
+AB, AC, BC = ((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
-@given(stacked_tables())
-# Only folds; a re-rank by counting before the third fold; a table too wide
-# for any fold, ranked by sorting (and re-ranked by counting at once).
-@example([np.array([0, 1, 1], dtype=np.uint8)])
-@example([np.array(t, dtype=np.uint8) for t in ([0, 1], [0, 1], [1, 0])])
-@example([np.array(t, dtype=np.int64) for t in ([5, -3], [-(1 << 63), (1 << 63) - 1])])
-# A full-range uint32 table ranked by sorting, then a uint16 table folded.
-@example([np.array([1, 0, 1], dtype=np.uint16),
-          np.array([0, (1 << 32) - 1, 0], dtype=np.uint32)])
-def test_distinct_columns_match_the_lexsort_oracle(tables):
-    got, want = _distinct_columns(tables), distinct_columns_by_sort(tables)
+@given(link_classes())
+# Only folds; a re-rank by counting before the fifth fold; a two-link class
+# that even the dense key of six columns cannot take, ranked by sorting.
+@example((3, ((A, B), (C,))))
+@example((3, ((A,), (AB,), (AC,), (B,), (C,))))
+@example((3, ((A, AB), (AC,), (B,), (BC,), (C,))))
+def test_link_histogram_matches_the_lexsort_oracle(drawn):
+    n, classes = drawn
+    got = _link_histogram(n, classes)
+    want = distinct_columns_by_sort(class_counts_by_masking(n, classes))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
@@ -350,8 +346,10 @@ def test_batched_polymer_sums_match_the_per_set_loop(family, n, max_links, data)
                                max_size=len(family)))
     sys = _LinkSystem(build_interaction(family, betas, n))
     try:
-        for _ in _connected_item_sets(sys.adj, max_links, WALK_CAP):
-            pass
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(subsets, "DEFAULT_MAX_COUNT", WALK_CAP)
+            for _ in _connected_item_sets(sys.adj, max_links):
+                pass
     except GuardExceeded:
         assume(False)
     got = polymer_sum_dicts(sys, max_links)
